@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 success / certified, 1 certification not achieved, 2 bad
 config or input.  Identical (config, seed) produce byte-identical output
-files at any --threads value.  Environment overrides: FREEWALK_SEED,
-FREEWALK_OUT, FREEWALK_THREADS.
+files.  Environment overrides: FREEWALK_SEED, FREEWALK_OUT.  The
+--threads option, FREEWALK_THREADS and the config key "threads" are still
+accepted so that existing scripts and configs keep working, but have no
+effect: every experiment runs as one batched walk in one thread.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import jsonschema
 from . import __version__
 from .errors import ConfigError, FreewalkError
 from .estimators import (
+    Z95,
     direction_convergence,
     gap_test,
     holder_function,
@@ -177,7 +180,7 @@ def _sidecar(kind: str, config: dict, measure, measure2, payload: dict, probe=No
     return doc
 
 
-def _run_experiment(kind: str, config: dict, base: Path, out: Path, threads: int) -> int:
+def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
     measure, measure2 = _resolve_measures(config, base)
     seed = config["seed"]
     reps = config.get("reps")
@@ -195,7 +198,7 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path, threads: int
 
     if kind == "lyapunov":
         _require(config, kind, "n", "reps")
-        est = lyapunov_estimate(measure, config["n"], reps, seed, threads=threads)
+        est = lyapunov_estimate(measure, config["n"], reps, seed)
         verdict = gap_test(est)
         header = ["n", "lambda1_hat", "lambda1_ci", "lambda12_hat", "lambda12_ci", "gap_hat", "gap_ci", "reps"]
         rows = [[est.n, est.lambda1_hat, est.ci_half_widths[0], est.lambda12_hat,
@@ -214,7 +217,7 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path, threads: int
         _require(config, kind, "grid", "reps", "thresholds.r_base", "thresholds.eps_base")
         est = pingpong_decay(
             measure, measure2 or measure, th["r_base"], th["eps_base"],
-            config["grid"], reps, seed, threads=threads,
+            config["grid"], reps, seed,
         )
         header = ["n", "p_hat", "ci_lo", "ci_hi", "reps",
                   "fail_contraction", "fail_separation", "fail_cross", "r", "eps", "thresholds_valid"]
@@ -231,9 +234,9 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path, threads: int
         x = config.get("x", _default_x(measure.d))
         direction = direction_convergence(
             measure, [parse_scalar(v, measure.field) for v in x],
-            config["grid"], config["horizon"], reps, seed, threads=threads,
+            config["grid"], config["horizon"], reps, seed,
         )
-        frames = kak_convergence(measure, config["grid"], config["horizon"], reps, seed, threads=threads)
+        frames = kak_convergence(measure, config["grid"], config["horizon"], reps, seed)
         header = ["n", "p_hat", "ci_lo", "ci_hi", "reps", "curve"]
         rows = []
         for name, est in (("direction", direction), ("kak_k", frames.k_curve), ("kak_u", frames.u_curve)):
@@ -267,9 +270,9 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path, threads: int
         rows = []
         results = {}
         for n in ns:
-            res = independence_test(measure, phi1, phi2, n, reps, seed, threads=threads)
-            rows.append([n, res.discrepancy, max(0.0, res.discrepancy - 1.959963984540054 * res.se),
-                         res.discrepancy + 1.959963984540054 * res.se, reps,
+            res = independence_test(measure, phi1, phi2, n, reps, seed)
+            rows.append([n, res.discrepancy, max(0.0, res.discrepancy - Z95 * res.se),
+                         res.discrepancy + Z95 * res.se, reps,
                          res.mean_joint, res.mean_phi1, res.mean_phi2])
             results[str(n)] = {"discrepancy": res.discrepancy, "se": res.se}
         payload = {"discrepancies": results, "phi1": phi1_doc, "phi2": phi2_doc}
@@ -296,11 +299,11 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path, threads: int
         pair_fit = None
         if rho is None and config.get("grid"):
             pair = pingpong_decay(measure, measure2 or measure, th["r_base"], th["eps_base"],
-                                  config["grid"], reps, seed, threads=threads)
+                                  config["grid"], reps, seed)
             pair_fit = fit_to_dict(pair.fit)
             rho = pair.fit.rho_hat if pair.fit else None
         res = tuple_decay(measure, config["tuple_size"], th["r_base"] ** n, th["eps_base"] ** n,
-                          n, reps, seed, rho_hat=rho, threads=threads)
+                          n, reps, seed, rho_hat=rho)
         header = ["n", "p_hat", "ci_lo", "ci_hi", "reps", "l", "prediction", "prediction_se", "within_prediction"]
         lo, hi = wilson_interval(res.failures, res.reps)
         rows = [[res.n, res.failure_fraction, lo, hi, res.reps, res.l,
@@ -396,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed (env FREEWALK_SEED)")
         p.add_argument("--out", default=None, help="output directory (env FREEWALK_OUT)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; never changes results (env FREEWALK_THREADS)")
+                       help="accepted for compatibility; has no effect")
     return parser
 
 
@@ -420,8 +423,7 @@ def main(argv=None) -> int:
         elif env_seed is not None:
             config["seed"] = env_seed
         out = args.out or os.environ.get("FREEWALK_OUT") or config.get("out") or "."
-        threads = args.threads or _env_int("FREEWALK_THREADS") or config.get("threads", 1)
-        return _run_experiment(args.command, config, config_path.parent, Path(out), threads)
+        return _run_experiment(args.command, config, config_path.parent, Path(out))
     except FreewalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,6 +72,26 @@ def slow_contracting() -> WalkMeasure:
     )
 
 
+def sl3_integer() -> WalkMeasure:
+    """Uniform on four SL_3(Z) matrices over R: [[2,1],[1,1]] embedded in two
+    corners, and the all-ones upper and lower unitriangular matrices.
+
+    Its products reach a_1/a_3 far beyond 1e16 within a few dozen steps,
+    which is where float poles of S_n^{-1} must come from the inverse
+    product rather than from the bottom singular vectors of S_n.
+    """
+    return make_measure(
+        [
+            [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 2, 1], [0, 1, 1]],
+            [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+            [[1, 0, 0], [1, 1, 0], [1, 1, 1]],
+        ],
+        [F(1, 4)] * 4,
+        FieldSpec.real(),
+    )
+
+
 def padic_contracting(p: int = 3) -> WalkMeasure:
     """Uniform on [[1/p,1],[0,p]] and [[1/p,0],[1,p]] over Q_p.
 

@@ -35,8 +35,19 @@ from .linalg import (
 )
 
 
+class _DiagonalPart:
+    """The a-part diag(a_1, ..., a_d) shared by both decompositions."""
+
+    def a_matrix(self, field: FieldSpec) -> np.ndarray:
+        d = len(self.a)
+        m = identity(d, field)
+        for i in range(d):
+            m[i, i] = self.a[i] if not field.is_archimedean else float(self.a[i])
+        return m
+
+
 @dataclass(frozen=True)
-class KakDecomposition:
+class KakDecomposition(_DiagonalPart):
     """g = k . diag(a) . u with |a_1| >= ... >= |a_d|.
 
     v is the attracting point k.e1 and h the repelling-hyperplane covector
@@ -50,42 +61,55 @@ class KakDecomposition:
     v: np.ndarray
     h: np.ndarray
 
-    def a_matrix(self, field: FieldSpec) -> np.ndarray:
-        d = len(self.a)
-        m = identity(d, field)
-        for i in range(d):
-            m[i, i] = self.a[i] if not field.is_archimedean else float(self.a[i])
-        return m
-
     def reconstruct(self, field: FieldSpec) -> np.ndarray:
         return self.k @ self.a_matrix(field) @ self.u
 
 
 @dataclass(frozen=True)
-class IwasawaDecomposition:
+class IwasawaDecomposition(_DiagonalPart):
     """g = k . diag(a) . n with n upper unitriangular."""
 
     k: np.ndarray
     a: tuple
     n: np.ndarray
 
-    def a_matrix(self, field: FieldSpec) -> np.ndarray:
-        d = len(self.a)
-        m = identity(d, field)
-        for i in range(d):
-            m[i, i] = self.a[i] if not field.is_archimedean else float(self.a[i])
-        return m
-
     def reconstruct(self, field: FieldSpec) -> np.ndarray:
         return self.k @ self.a_matrix(field) @ self.n
 
 
-def kak(g: np.ndarray, field: FieldSpec) -> KakDecomposition:
-    """Cartan decomposition of a determinant-1 matrix."""
-    require_unimodular(g, field)
+def kak(g: np.ndarray, field: FieldSpec, unimodular: bool = True) -> KakDecomposition:
+    """Cartan decomposition of a determinant-1 matrix.
+
+    With unimodular=False the determinant is not checked, so g may be any
+    invertible matrix with positive determinant, such as the unit part of
+    a scaled product; k, u and the frames (v, h) are scale-invariant.
+    """
+    if unimodular:
+        require_unimodular(g, field)
     if field.is_archimedean:
         return _kak_real(np.asarray(g, dtype=float))
     return _kak_padic(g, field)
+
+
+def frames(units, field: FieldSpec) -> tuple[list, list]:
+    """KAK frames (v, h) of every matrix of a stack, as two lists.
+
+    v is the attracting point k.e1 and h the repelling covector u^{-1}.e1*
+    of g = k a u, both normalized projective representatives; they do not
+    depend on the scale of g.  Archimedean stacks take one stacked SVD,
+    nonarchimedean ones the exact Smith form of each matrix.
+    """
+    if not field.is_archimedean:
+        decs = [_kak_padic(g, field) for g in units]
+        return [dec.v for dec in decs], [dec.h for dec in decs]
+    k, _, u = np.linalg.svd(np.asarray(units, dtype=float))
+    pairs = [_frame(ki, ui, field) for ki, ui in zip(k, u)]
+    return [v for v, _ in pairs], [h for _, h in pairs]
+
+
+def _frame(k: np.ndarray, u: np.ndarray, field: FieldSpec) -> tuple:
+    """(k.e1, e1*.u) as normalized projective representatives."""
+    return normalize_representative(k[:, 0], field), normalize_representative(u[0, :], field)
 
 
 def _kak_real(g: np.ndarray) -> KakDecomposition:
@@ -96,9 +120,7 @@ def _kak_real(g: np.ndarray) -> KakDecomposition:
         u = u.copy()
         k[:, -1] = -k[:, -1]
         u[-1, :] = -u[-1, :]
-    field = FieldSpec.real()
-    v = normalize_representative(k[:, 0], field)
-    h = normalize_representative(u[0, :], field)
+    v, h = _frame(k, u, FieldSpec.real())
     return KakDecomposition(k=k, a=tuple(float(x) for x in s), u=u, v=v, h=h)
 
 
@@ -136,8 +158,7 @@ def _kak_padic(g: np.ndarray, field: FieldSpec) -> KakDecomposition:
     for i in range(d):
         unit = m[i, i] / a[i]
         u[i, :] = unit * u[i, :]
-    v = normalize_representative(k[:, 0], field)
-    h = normalize_representative(u[0, :], field)
+    v, h = _frame(k, u, field)
     return KakDecomposition(k=k, a=a, u=u, v=v, h=h)
 
 

@@ -2,8 +2,11 @@
 
 Every estimator is a pure function of (inputs, seed): trajectory i of an
 experiment runs on RNG stream i (or a documented affine reallocation for
-multi-walk experiments), results are reduced in trajectory order, and
-thread count never changes the output.
+multi-walk experiments), and results are reduced in trajectory order.
+All trajectories of an estimator run as one batch through the walk
+kernel (:func:`walk_indices` and :func:`walk_products`); KAK frames of
+the products come from :func:`frames`.  Only the exact replays of
+direction and frame convergence still walk one trajectory at a time.
 
 Decay rates are never asserted against theoretical constants (the
 theorems' bounds are not effective); fits report sign, monotonicity and
@@ -15,20 +18,16 @@ acceptance thresholds stay auditable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
 from .decompositions import (
-    _kak_padic,
     exterior_square_atoms,
-    scaled_identity,
+    frames,
     scaled_log_norm,
     scaled_log_vector_norm,
-    scaled_multiply,
-    scaled_premultiply,
 )
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, abs_value
@@ -37,7 +36,7 @@ from .linalg import (
     dist_point_hyperplane,
     exact_inv,
     fubini_study,
-    normalize_representative,
+    identity,
     wedge_pairs,
 )
 from .pingpong import (
@@ -46,7 +45,7 @@ from .pingpong import (
     pole_pair,
     tuple_failure_reasons,
 )
-from .walks import WalkMeasure, _fast_scaled_products, sample_increment_indices
+from .walks import WalkMeasure, walk_indices, walk_products
 
 Z95 = 1.959963984540054
 
@@ -72,14 +71,6 @@ def _mean_se(values) -> tuple[float, float]:
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var / n)
-
-
-def _pmap(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -202,31 +193,18 @@ class LyapunovEstimate:
         return self.lambda12_hat - self.lambda1_hat
 
 
-def lyapunov_estimate(
-    measure: WalkMeasure, n: int, reps: int, seed: int, threads: int = 1
-) -> LyapunovEstimate:
+def lyapunov_estimate(measure: WalkMeasure, n: int, reps: int, seed: int) -> LyapunovEstimate:
     """lambda_1 from (1/n) log ||S_n||, lambda_1 + lambda_2 from the exterior square."""
     if n < 10 or reps < 10:
         raise UsageError("lyapunov_estimate needs n >= 10 and reps >= 10")
     field = measure.field
-    wedges = exterior_square_atoms(measure.atoms)
-    wedge_d = len(wedge_pairs(measure.d))
-
-    def one_rep(rep: int) -> tuple[float, float]:
-        idx = sample_increment_indices(measure, n, seed, rep)
-        s = scaled_identity(measure.d, field)
-        w = scaled_identity(wedge_d, field) if wedge_d else None
-        for i in idx:
-            s = scaled_premultiply(measure.atoms[i], s, field)
-            if w is not None:
-                w = scaled_premultiply(wedges[i], w, field)
-        l1 = scaled_log_norm(s, field) / n
-        l12 = scaled_log_norm(w, field) / n if w is not None else 0.0
-        return l1, l12
-
-    rows = _pmap(one_rep, range(reps), threads)
-    l1s = [r[0] for r in rows]
-    l12s = [r[1] for r in rows]
+    idx = walk_indices(measure, n, seed, range(reps))
+    l1s = [scaled_log_norm(s, field) / n for s in walk_products(measure.atoms, idx, field)]
+    if wedge_pairs(measure.d):
+        wedges = walk_products(exterior_square_atoms(measure.atoms), idx, field)
+        l12s = [scaled_log_norm(w, field) / n for w in wedges]
+    else:
+        l12s = [0.0] * reps
     m1, se1 = _mean_se(l1s)
     m12, se12 = _mean_se(l12s)
     gaps = [2 * a - b for a, b in zip(l1s, l12s)]
@@ -271,9 +249,7 @@ def moment_ratio(measure: WalkMeasure, eps: float, n: int, reps: int, seed: int)
     d = measure.d
     basis = [as_vector([1 if i == j else 0 for j in range(d)], field) for i in range(d)]
     sums = [0.0] * d
-    for rep in range(reps):
-        idx = sample_increment_indices(measure, n, seed, rep)
-        _, s = _fast_scaled_products(measure, idx, want_left=False)
+    for s in walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field):
         log_norm = scaled_log_norm(s, field)
         for i, e in enumerate(basis):
             sums[i] += math.exp(eps * (log_norm - scaled_log_vector_norm(s, e, field)))
@@ -311,13 +287,6 @@ def _exact_delta(x, y, field: FieldSpec) -> float:
     return math.exp(0.5 * _fraction_log(delta_sq))
 
 
-def _exact_identity(d: int) -> np.ndarray:
-    return np.array(
-        [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)],
-        dtype=object,
-    )
-
-
 def direction_convergence(
     measure: WalkMeasure,
     x,
@@ -325,7 +294,6 @@ def direction_convergence(
     horizon: int,
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> DecayEstimate:
     """Mean delta(M_n[x], M_N[x]) per grid n, N the horizon checkpoint.
 
@@ -340,17 +308,15 @@ def direction_convergence(
     x_exact = np.array([Fraction(v) for v in x], dtype=object)
     cps = set(grid) | {horizon}
 
-    def one_rep(rep: int) -> list[float]:
-        idx = sample_increment_indices(measure, horizon, seed, rep)
-        prod = _exact_identity(measure.d)
+    rows = []
+    for idx in walk_indices(measure, horizon, seed, range(reps)).tolist():
+        prod = identity(measure.d)
         dirs = {}
         for i, ai in enumerate(idx, start=1):
             prod = prod @ measure.exact_atoms[ai]
             if i in cps:
                 dirs[i] = prod @ x_exact
-        return [_exact_delta(dirs[n], dirs[horizon], field) for n in grid]
-
-    rows = _pmap(one_rep, range(reps), threads)
+        rows.append([_exact_delta(dirs[n], dirs[horizon], field) for n in grid])
     return _decay_from_means(grid, list(zip(*rows)), reps, extra={"horizon": horizon})
 
 
@@ -382,7 +348,6 @@ def kak_convergence(
     horizon: int,
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> KakFrameConvergence:
     """Decay of the KAK frame directions of M_n (k-part) and S_n (u-part)."""
     grid = sorted(grid)
@@ -393,10 +358,10 @@ def kak_convergence(
     z = np.array([Fraction(3) ** j for j in range(d)], dtype=object)
     cps = set(grid) | {horizon}
 
-    def one_rep(rep: int):
-        idx = sample_increment_indices(measure, horizon, seed, rep)
-        m = _exact_identity(d)
-        s = _exact_identity(d)
+    rows = []
+    for idx in walk_indices(measure, horizon, seed, range(reps)).tolist():
+        m = identity(d)
+        s = identity(d)
         vs, hs = {}, {}
         for i, ai in enumerate(idx, start=1):
             a = measure.exact_atoms[ai]
@@ -407,9 +372,7 @@ def kak_convergence(
                 hs[i] = _top_right_direction(s, z)
         kd = [_exact_delta(vs[n], vs[horizon], field) for n in grid]
         ud = [_exact_delta(hs[n], hs[horizon], field) for n in grid]
-        return kd, ud
-
-    rows = _pmap(one_rep, range(reps), threads)
+        rows.append((kd, ud))
     k_cols = list(zip(*[r[0] for r in rows]))
     u_cols = list(zip(*[r[1] for r in rows]))
     extra = {"horizon": horizon}
@@ -478,18 +441,6 @@ class IndependenceResult:
     reps: int
 
 
-def _kak_frame_classes(unit: np.ndarray, field: FieldSpec):
-    """(K e1, U^{-1} e1*) classes of a matrix, scale-invariant."""
-    if field.is_archimedean:
-        k, _, u = np.linalg.svd(np.asarray(unit, dtype=float))
-        return (
-            normalize_representative(k[:, 0], field),
-            normalize_representative(u[0, :], field),
-        )
-    dec = _kak_padic(unit, field)
-    return dec.v, dec.h
-
-
 def independence_test(
     measure: WalkMeasure,
     phi1: HolderTestFunction,
@@ -497,20 +448,12 @@ def independence_test(
     n: int,
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> IndependenceResult:
     """Empirical covariance gap of phi1(K_n e1) and phi2(U_n^{-1} e1*) along S_n."""
     field = measure.field
-
-    def one_rep(rep: int):
-        idx = sample_increment_indices(measure, n, seed, rep)
-        _, s = _fast_scaled_products(measure, idx, want_left=False)
-        x1, x2 = _kak_frame_classes(s.unit, field)
-        a = phi1.evaluate(x1)
-        b = phi2.evaluate(x2)
-        return a, b
-
-    rows = _pmap(one_rep, range(reps), threads)
+    s = walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field)
+    vs, hs = frames([x.unit for x in s], field)
+    rows = [(phi1.evaluate(v), phi2.evaluate(h)) for v, h in zip(vs, hs)]
     m1 = sum(r[0] for r in rows) / reps
     m2 = sum(r[1] for r in rows) / reps
     mj = sum(r[0] * r[1] for r in rows) / reps
@@ -555,9 +498,8 @@ def invariant_measure_probe(
     x0 = as_vector([1] + [0] * (measure.d - 1), field)
     threshold = t**n
     counts = [0] * len(covs)
-    for rep in range(reps):
-        idx = sample_increment_indices(measure, n, seed, rep)
-        left, _ = _fast_scaled_products(measure, idx, want_right=False)
+    idx = walk_indices(measure, n, seed, range(reps))
+    for left in walk_products(measure.atoms, idx, field, order="left"):
         direction = left.unit @ x0
         for i, f in enumerate(covs):
             if dist_point_hyperplane(direction, f, field) <= threshold:
@@ -592,43 +534,37 @@ def _inverse_atoms(measure: WalkMeasure) -> tuple:
     return tuple(exact_inv(a) for a in measure.exact_atoms)
 
 
-def _walk_poles(measure: WalkMeasure, idx, inv_atoms, wedges, inv_wedges):
-    """Contraction data of (S_n, S_n^{-1}) along one increment sequence.
+def _walk_poles(measure: WalkMeasure, idx, inv_atoms, wedges, inv_wedges) -> list:
+    """Contraction data (S_n, S_n^{-1}) of every index row.
 
-    Directions come from the SVD of the scaled unit part; the singular
-    value ratios use ||wedge(g)|| / ||g||**2 on scaled log products, which
-    stays fully accurate when the true ratio is far below float precision.
-    The p-adic route is exact throughout.
+    Over R the poles of S_n^{-1} are the KAK frames of the product of
+    inverse atoms X_1^{-1} ... X_n^{-1}, not the bottom singular vectors
+    of S_n, which its float unit part cannot resolve once a_1/a_d passes
+    float precision (d >= 3).  The singular value ratios use
+    ||wedge(g)|| / ||g||**2 on scaled log products, which stays fully
+    accurate when the true ratio is far below float precision.  The
+    p-adic route is exact throughout.
     """
     field = measure.field
+    s = walk_products(measure.atoms, idx, field)
     if not field.is_archimedean:
-        _, s = _fast_scaled_products(measure, idx, want_left=False)
-        return pole_pair(s.unit, field, unimodular=False)
-    d = measure.d
-    wedge_d = len(wedge_pairs(d))
-    s = scaled_identity(d, field)
-    s_inv = scaled_identity(d, field)
-    w = scaled_identity(wedge_d, field)
-    w_inv = scaled_identity(wedge_d, field)
-    for i in idx:
-        s = scaled_premultiply(measure.atoms[i], s, field)
-        s_inv = scaled_multiply(s_inv, inv_atoms[i], field)
-        w = scaled_premultiply(wedges[i], w, field)
-        w_inv = scaled_multiply(w_inv, inv_wedges[i], field)
-    k, _, u = np.linalg.svd(s.unit)
-    v_p = normalize_representative(k[:, 0], field)
-    h_p = normalize_representative(u[0, :], field)
-    v_m = normalize_representative(u[d - 1, :], field)
-    h_m = normalize_representative(k[:, d - 1], field)
-    ratio_p = math.exp(scaled_log_norm(w, field) - 2 * scaled_log_norm(s, field))
-    ratio_m = math.exp(scaled_log_norm(w_inv, field) - 2 * scaled_log_norm(s_inv, field))
-    plus = ContractionData(
-        v=v_p, h=h_p, ratio=ratio_p, separation=dist_point_hyperplane(v_p, h_p, field)
-    )
-    minus = ContractionData(
-        v=v_m, h=h_m, ratio=ratio_m, separation=dist_point_hyperplane(v_m, h_m, field)
-    )
-    return plus, minus
+        return [pole_pair(x.unit, field, unimodular=False) for x in s]
+    s_inv = walk_products(inv_atoms, idx, field, order="left")
+    w = walk_products(wedges, idx, field)
+    w_inv = walk_products(inv_wedges, idx, field, order="left")
+    v_p, h_p = frames([x.unit for x in s], field)
+    v_m, h_m = frames([x.unit for x in s_inv], field)
+    out = []
+    for i in range(len(s)):
+        ratio_p = math.exp(scaled_log_norm(w[i], field) - 2 * scaled_log_norm(s[i], field))
+        ratio_m = math.exp(scaled_log_norm(w_inv[i], field) - 2 * scaled_log_norm(s_inv[i], field))
+        out.append(
+            (
+                ContractionData.of(v_p[i], h_p[i], ratio_p, field),
+                ContractionData.of(v_m[i], h_m[i], ratio_m, field),
+            )
+        )
+    return out
 
 
 def _pole_caches(measure: WalkMeasure):
@@ -646,7 +582,6 @@ def pingpong_decay(
     grid,
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> DecayEstimate:
     """P(the pair (S_n, S'_n) fails the ping-pong pair test at r_base**n, eps_base**n).
 
@@ -662,26 +597,21 @@ def pingpong_decay(
     caches1 = _pole_caches(measure)
     caches2 = _pole_caches(measure2)
 
-    def one_task(task: tuple[int, int]):
-        gi, rep = task
-        n = grid[gi]
-        base = 2 * (gi * reps + rep)
-        idx1 = sample_increment_indices(measure, n, seed, base)
-        idx2 = sample_increment_indices(measure2, n, seed, base + 1)
-        poles = list(_walk_poles(measure, idx1, *caches1))
-        poles.extend(_walk_poles(measure2, idx2, *caches2))
-        margins = cross_margin_matrix(poles, field)
-        return gi, tuple_failure_reasons(poles, margins, r_base**n, eps_base**n)
-
-    tasks = [(gi, rep) for gi in range(len(grid)) for rep in range(reps)]
-    results = _pmap(one_task, tasks, threads)
     counts = [0] * len(grid)
     breakdown = {k: [0] * len(grid) for k in FAILURE_KEYS}
-    for gi, fails in results:
-        if fails:
-            counts[gi] += 1
-        for k in fails:
-            breakdown[k][gi] += 1
+    for gi, n in enumerate(grid):
+        # trajectory pair (gi, rep) walks streams 2*(gi*reps+rep) and 2*(gi*reps+rep)+1
+        streams = [2 * (gi * reps + rep) for rep in range(reps)]
+        poles1 = _walk_poles(measure, walk_indices(measure, n, seed, streams), *caches1)
+        idx2 = walk_indices(measure2, n, seed, [s + 1 for s in streams])
+        for pair1, pair2 in zip(poles1, _walk_poles(measure2, idx2, *caches2)):
+            poles = [*pair1, *pair2]
+            margins = cross_margin_matrix(poles, field)
+            fails = tuple_failure_reasons(poles, margins, r_base**n, eps_base**n)
+            if fails:
+                counts[gi] += 1
+            for k in fails:
+                breakdown[k][gi] += 1
     extra = {
         "breakdown": breakdown,
         "thresholds_valid": [r_base**n > 2 * eps_base**n for n in grid],
@@ -721,7 +651,6 @@ def tuple_decay(
     reps: int,
     seed: int,
     rho_hat: float | None = None,
-    threads: int = 1,
 ) -> TupleDecayResult:
     """Failure fraction of the ping-pong l-tuple test at time n.
 
@@ -733,16 +662,13 @@ def tuple_decay(
     field = measure.field
     caches = _pole_caches(measure)
 
-    def one_rep(rep: int) -> bool:
-        poles = []
-        for w in range(l):
-            idx = sample_increment_indices(measure, n, seed, rep * l + w)
-            poles.extend(_walk_poles(measure, idx, *caches))
-        margins = cross_margin_matrix(poles, field)
-        return bool(tuple_failure_reasons(poles, margins, r, eps))
-
-    results = _pmap(one_rep, range(reps), threads)
-    failures = sum(1 for f in results if f)
+    # walk w of tuple rep runs on stream rep*l + w
+    pairs = _walk_poles(measure, walk_indices(measure, n, seed, range(reps * l)), *caches)
+    failures = 0
+    for rep in range(reps):
+        poles = [p for pair in pairs[rep * l:(rep + 1) * l] for p in pair]
+        if tuple_failure_reasons(poles, cross_margin_matrix(poles, field), r, eps):
+            failures += 1
     prediction = None
     prediction_se = None
     if rho_hat is not None:

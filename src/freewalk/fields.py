@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError, UsageError
+from .errors import ConfigError, DomainError, UsageError
 
 ARCHIMEDEAN = "archimedean"
 NONARCHIMEDEAN = "nonarchimedean"
@@ -126,14 +126,23 @@ def abs_value(x: Scalar, field: FieldSpec):
 
 
 def parse_scalar(text, field: FieldSpec) -> Scalar:
-    """Parse a serialized scalar ("num/den", integer or decimal literal)."""
+    """Parse a serialized scalar ("num/den", integer or decimal literal).
+
+    An archimedean scalar must be finite: inf, nan and a zero denominator
+    raise ConfigError, as no measure, matrix or generator document may
+    carry them.
+    """
     if field.is_archimedean:
-        if isinstance(text, str) and "/" in text:
-            return float(Fraction(text))
-        return float(text)
+        try:
+            x = float(Fraction(text)) if isinstance(text, str) and "/" in text else float(text)
+        except (ZeroDivisionError, OverflowError):
+            x = math.inf
+        if not math.isfinite(x):
+            raise ConfigError(f"scalar {text!r} is not finite")
+        return x
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"cannot parse nonarchimedean scalar {text!r}") from exc
 
 
@@ -145,13 +154,6 @@ def format_scalar(x: Scalar, field: FieldSpec) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def exact_scalar(x: Scalar) -> Fraction:
-    """Exact rational value of a scalar (floats convert exactly)."""
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------

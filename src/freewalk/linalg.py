@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InvariantViolation, UsageError
-from .fields import FieldSpec, abs_value, format_scalar, parse_scalar
+from .fields import FieldSpec, abs_value, format_scalar, parse_scalar, valuation
 
 UNIMODULAR_TOL = 1e-9
 
@@ -33,8 +33,9 @@ def as_vector(entries, field: FieldSpec) -> np.ndarray:
     return np.array([Fraction(x) for x in entries], dtype=object)
 
 
-def identity(d: int, field: FieldSpec) -> np.ndarray:
-    if field.is_archimedean:
+def identity(d: int, field: FieldSpec | None = None) -> np.ndarray:
+    """The d x d identity: floats over R, exact Fractions over Q_p or with no field."""
+    if field is not None and field.is_archimedean:
         return np.eye(d)
     m = np.empty((d, d), dtype=object)
     for i in range(d):
@@ -160,10 +161,6 @@ def wedge_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([x[i] * y[j] - x[j] * y[i] for i, j in wedge_pairs(d)], dtype=x.dtype)
 
 
-def apply_matrix(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return g @ x
-
-
 def dual_action(g: np.ndarray, f: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Contragredient action (g.f)(x) = f(g^{-1} x); returns the covector f o g^{-1}."""
     return f @ inv(g, field)
@@ -208,21 +205,9 @@ def normalize_representative(x: np.ndarray, field: FieldSpec) -> np.ndarray:
         return -v if lead < 0 else v
     lead = next(Fraction(c) for c in x if c != 0)
     scaled = np.array([Fraction(c) / lead for c in x], dtype=object)
-    m = min(_val(c, field.prime) for c in scaled if c != 0)
+    m = min(valuation(c, field.prime) for c in scaled if c != 0)
     factor = Fraction(field.prime) ** (-m)
     return np.array([c * factor for c in scaled], dtype=object)
-
-
-def _val(q: Fraction, p: int) -> int:
-    num, den = q.numerator, q.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
 
 
 def is_isometry(k: np.ndarray, field: FieldSpec, tol: float = UNIMODULAR_TOL) -> bool:
@@ -236,10 +221,10 @@ def is_isometry(k: np.ndarray, field: FieldSpec, tol: float = UNIMODULAR_TOL) ->
         return bool(np.max(np.abs(k.T @ k - np.eye(d))) <= tol)
     p = field.prime
     for v in k.flat:
-        if v != 0 and _val(Fraction(v), p) < 0:
+        if v != 0 and valuation(Fraction(v), p) < 0:
             return False
     dk = exact_det(k)
-    return dk != 0 and _val(dk, p) == 0
+    return dk != 0 and valuation(dk, p) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decompositions import kak, _kak_padic
+from .decompositions import kak
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, Interval, abs_value
 from .linalg import (
@@ -37,7 +37,6 @@ from .linalg import (
     exact_matrix,
     exterior_square,
     normalize_representative,
-    require_unimodular,
     vector_to_strings,
 )
 
@@ -51,13 +50,17 @@ class ContractionData:
     ratio: object  # float or Fraction, |a_2 / a_1|
     separation: object  # float or Fraction, delta(v, Ker h)
 
+    @classmethod
+    def of(cls, v: np.ndarray, h: np.ndarray, ratio, field: FieldSpec) -> "ContractionData":
+        """Contraction data with the own-separation delta(v, Ker h) filled in."""
+        return cls(v=v, h=h, ratio=ratio, separation=dist_point_hyperplane(v, h, field))
+
 
 def contraction_data(g: np.ndarray, field: FieldSpec) -> ContractionData:
     """Contraction data of a determinant-1 matrix, via its KAK decomposition."""
     dec = kak(g, field)
     ratio = abs_value(dec.a[1], field) / abs_value(dec.a[0], field)
-    sep = dist_point_hyperplane(dec.v, dec.h, field)
-    return ContractionData(v=dec.v, h=dec.h, ratio=ratio, separation=sep)
+    return ContractionData.of(dec.v, dec.h, ratio, field)
 
 
 def _check_eps(eps: float) -> None:
@@ -87,34 +90,25 @@ def pole_pair(g: np.ndarray, field: FieldSpec, unimodular: bool = True):
     If g = K A U then g^{-1} = (U^{-1} J)(J A^{-1} J)(J K^{-1}) with J the
     index reversal, so the attracting point of g^{-1} is the class of
     U^{-1} e_d and its repelling covector the last row of K^{-1}.  This
-    avoids inverting long products (numerically singular in floats) and
-    matches the reversed-reciprocal a-part identity.
+    avoids inverting g and matches the reversed-reciprocal a-part
+    identity.  It suits one matrix of moderate condition number; for long
+    products, whose unit part cannot resolve U^{-1} e_d in floats once
+    a_1/a_d passes 1e16 (d >= 3), the walk estimators decompose the
+    product of the inverses instead.
     """
-    if unimodular:
-        require_unimodular(g, field)
+    dec = kak(g, field, unimodular=unimodular)
     d = g.shape[0]
     if field.is_archimedean:
-        k, s, u = np.linalg.svd(np.asarray(g, dtype=float))
-        v_p = normalize_representative(k[:, 0], field)
-        h_p = normalize_representative(u[0, :], field)
-        v_m = normalize_representative(u[d - 1, :], field)
-        h_m = normalize_representative(k[:, d - 1], field)
-        ratio_p = float(s[1] / s[0])
-        ratio_m = float(s[d - 1] / s[d - 2])
+        u_inv, k_inv = dec.u.T, dec.k.T
     else:
-        dec = _kak_padic(g, field)
-        u_inv = exact_inv(dec.u)
-        k_inv = exact_inv(dec.k)
-        v_p, h_p = dec.v, dec.h
-        v_m = normalize_representative(u_inv[:, d - 1], field)
-        h_m = normalize_representative(k_inv[d - 1, :], field)
-        ratio_p = abs_value(dec.a[1], field) / abs_value(dec.a[0], field)
-        ratio_m = abs_value(dec.a[d - 1], field) / abs_value(dec.a[d - 2], field)
-    plus = ContractionData(
-        v=v_p, h=h_p, ratio=ratio_p, separation=dist_point_hyperplane(v_p, h_p, field)
-    )
-    minus = ContractionData(
-        v=v_m, h=h_m, ratio=ratio_m, separation=dist_point_hyperplane(v_m, h_m, field)
+        u_inv, k_inv = exact_inv(dec.u), exact_inv(dec.k)
+    a = [abs_value(x, field) for x in dec.a]
+    plus = ContractionData.of(dec.v, dec.h, a[1] / a[0], field)
+    minus = ContractionData.of(
+        normalize_representative(u_inv[:, d - 1], field),
+        normalize_representative(k_inv[d - 1, :], field),
+        a[d - 1] / a[d - 2],
+        field,
     )
     return plus, minus
 

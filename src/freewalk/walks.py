@@ -9,11 +9,23 @@ the stream with index ``i`` under master seed ``s`` is
 indices give statistically independent, individually reproducible
 streams, so trajectory ``i`` of an experiment can be regenerated in
 isolation from ``(seed, i)``.  Sampling one increment consumes exactly
-one uniform draw.
+one uniform draw; n increments are drawn with one ``random(n)`` call,
+which yields the same uniforms as n single draws.
 
-Both walk orders are maintained from one increment sequence: the natural
-product M_n = X_1 ... X_n and the reversed product S_n = X_n ... X_1,
-each as a ScaledMatrix so products of any length never overflow.
+Walk kernel
+-----------
+Both walk orders come from one increment sequence: the natural product
+M_n = X_1 ... X_n and the reversed product S_n = X_n ... X_1, each as a
+ScaledMatrix so products of any length never overflow.  Every estimator
+walks through one kernel: :func:`walk_indices` stacks the index rows of
+a batch of streams into an array of shape (reps, n), and
+:func:`walk_products` folds a table of increments (atoms, their
+inverses or exterior squares) along every row at once.  Over R the batch
+is one stack of float matrices renormalized by its max-abs entry after
+every step, exactly as :func:`scaled_premultiply` does, so each row is
+bit-identical to the sequential fold; over Q_p each row is folded with
+exact ScaledMatrix arithmetic.  :func:`run_walk` and :func:`advance`
+keep the sequential fold for single trajectories.
 """
 
 from __future__ import annotations
@@ -29,19 +41,19 @@ import numpy as np
 
 from .decompositions import (
     ScaledMatrix,
-    _kak_padic,
+    kak,
     scaled_identity,
     scaled_log_norm,
     scaled_multiply,
     scaled_premultiply,
 )
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, DomainError, InvariantViolation, UsageError
 from .fields import FieldSpec, abs_value, format_scalar, parse_scalar, valuation
 from .linalg import (
     as_matrix,
     exact_det,
     exact_matrix,
-    normalize_representative,
+    identity,
     vector_to_strings,
 )
 
@@ -143,7 +155,7 @@ def measure_from_json_dict(doc: dict) -> WalkMeasure:
                 [[parse_scalar(flat[i * d + j], field) for j in range(d)] for i in range(d)]
             )
         probs = [Fraction(p) for p in doc["probs"]]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed measure document: {exc}") from exc
     return make_measure(atom_rows, probs, field)
 
@@ -222,24 +234,88 @@ def run_walk(measure: WalkMeasure, n: int, seed: int, stream: int = 0, checkpoin
 
     Returns the final WalkState, or {n: WalkState} snapshots when
     checkpoints is given.  Step for step identical to iterating
-    :func:`advance` from :func:`new_walk_state`.
+    :func:`advance` from :func:`new_walk_state`; the uniforms are drawn in
+    one call per stretch between checkpoints.
     """
-    state = new_walk_state(measure, seed, stream)
-    wanted = set(checkpoints) if checkpoints is not None else None
-    snaps = {}
-    if wanted is not None and 0 in wanted:
-        snaps[0] = state
-    for _ in range(n):
-        state = advance(state, measure)
-        if wanted is not None and state.step in wanted:
-            snaps[state.step] = state
-    return snaps if wanted is not None else state
-
-
-def sample_increment_indices(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> list:
-    """The first n atom indices of a stream, without building products."""
+    field = measure.field
     rng = make_stream(seed, stream)
-    return [_sample_index(measure, rng.random()) for _ in range(n)]
+    left = right = scaled_identity(measure.d, field)
+    increments: list[int] = []
+    wanted = set(checkpoints) if checkpoints is not None else set()
+    snaps = {}
+    for stop in sorted({c for c in wanted if 0 <= c <= n} | {n}):
+        for i in _draw_indices(measure, rng, stop - len(increments)).tolist():
+            x = measure.atoms[i]
+            left = scaled_multiply(left, x, field)
+            right = scaled_premultiply(x, right, field)
+            increments.append(i)
+        state = WalkState(
+            step=stop,
+            left_product=left,
+            right_product=right,
+            increments=tuple(increments),
+            rng_state=rng.bit_generator.state,
+        )
+        if stop in wanted:
+            snaps[stop] = state
+    return snaps if checkpoints is not None else state
+
+
+def _draw_indices(measure: WalkMeasure, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count atom indices, one uniform each: the vector form of :func:`_sample_index`."""
+    cum = measure.cumulative
+    return np.minimum(np.searchsorted(cum, rng.random(count), side="right"), len(cum) - 1)
+
+
+def sample_increment_indices(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """The first n atom indices of a stream, without building products."""
+    return _draw_indices(measure, make_stream(seed, stream), n)
+
+
+def walk_indices(measure: WalkMeasure, n: int, seed: int, streams) -> np.ndarray:
+    """Index array of shape (len(streams), n); row i samples stream streams[i]."""
+    rows = [sample_increment_indices(measure, n, seed, s) for s in streams]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
+def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "right") -> list:
+    """Scaled products of increments along each row of an index array.
+
+    order "right" gives X_n ... X_1 (the S walk), "left" gives X_1 ... X_n
+    (the M walk), with X_t = increments[idx[row, t]].  Returns one
+    ScaledMatrix per row, equal to the sequential fold of
+    :func:`scaled_premultiply` (or :func:`scaled_multiply`) bit for bit.
+    """
+    if order not in ("left", "right"):
+        raise UsageError(f"order must be 'left' or 'right', not {order!r}")
+    left = order == "left"
+    if not field.is_archimedean:
+        out = []
+        for row in idx.tolist():
+            acc = scaled_identity(increments[0].shape[0], field)
+            for i in row:
+                x = increments[i]
+                acc = scaled_multiply(acc, x, field) if left else scaled_premultiply(x, acc, field)
+            out.append(acc)
+        return out
+    table = np.asarray(increments, dtype=float)
+    reps, n = idx.shape
+    m = table.shape[1]
+    prod = np.broadcast_to(np.eye(m), (reps, m, m)).copy()
+    maxima = np.empty((n, reps))
+    for t, col in enumerate(np.ascontiguousarray(idx.T)):
+        x = table[col]
+        prod = prod @ x if left else x @ prod
+        top = np.abs(prod).reshape(reps, m * m).max(axis=1)
+        prod /= top[:, None, None]
+        maxima[t] = top
+    if not (maxima > 0).all():
+        raise DomainError("cannot scale the zero matrix")
+    # math.log, not np.log: the two can differ in the last bit, and the
+    # scales must match the sequential fold exactly
+    logs = np.fromiter(map(math.log, maxima.ravel().tolist()), float, n * reps)
+    scales = np.add.accumulate(logs.reshape(n, reps), axis=0)[-1] if n else np.zeros(reps)
+    return [ScaledMatrix(prod[r], float(scales[r])) for r in range(reps)]
 
 
 def run_independent_walks(measure, measure2, count: int, n: int, seed: int) -> list:
@@ -267,13 +343,7 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
     for idx in seq:
         a = measure.exact_atoms[idx]
         prod = a if prod is None else prod @ a
-    if prod is None:
-        d = measure.d
-        prod = np.array(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)],
-            dtype=object,
-        )
-    return prod
+    return identity(measure.d) if prod is None else prod
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +354,19 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
 def trajectory_records(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> list:
     """Per-step summary records: norms plus KAK geometry of S_n."""
     field = measure.field
-    state = new_walk_state(measure, seed, stream)
+    snaps = run_walk(measure, n, seed, stream, checkpoints=range(1, n + 1))
     records = []
-    for _ in range(n):
-        state = advance(state, measure)
-        unit = state.right_product.unit
-        if field.is_archimedean:
-            k, s, u = np.linalg.svd(np.asarray(unit, dtype=float))
-            ratio = float(s[1] / s[0])
-            v, h = k[:, 0], u[0, :]
-        else:
-            dec = _kak_padic(unit, field)
-            ratio = float(abs_value(dec.a[1], field) / abs_value(dec.a[0], field))
-            v, h = dec.v, dec.h
+    for step in range(1, n + 1):
+        state = snaps[step]
+        dec = kak(state.right_product.unit, field, unimodular=False)
         records.append(
             {
-                "n": state.step,
+                "n": step,
                 "log_norm_M": scaled_log_norm(state.left_product, field),
                 "log_norm_S": scaled_log_norm(state.right_product, field),
-                "a_ratio": ratio,
-                "v": vector_to_strings(normalize_representative(v, field), field),
-                "h": vector_to_strings(normalize_representative(h, field), field),
+                "a_ratio": float(abs_value(dec.a[1], field) / abs_value(dec.a[0], field)),
+                "v": vector_to_strings(dec.v, field),
+                "h": vector_to_strings(dec.h, field),
             }
         )
     return records
@@ -314,10 +376,7 @@ def characteristic_polynomial(m: np.ndarray) -> list:
     """Exact char poly coefficients [c_0, ..., c_d] (monic), Faddeev-LeVerrier."""
     d = m.shape[0]
     a = np.array([[Fraction(x) for x in row] for row in m], dtype=object)
-    ident = np.array(
-        [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)],
-        dtype=object,
-    )
+    ident = identity(d)
     coeffs = [Fraction(1)]  # c_d
     mk = a.copy()
     for k in range(1, d + 1):
@@ -369,19 +428,6 @@ def find_proximal_element(measure: WalkMeasure, seed: int = 0, tries: int = 64, 
         if _unique_max_modulus_root(characteristic_polynomial(prod), measure.field):
             return {"length": length, "word": word}
     return None
-
-
-def _fast_scaled_products(measure: WalkMeasure, indices, want_left=True, want_right=True):
-    """Scaled products along an index sequence, no per-step state snapshots."""
-    field = measure.field
-    left = right = scaled_identity(measure.d, field)
-    for idx in indices:
-        x = measure.atoms[idx]
-        if want_left:
-            left = scaled_multiply(left, x, field)
-        if want_right:
-            right = scaled_premultiply(x, right, field)
-    return left, right
 
 
 def write_trajectory_jsonl(path, measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> None:

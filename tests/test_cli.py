@@ -232,6 +232,34 @@ def test_config_validation_errors(workdir, capsys):
     assert main(["lyapunov", str(cfg)]) == 2
 
 
+def test_non_finite_entries_exit_2(workdir):
+    # measure, matrix and generator documents: inf and nan are input errors
+    # (exit 2, no traceback), never an uncaught exception
+    real = {"kind": "archimedean"}
+    cases = []
+    for i, bad in enumerate(["inf", "nan", "-Infinity", "1/0", float("inf")]):
+        measure = corpus.diagonal_point_mass().to_json_dict()
+        measure["atoms"][0][0] = bad
+        (workdir / f"m{i}.json").write_text(json.dumps(measure))
+        cfg = _config(workdir, kind="lyapunov", measure=f"m{i}.json", n=20, reps=10)
+        cases.append(["lyapunov", str(cfg), "--out", str(workdir / "nf")])
+    probs = corpus.diagonal_point_mass().to_json_dict()
+    probs["probs"] = [float("inf")]
+    (workdir / "probs.json").write_text(json.dumps(probs))
+    cases.append(["lyapunov", str(_config(workdir, kind="lyapunov", measure="probs.json", n=20, reps=10))])
+    (workdir / "mat_inf.json").write_text(json.dumps({"field": real, "d": 2, "entries": ["1", "inf", "0", "1"]}))
+    cases.append(["kak", str(workdir / "mat_inf.json")])
+    (workdir / "gens_nan.json").write_text(
+        json.dumps({"field": real, "d": 2, "generators": [["1", "nan", "0", "1"], ["1", "0", "2", "1"]]})
+    )
+    cases.append(["certify", str(workdir / "gens_nan.json"), "--r", "0.5", "--eps", "0.02", "--exact"])
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
 def test_seed_override_and_env(workdir, monkeypatch):
     cfg = _config(
         workdir, kind="lyapunov", measure="positive.json", n=30, reps=10, out=str(workdir / "a")

@@ -16,14 +16,24 @@ from freewalk import (
     sample_increment,
 )
 from freewalk import corpus
-from freewalk.decompositions import scaled_log_norm, scaled_reconstruct
+from freewalk.decompositions import (
+    exterior_square_atoms,
+    scaled_identity,
+    scaled_log_norm,
+    scaled_multiply,
+    scaled_premultiply,
+    scaled_reconstruct,
+)
 from freewalk.errors import ConfigError
 from freewalk.walks import (
+    _sample_index,
     exact_product,
     load_measure,
     measure_from_json_dict,
     sample_increment_indices,
     trajectory_records,
+    walk_indices,
+    walk_products,
     write_trajectory_jsonl,
 )
 
@@ -217,3 +227,71 @@ def test_trajectory_records_and_jsonl(tmp_path, positive_measure):
     recq = trajectory_records(mq, 4, seed=3, stream=0)
     assert recq[-1]["log_norm_S"] == pytest.approx(4 * math.log(3))
     assert recq[-1]["a_ratio"] == pytest.approx(3.0 ** (-8))
+
+
+# ---------------------------------------------------------------------------
+# The batched walk kernel against the per-step reference
+# ---------------------------------------------------------------------------
+
+
+def _kernel_measures(real_field):
+    shears = [[[1, k], [0, 1]] for k in range(10)]
+    return [
+        corpus.positive_matrices(),
+        corpus.sanov(),
+        corpus.diagonal_point_mass(),  # one atom of probability 1
+        make_measure(shears, [F(1, 10)] * 10, real_field),  # float partial sums end below 1
+        corpus.sl3_integer(),
+        corpus.padic_contracting(3),
+    ]
+
+
+def test_batched_indices_match_per_draw(real_field):
+    streams = [0, 1, 5, 2**40 + 3]
+    for m in _kernel_measures(real_field):
+        idx = walk_indices(m, 300, 17, streams)
+        assert idx.shape == (len(streams), 300)
+        for row, stream in zip(idx.tolist(), streams):
+            rng = make_stream(17, stream)
+            assert row == [_sample_index(m, rng.random()) for _ in range(300)]
+            assert row == sample_increment_indices(m, 300, 17, stream).tolist()
+    assert walk_indices(corpus.sanov(), 5, 1, []).shape == (0, 5)
+
+
+def _fold(increments, row, field, left):
+    acc = scaled_identity(increments[0].shape[0], field)
+    for i in row:
+        x = increments[i]
+        acc = scaled_multiply(acc, x, field) if left else scaled_premultiply(x, acc, field)
+    return acc
+
+
+def test_stacked_products_match_sequential_fold(real_field):
+    for m in (corpus.positive_matrices(), corpus.sanov(), corpus.sl3_integer()):
+        inverses = tuple(np.linalg.inv(a) for a in m.atoms)
+        tables = (m.atoms, inverses, exterior_square_atoms(m.atoms))
+        idx = walk_indices(m, 150, 3, range(6))
+        for table in tables:
+            for order in ("left", "right"):
+                batch = walk_products(table, idx, real_field, order)
+                for row, got in zip(idx.tolist(), batch):
+                    want = _fold(table, row, real_field, order == "left")
+                    assert np.array_equal(got.unit, want.unit)
+                    assert got.scale == want.scale
+
+
+def test_batch_row_matches_run_walk(real_field):
+    n, seed = 60, 23
+    for m in _kernel_measures(real_field):
+        idx = walk_indices(m, n, seed, range(5))
+        rights = walk_products(m.atoms, idx, m.field)
+        lefts = walk_products(m.atoms, idx, m.field, order="left")
+        for i in range(5):
+            st = run_walk(m, n, seed, i)
+            assert st.increments == tuple(idx[i].tolist())
+            assert (rights[i].unit == st.right_product.unit).all()
+            assert rights[i].scale == st.right_product.scale
+            assert (lefts[i].unit == st.left_product.unit).all()
+            assert lefts[i].scale == st.left_product.scale
+            # the stream resumes where the batch row ends
+            assert advance(st, m).increments == run_walk(m, n + 1, seed, i).increments
