@@ -17,6 +17,7 @@ effect: every experiment runs as one batched walk in one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -367,12 +368,15 @@ def _cmd_certify(args) -> int:
     cert = pingpong_certificate(gens, args.r, args.eps, field, certified=args.exact)
     out = cert.to_json_dict(field)
     sys.stdout.write(dumps_json(out))
-    if args.out:
-        write_json(Path(args.out) / "certificate.json", out)
+    out_dir = args.out or os.environ.get("FREEWALK_OUT")
+    if out_dir:
+        write_json(Path(out_dir) / "certificate.json", out)
     return 0 if cert.certified else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it reads no environment."""
     parser = argparse.ArgumentParser(
         prog="freewalk",
         description="Random matrix products over local fields: decompositions, "
@@ -390,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--eps", type=float, required=True)
     p_cert.add_argument("--exact", action="store_true",
                         help="verified mode: interval/exact arithmetic at the comparisons")
-    p_cert.add_argument("--out", default=os.environ.get("FREEWALK_OUT"))
+    p_cert.add_argument("--out", default=None, help="output directory (env FREEWALK_OUT)")
 
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")

@@ -32,11 +32,11 @@ from .decompositions import (
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, abs_value
 from .linalg import (
+    _integer_form,
     as_vector,
     dist_point_hyperplane,
     exact_inv,
     fubini_study,
-    identity,
     wedge_pairs,
 )
 from .pingpong import (
@@ -270,16 +270,18 @@ def _exact_delta(x, y, field: FieldSpec) -> float:
     """delta([x],[y]) for exact rational vectors, safe far below 1e-16.
 
     Computed from the exact squared distance via big-integer logs, so
-    exponentially small separations keep full relative precision.
+    exponentially small separations keep full relative precision.  The
+    value does not change when x or y is scaled, so callers pass integer
+    representatives.
     """
     pairs = wedge_pairs(len(x))
     w = [x[i] * y[j] - x[j] * y[i] for i, j in pairs]
     if all(c == 0 for c in w):
         return 0.0
     if field.is_archimedean:
-        num = sum((c * c for c in w), Fraction(0))
-        den = sum((c * c for c in x), Fraction(0)) * sum((c * c for c in y), Fraction(0))
-        delta_sq = num / den
+        num = sum(c * c for c in w)
+        den = sum(c * c for c in x) * sum(c * c for c in y)
+        delta_sq = Fraction(num, den)
     else:
         num = max(abs_value(c, field) for c in w)
         den = max(abs_value(c, field) for c in x) * max(abs_value(c, field) for c in y)
@@ -305,17 +307,19 @@ def direction_convergence(
     if horizon < 2 * max(grid):
         raise UsageError("horizon too small: need horizon >= 2 * max(grid)")
     field = measure.field
-    x_exact = np.array([Fraction(v) for v in x], dtype=object)
+    # directions are projective: replay integer numerators, drop denominators
+    x_int, _ = _integer_form(x)
+    atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
     cps = set(grid) | {horizon}
 
     rows = []
     for idx in walk_indices(measure, horizon, seed, range(reps)).tolist():
-        prod = identity(measure.d)
+        prod = np.eye(measure.d, dtype=object)
         dirs = {}
         for i, ai in enumerate(idx, start=1):
-            prod = prod @ measure.exact_atoms[ai]
+            prod = prod @ atoms[ai]
             if i in cps:
-                dirs[i] = prod @ x_exact
+                dirs[i] = prod @ x_int
         rows.append([_exact_delta(dirs[n], dirs[horizon], field) for n in grid])
     return _decay_from_means(grid, list(zip(*rows)), reps, extra={"horizon": horizon})
 
@@ -355,16 +359,18 @@ def kak_convergence(
         raise UsageError("horizon too small: need horizon >= 2 * max(grid)")
     field = measure.field
     d = measure.d
-    z = np.array([Fraction(3) ** j for j in range(d)], dtype=object)
+    z = np.array([3**j for j in range(d)], dtype=object)
+    # the power-step directions are projective: replay integer numerators
+    atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
     cps = set(grid) | {horizon}
 
     rows = []
     for idx in walk_indices(measure, horizon, seed, range(reps)).tolist():
-        m = identity(d)
-        s = identity(d)
+        m = np.eye(d, dtype=object)
+        s = np.eye(d, dtype=object)
         vs, hs = {}, {}
         for i, ai in enumerate(idx, start=1):
-            a = measure.exact_atoms[ai]
+            a = atoms[ai]
             m = m @ a
             s = a @ s
             if i in cps:

@@ -2,7 +2,11 @@
 
 Archimedean objects are float numpy arrays; nonarchimedean ones are
 object-dtype numpy arrays holding exact Fractions, so every identity in
-the ultrametric world can be checked with ``==``.  Covectors act by
+the ultrametric world can be checked with ``==``.  Exact hot paths (p-adic
+walk products, exact replay, certified poles) clear the denominators of
+such a matrix once and multiply object arrays of Python ints instead,
+which skips the gcd every Fraction operation pays; they turn back to
+Fractions only where a value leaves them.  Covectors act by
 f(x) = sum_i f_i x_i and hyperplanes are always stored as the class of a
 defining covector.
 """
@@ -52,6 +56,18 @@ def exact_matrix(m: np.ndarray) -> np.ndarray:
         for j in range(d1):
             out[i, j] = Fraction(m[i, j])
     return out
+
+
+def _integer_form(m) -> tuple[np.ndarray, int]:
+    """Clear the denominators of an exact array once: m == a / den.
+
+    a is an object array of Python ints shaped like m, and den > 0 the
+    least common denominator of the entries (floats convert exactly).
+    """
+    qs = [Fraction(x) for x in np.asarray(m, dtype=object).flat]
+    den = math.lcm(*(q.denominator for q in qs))
+    a = np.array([q.numerator * (den // q.denominator) for q in qs], dtype=object)
+    return a.reshape(np.shape(m)), den
 
 
 def exact_det(m: np.ndarray) -> Fraction:

@@ -32,6 +32,7 @@ from .decompositions import kak
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, Interval, abs_value
 from .linalg import (
+    _integer_form,
     dist_point_hyperplane,
     exact_inv,
     exact_matrix,
@@ -266,8 +267,10 @@ def is_pingpong_tuple(gs, r: float, eps: float, field: FieldSpec):
 
 @dataclass(frozen=True)
 class _CertifiedPole:
-    v: list  # Fractions
-    h: list
+    v: np.ndarray  # integer candidate; the attracting point is v / v_den
+    v_den: int
+    h: np.ndarray  # integer candidate; the repelling covector is h / h_den
+    h_den: int
     ratio_sq_upper: Fraction
     sin_v: Interval
     sin_h: Interval
@@ -276,16 +279,12 @@ class _CertifiedPole:
 _SQRT2 = Interval.exact(2).sqrt()
 
 
-def _frac_vec(xs) -> list:
-    return [Fraction(float(x)) for x in xs]
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _sym_inf_norm(m: np.ndarray) -> Fraction:
-    return max(sum((abs(x) for x in row), Fraction(0)) for row in m)
+def _sym_inf_norm(m: np.ndarray):
+    return max(sum(abs(x) for x in row) for row in m)
 
 
 def _certified_pole_real(g_exact: np.ndarray) -> Optional[_CertifiedPole]:
@@ -296,36 +295,52 @@ def _certified_pole_real(g_exact: np.ndarray) -> Optional[_CertifiedPole]:
     square upper-bounds (sigma_1 sigma_2)**2, and residual (Davis-Kahan)
     bounds control the angle to the true singular directions.  Returns
     None when the spectral gap cannot be certified.
+
+    The arithmetic runs on integers: g = a / den and the dyadic candidates
+    x = xi / c.  With P = a a^T (or a^T a), xx = xi.xi and ln = xi.P xi, the
+    bounds are lam = ln / (den**2 xx), rho**2 = |xx P xi - ln xi|**2 /
+    (den**4 xx**3) and gap = (ln**2 - W xx**2) / (den**2 xx ln), W the
+    integer exterior-square bound; each becomes a Fraction only where it
+    meets an interval or the eps**4 comparison.
     """
     gf = np.asarray([[float(x) for x in row] for row in g_exact], dtype=float)
     k, _, u = np.linalg.svd(gf)
-    vhat = _frac_vec(k[:, 0])
-    hhat = _frac_vec(u[0, :])
+    vhat, v_den = _integer_form(k[:, 0])
+    hhat, h_den = _integer_form(u[0, :])
 
-    gT = g_exact.T
-    P = g_exact @ gT  # eigvec for sigma_1^2: attracting point
-    S = gT @ g_exact  # eigvec for sigma_1^2: repelling covector
+    a, den = _integer_form(g_exact)
+    P = a @ a.T  # eigvec for sigma_1^2: attracting point
+    S = a.T @ a  # eigvec for sigma_1^2: repelling covector
     W = min(_sym_inf_norm(exterior_square(P)), _sym_inf_norm(exterior_square(S)))
+    den_sq = den * den
 
     def pole_bounds(A, x):
         xx = _dot(x, x)
-        Ax = [_dot(row, x) for row in A]
-        lam = _dot(x, Ax) / xx  # Rayleigh quotient: lam <= sigma_1^2
-        res = [a - lam * xi for a, xi in zip(Ax, x)]
-        rho_sq = _dot(res, res) / xx
-        gap = lam - W / lam  # lam - upper bound for sigma_2^2
-        if gap <= 0:
+        Ax = A @ x
+        ln = _dot(x, Ax)
+        res = xx * Ax - ln * x
+        gap_num = ln * ln - W * xx * xx
+        if gap_num <= 0:
             return None
+        rho_sq = Fraction(_dot(res, res), den_sq * den_sq * xx**3)
+        gap = Fraction(gap_num, den_sq * xx * ln)
         sin_bound = Interval.exact(rho_sq).sqrt() / Interval.exact(gap)
-        return lam, Interval(0.0, sin_bound.hi)
+        # W / lam**2, the bound on (sigma_2 / sigma_1)**2 from this candidate
+        return Fraction(W * xx * xx, ln * ln), Interval(0.0, sin_bound.hi)
 
     bv = pole_bounds(P, vhat)
     bh = pole_bounds(S, hhat)
     if bv is None or bh is None:
         return None
-    lam_best = max(bv[0], bh[0])
-    ratio_sq_upper = W / (lam_best * lam_best)
-    return _CertifiedPole(v=vhat, h=hhat, ratio_sq_upper=ratio_sq_upper, sin_v=bv[1], sin_h=bh[1])
+    return _CertifiedPole(
+        v=vhat,
+        v_den=v_den,
+        h=hhat,
+        h_den=h_den,
+        ratio_sq_upper=min(bv[0], bh[0]),
+        sin_v=bv[1],
+        sin_h=bh[1],
+    )
 
 
 def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> Interval:
@@ -335,8 +350,9 @@ def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> Interval:
     so the true separation is at least the candidate one minus
     sqrt(2) * (angle errors).
     """
-    num_sq = _dot(q.h, p.v) ** 2
-    den_sq = _dot(p.v, p.v) * _dot(q.h, q.h)
+    scale_sq = (p.v_den * q.h_den) ** 2
+    num_sq = Fraction(_dot(q.h, p.v) ** 2, scale_sq)
+    den_sq = Fraction(_dot(p.v, p.v) * _dot(q.h, q.h), scale_sq)
     sep = Interval.exact(num_sq).sqrt() / Interval.exact(den_sq).sqrt()
     return sep - _SQRT2 * (p.sin_v + q.sin_h)
 
@@ -374,12 +390,15 @@ def _certified_failures_real(gs, r: float, eps: float) -> set[str]:
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """Result of the reduced-word enumeration.
+    """Result of the reduced-word search.
 
     relation is None when no word up to max_len equals the identity;
     otherwise it is the first such word in length-then-lexicographic
     order, encoded as symbol indices (2i = generator i, 2i+1 = its
-    inverse).
+    inverse).  words_checked is the number of nonempty reduced words up
+    to and including the relation in that order, or all of them up to
+    max_len when there is none: the words a one-by-one enumeration would
+    have tested.
     """
 
     relation: Optional[tuple]
@@ -437,11 +456,35 @@ def _inv_rows(rows, d):
     return tuple(out)
 
 
+def _words_checked(nsym: int, max_len: int, relation) -> int:
+    """Reduced words up to and including relation in (length, lex) order.
+
+    With no relation, every reduced word of length 1 to max_len.
+    """
+    if relation is None:
+        return sum(nsym * (nsym - 1) ** (j - 1) for j in range(1, max_len + 1))
+    k = len(relation)
+    shorter = sum(nsym * (nsym - 1) ** (j - 1) for j in range(1, k))
+    rank = 0  # reduced words of length k before the relation
+    for i, s in enumerate(relation):
+        # symbols below s that may follow the previous one in a reduced word
+        smaller = s - (i > 0 and relation[i - 1] ^ 1 < s)
+        rank += smaller * (nsym - 1) ** (k - 1 - i)
+    return shorter + rank + 1
+
+
 def free_word_oracle(gs, max_len: int) -> OracleVerdict:
     """Search all nonempty reduced words up to max_len for an identity relation.
 
-    Exact arithmetic only; the enumeration is entirely independent of the
-    certification path, so it serves as a soundness oracle for it.
+    Exact arithmetic only; the search is entirely independent of the
+    certification path, so it serves as a soundness oracle for it.  It
+    meets in the middle: a word of length k is a prefix of length
+    ceil(k/2) followed by a suffix of length floor(k/2), and it is the
+    identity exactly when the suffix's product equals the product of the
+    prefix's inverse word.  Prefixes are scanned in lex order against a
+    table of suffix products, taking the lex-smallest suffix that keeps
+    the word reduced at the junction, so the first hit is the first
+    relation in (length, lex) order.
     """
     if not 1 <= max_len <= MAX_ORACLE_LEN:
         raise UsageError(f"max_len must be in [1, {MAX_ORACLE_LEN}]")
@@ -453,30 +496,34 @@ def free_word_oracle(gs, max_len: int) -> OracleVerdict:
         symbols.append(rows)
         symbols.append(_inv_rows(rows, d))
     nsym = len(symbols)
-    checked = 0
 
-    def eq_identity(m) -> bool:
-        return all(m[i][j] == ident[i][j] for i in range(d) for j in range(d))
-
-    path: list[int] = []
-
-    def dfs(prod, depth: int, last: int, target: int) -> bool:
-        nonlocal checked
-        if depth == target:
-            checked += 1
-            return eq_identity(prod)
-        for s in range(nsym):
-            if s == last ^ 1:  # would unreduce the word
+    # levels[j]: every reduced word of length j, in lex order, with its product
+    levels = [{(): ident}]
+    suffixes = {}  # j -> {product: [lex-first word, lex-first word starting otherwise]}
+    for k in range(1, max_len + 1):
+        half, rest = (k + 1) // 2, k // 2
+        while len(levels) <= half:
+            levels.append({
+                w + (s,): _mul_rows(m, symbols[s], d)
+                for w, m in levels[-1].items()
+                for s in range(nsym)
+                if not w or s != w[-1] ^ 1
+            })
+        if rest not in suffixes:
+            table = {}
+            for w, m in levels[rest].items():
+                entry = table.setdefault(m, [w, None])
+                if entry[1] is None and w and w[0] != entry[0][0]:
+                    entry[1] = w
+            suffixes[rest] = table
+        prefixes = levels[half]
+        for w in prefixes:
+            entry = suffixes[rest].get(prefixes[tuple(s ^ 1 for s in reversed(w))])
+            if entry is None:
                 continue
-            path.append(s)
-            if dfs(_mul_rows(prod, symbols[s], d), depth + 1, s, target):
-                return True
-            path.pop()
-        return False
-
-    # Iterative deepening keeps the (length, lex) order of first discovery.
-    for target in range(1, max_len + 1):
-        path.clear()
-        if dfs(ident, 0, -2, target):
-            return OracleVerdict(relation=tuple(path), max_len=max_len, words_checked=checked)
-    return OracleVerdict(relation=None, max_len=max_len, words_checked=checked)
+            first, other = entry
+            suffix = first if not first or first[0] != w[-1] ^ 1 else other
+            if suffix is not None:
+                relation = w + suffix
+                return OracleVerdict(relation, max_len, _words_checked(nsym, max_len, relation))
+    return OracleVerdict(None, max_len, _words_checked(nsym, max_len, None))

@@ -23,9 +23,13 @@ a batch of streams into an array of shape (reps, n), and
 inverses or exterior squares) along every row at once.  Over R the batch
 is one stack of float matrices renormalized by its max-abs entry after
 every step, exactly as :func:`scaled_premultiply` does, so each row is
-bit-identical to the sequential fold; over Q_p each row is folded with
-exact ScaledMatrix arithmetic.  :func:`run_walk` and :func:`advance`
-keep the sequential fold for single trajectories.
+bit-identical to the sequential fold.  Over Q_p each increment is split
+once per call into p**e * A / D, with A an integer matrix and D a p-unit
+integer; the batch is one stack of integer matrices from which the
+common power of p is divided out after every step (that power is the
+scale), and each row's unit is built once at the end as N / prod(D).
+Units and scales equal the exact sequential fold.  :func:`run_walk` and
+:func:`advance` keep the sequential fold for single trajectories.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .decompositions import (
 from .errors import ConfigError, DomainError, InvariantViolation, UsageError
 from .fields import FieldSpec, abs_value, format_scalar, parse_scalar, valuation
 from .linalg import (
+    _integer_form,
     as_matrix,
     exact_det,
     exact_matrix,
@@ -290,14 +295,7 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
         raise UsageError(f"order must be 'left' or 'right', not {order!r}")
     left = order == "left"
     if not field.is_archimedean:
-        out = []
-        for row in idx.tolist():
-            acc = scaled_identity(increments[0].shape[0], field)
-            for i in row:
-                x = increments[i]
-                acc = scaled_multiply(acc, x, field) if left else scaled_premultiply(x, acc, field)
-            out.append(acc)
-        return out
+        return _padic_walk_products(increments, idx, field.prime, left)
     table = np.asarray(increments, dtype=float)
     reps, n = idx.shape
     m = table.shape[1]
@@ -316,6 +314,52 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
     logs = np.fromiter(map(math.log, maxima.ravel().tolist()), float, n * reps)
     scales = np.add.accumulate(logs.reshape(n, reps), axis=0)[-1] if n else np.zeros(reps)
     return [ScaledMatrix(prod[r], float(scales[r])) for r in range(reps)]
+
+
+def _p_split(m, p: int) -> tuple[np.ndarray, int, int]:
+    """(A, e, D) with m == p**e * A / D, A integer and not all divisible by p, D a p-unit."""
+    a, den = _integer_form(m)
+    if not a.any():
+        raise DomainError("cannot scale the zero matrix")
+    e = 0
+    while den % p == 0:
+        den //= p
+        e -= 1
+    while all(x % p == 0 for x in a.flat):
+        a //= p
+        e += 1
+    return a, e, den
+
+
+def _padic_walk_products(increments, idx: np.ndarray, p: int, left: bool) -> list:
+    """The Q_p branch of :func:`walk_products` on integer matrices."""
+    parts = [_p_split(x, p) for x in increments]
+    reps, n = idx.shape
+    m = parts[0][0].shape[0]
+    table = np.array([a for a, _, _ in parts], dtype=object)
+    prod = np.empty((reps, m, m), dtype=object)
+    prod[:] = np.eye(m, dtype=object)
+    scales = np.zeros(reps, dtype=np.int64)
+    for col in idx.T:
+        x = table[col]
+        prod = prod @ x if left else x @ prod
+        while True:
+            divisible = (prod % p == 0).reshape(reps, m * m).all(axis=1)
+            if not divisible.any():
+                break
+            if not prod[divisible].any():  # only zero rows are left divisible
+                raise DomainError("cannot scale the zero matrix")
+            prod[divisible] //= p
+            scales[divisible] += 1
+    exps = np.array([e for _, e, _ in parts], dtype=np.int64)
+    scales += exps[idx].sum(axis=1)
+    dens = [den for _, _, den in parts]
+    out = []
+    for r, row in enumerate(idx.tolist()):
+        den = math.prod(dens[i] for i in row)
+        unit = np.array([Fraction(v, den) for v in prod[r].flat], dtype=object)
+        out.append(ScaledMatrix(unit.reshape(m, m), int(scales[r])))
+    return out
 
 
 def run_independent_walks(measure, measure2, count: int, n: int, seed: int) -> list:
@@ -339,11 +383,14 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
     X_n ... X_1 (the S walk).
     """
     seq = list(increments) if order == "left" else list(reversed(increments))
-    prod = None
+    forms = [_integer_form(a) for a in measure.exact_atoms]
+    prod = np.eye(measure.d, dtype=object)
+    den = 1
     for idx in seq:
-        a = measure.exact_atoms[idx]
-        prod = a if prod is None else prod @ a
-    return identity(measure.d) if prod is None else prod
+        a, a_den = forms[idx]
+        prod = prod @ a
+        den *= a_den
+    return np.array([[Fraction(v, den) for v in row] for row in prod], dtype=object)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ def test_certify_writes_certificate(workdir):
     assert json.loads((out / "certificate.json").read_text())["verdict"] == "certified-free"
 
 
+def test_certify_reads_out_env_per_call(workdir, monkeypatch):
+    # the parser is built once per process, so FREEWALK_OUT set after the
+    # first call must still reach certify
+    monkeypatch.delenv("FREEWALK_OUT", raising=False)
+    gens = str(workdir / "gens.json")
+    assert main(["certify", gens, "--r", "0.5", "--eps", "0.02"]) == 0
+    out = workdir / "env-out"
+    monkeypatch.setenv("FREEWALK_OUT", str(out))
+    assert main(["certify", gens, "--r", "0.5", "--eps", "0.02"]) == 0
+    assert json.loads((out / "certificate.json").read_text())["verdict"] == "certified-free"
+
+
 def test_lyapunov_experiment(workdir, capsys):
     cfg = _config(
         workdir, kind="lyapunov", measure="diag.json", n=50, reps=10, out=str(workdir / "lyap")

@@ -19,7 +19,11 @@ from freewalk import (
     is_very_proximal,
     pingpong_certificate,
 )
-from freewalk.pingpong import pole_pair
+from freewalk import corpus
+from freewalk.fields import Interval
+from freewalk.linalg import exact_inv, exact_matrix, exterior_square
+from freewalk.pingpong import _certified_pole_real, _certified_separation, pole_pair
+from freewalk.walks import exact_product, run_walk
 
 from conftest import random_unimodular_int
 
@@ -269,3 +273,151 @@ def test_oracle_accepts_int_arrays():
     a = np.array([[1, 2], [0, 1]])
     b = np.array([[1, 0], [2, 1]])
     assert not free_word_oracle([a, b], 4).found
+
+
+def _brute_force_oracle(gs, max_len):
+    """Depth-first enumeration of reduced words in (length, lex) order."""
+    symbols = []
+    for g in gs:
+        symbols.append(_obj(g))
+        symbols.append(exact_inv(_obj(g)))
+    d = symbols[0].shape[0]
+    ident = _obj([[int(i == j) for j in range(d)] for i in range(d)])
+    checked = 0
+
+    def search(prod, word, length):
+        nonlocal checked
+        if len(word) == length:
+            checked += 1
+            return tuple(word) if (prod == ident).all() else None
+        for s in range(len(symbols)):
+            if word and s == word[-1] ^ 1:
+                continue
+            hit = search(prod @ symbols[s], word + [s], length)
+            if hit is not None:
+                return hit
+        return None
+
+    for length in range(1, max_len + 1):
+        hit = search(ident, [], length)
+        if hit is not None:
+            return hit, checked
+    return None, checked
+
+
+def test_oracle_words_checked_pinned():
+    sanov = [_obj([[1, 2], [0, 1]]), _obj([[1, 0], [2, 1]])]
+    assert free_word_oracle(sanov, 8).words_checked == 13120
+    nonfree = [_obj([[1, 1], [0, 1]]), _obj([[1, 0], [1, 1]])]
+    for max_len in (6, 12):
+        verdict = free_word_oracle(nonfree, max_len)
+        assert verdict.relation_word() == "abAbaB"
+        assert verdict.words_checked == 604
+
+
+def test_oracle_matches_brute_force():
+    cases = [
+        ([[[0, -1], [1, -1]]], 5),  # one generator of order 3: relation "aaa"
+        ([[[1, 0], [0, 1]]], 2),  # the identity
+        ([[[1, 1], [0, 1]]], 4),  # one generator of infinite order
+        ([[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]], 8),  # d = 3
+        ([[[F(1, 2), 0], [0, 2]], [[3, 0], [0, F(1, 3)]]], 5),  # rational, commuting
+        ([[[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]], [[2, 1], [1, 1]]], 4),  # rational, free
+        ([[[1, 2], [0, 1]], [[1, 0], [2, 1]], [[0, -1], [1, 0]]], 5),  # c b C = A: "acbC"
+        ([[[1, 2], [0, 1]], [[1, 0], [2, 1]], [[0, -1], [1, -1]]], 4),  # odd length: "ccc"
+        # odd length 5 behind a shear: the companion matrix of x^4+x^3+x^2+x+1 has order 5
+        (
+            [
+                [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]],
+            ],
+            5,
+        ),
+        ([[[1, 1], [0, 1]], [[1, 0], [1, 1]]], 7),  # the braid pair, relation of length 6
+    ]
+    for gens, max_len in cases:
+        verdict = free_word_oracle([_obj(g) for g in gens], max_len)
+        relation, checked = _brute_force_oracle(gens, max_len)
+        assert verdict.relation == relation, gens
+        assert verdict.words_checked == checked, gens
+
+
+# verdicts and failure sets of the certified interval path, recorded with
+# the Fraction implementation that preceded the integer one
+CERTIFIED_EXPECTED = {
+    "rational": ("certified-free", []),
+    "hyperbolic": ("certified-free", []),
+    "walk0": ("not-certified", ["cross-margin"]),
+    "walk1": ("certified-free", []),
+    "walk2": ("certified-free", []),
+    "walk3": ("not-certified", ["own-separation"]),
+    "walk4": ("not-certified", ["cross-margin"]),
+    "walk5": ("certified-free", []),
+    "walk6": ("certified-free", []),
+    "walk7": ("not-certified", ["cross-margin"]),
+}
+
+
+def _certified_fixtures(real_field):
+    """The acceptance 3a tuples and eight Sanov walk pairs of length 16."""
+    a_exact = _obj([[100, 0], [0, F(1, 100)]])
+    r345 = _obj([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])
+    yield "rational", [a_exact, r345 @ a_exact @ r345.T], 0.5, 0.02
+    words = [as_matrix([[5, 2], [2, 1]], real_field), as_matrix([[1, 2], [2, 5]], real_field)]
+    yield "hyperbolic", words, 0.5, 0.18
+    m = corpus.sanov()
+    for rep in range(8):
+        gs = []
+        for stream in (2 * rep, 2 * rep + 1):
+            g = exact_product(m, run_walk(m, 16, seed=314, stream=stream).increments, "right")
+            gs.append(as_matrix(np.array(g, dtype=float), real_field))
+        yield f"walk{rep}", gs, 0.2, 0.05
+
+
+def test_certified_interval_verdicts_pinned(real_field):
+    for name, gs, r, eps in _certified_fixtures(real_field):
+        doc = pingpong_certificate(gs, r, eps, real_field, certified=True).to_json_dict(real_field)
+        assert doc["mode"] == "certified-interval"
+        assert (doc["verdict"], doc["failures"]) == CERTIFIED_EXPECTED[name], name
+
+
+def _fraction_pole_bounds(g):
+    """Reference for the certified pole bounds in plain Fraction arithmetic."""
+    gf = np.array(g, dtype=float)
+    k, _, u = np.linalg.svd(gf)
+    v = [F(float(x)) for x in k[:, 0]]
+    h = [F(float(x)) for x in u[0, :]]
+    P, S = g @ g.T, g.T @ g
+    W = min(max(sum(abs(x) for x in row) for row in exterior_square(M)) for M in (P, S))
+
+    def bounds(A, x):
+        xx = sum(c * c for c in x)
+        Ax = [sum(a * c for a, c in zip(row, x)) for row in A]
+        lam = sum(a * c for a, c in zip(Ax, x)) / xx
+        rho_sq = sum((a - lam * c) ** 2 for a, c in zip(Ax, x)) / xx
+        gap = lam - W / lam
+        if gap <= 0:
+            return None
+        return lam, Interval(0.0, (Interval.exact(rho_sq).sqrt() / Interval.exact(gap)).hi)
+
+    bv, bh = bounds(P, v), bounds(S, h)
+    if bv is None or bh is None:
+        return None
+    return v, h, W / max(bv[0], bh[0]) ** 2, bv[1], bh[1]
+
+
+def test_certified_pole_bounds_match_fraction_reference(real_field):
+    for name, gs, _, _ in _certified_fixtures(real_field):
+        poles, refs = [], []
+        for g in gs:
+            for x in (exact_matrix(np.asarray(g)), exact_inv(exact_matrix(np.asarray(g)))):
+                poles.append(_certified_pole_real(x))
+                refs.append(_fraction_pole_bounds(x))
+        for pole, (v, h, ratio_sq, sin_v, sin_h) in zip(poles, refs):
+            assert (pole.ratio_sq_upper, pole.sin_v, pole.sin_h) == (ratio_sq, sin_v, sin_h), name
+        for p, (v, _, _, sin_v, _) in zip(poles, refs):
+            for q, (_, h, _, _, sin_h) in zip(poles, refs):
+                num_sq = sum(a * b for a, b in zip(h, v)) ** 2
+                den_sq = sum(a * a for a in v) * sum(b * b for b in h)
+                sep = Interval.exact(num_sq).sqrt() / Interval.exact(den_sq).sqrt()
+                assert _certified_separation(p, q) == sep - Interval.exact(2).sqrt() * (sin_v + sin_h)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from freewalk import (
+    FieldSpec,
     InvariantViolation,
     advance,
     make_measure,
@@ -25,6 +26,7 @@ from freewalk.decompositions import (
     scaled_reconstruct,
 )
 from freewalk.errors import ConfigError
+from freewalk.linalg import exact_inv, identity
 from freewalk.walks import (
     _sample_index,
     exact_product,
@@ -295,3 +297,63 @@ def test_batch_row_matches_run_walk(real_field):
             assert lefts[i].scale == st.left_product.scale
             # the stream resumes where the batch row ends
             assert advance(st, m).increments == run_walk(m, n + 1, seed, i).increments
+
+
+def _padic_kernel_measures():
+    q2, q3, q5 = FieldSpec.padic(2), FieldSpec.padic(3), FieldSpec.padic(5)
+    return [
+        corpus.padic_contracting(2),  # p-power denominators
+        corpus.padic_contracting(3),
+        corpus.padic_contracting(5),
+        # p-unit denominators over Q_2 (1/5, 1/3) next to a 2-power one (1/4)
+        make_measure(
+            [[[F(1, 5), 2], [F(-2, 5), 1]], [[5, F(1, 4)], [0, F(1, 5)]], [[F(1, 3), 0], [1, 3]]],
+            [F(1, 3)] * 3,
+            q2,
+        ),
+        make_measure(
+            [
+                [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+                [[F(1, 3), 0, 0], [0, 3, 1], [0, 0, 1]],
+                [[1, F(1, 2), 0], [0, 1, 0], [F(2, 5), 0, 1]],
+            ],
+            [F(1, 3)] * 3,
+            q3,
+        ),
+        make_measure(
+            [[[5, F(1, 7)], [0, F(1, 5)]], [[1, 0], [F(3, 25), 1]]],
+            [F(1, 2)] * 2,
+            q5,
+        ),
+    ]
+
+
+def test_padic_products_match_sequential_fold():
+    for m in _padic_kernel_measures():
+        inverses = tuple(exact_inv(a) for a in m.exact_atoms)
+        tables = (m.atoms, inverses, exterior_square_atoms(m.atoms))
+        idx = walk_indices(m, 40, 3, range(5))
+        for table in tables:
+            for order in ("left", "right"):
+                batch = walk_products(table, idx, m.field, order)
+                assert len(batch) == 5
+                for row, got in zip(idx.tolist(), batch):
+                    want = _fold(table, row, m.field, order == "left")
+                    assert (got.unit == want.unit).all()
+                    assert got.scale == want.scale and isinstance(got.scale, int)
+        empty = walk_products(m.atoms, idx[:, :0], m.field)
+        assert all((e.unit == identity(m.d)).all() and e.scale == 0 for e in empty)
+
+
+def test_exact_product_matches_fraction_fold():
+    for m in _padic_kernel_measures() + [corpus.sanov(), corpus.slow_contracting(), corpus.sl3_integer()]:
+        word = sample_increment_indices(m, 25, 9, 1).tolist()
+        for order, seq in (("left", word), ("right", word[::-1])):
+            want = identity(m.d)
+            for i in seq:
+                want = want @ m.exact_atoms[i]
+            got = exact_product(m, word, order)
+            assert got.dtype == object
+            assert all(isinstance(x, Fraction) for x in got.flat)
+            assert (got == want).all()
+        assert (exact_product(m, [], "left") == identity(m.d)).all()
