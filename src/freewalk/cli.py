@@ -42,7 +42,7 @@ from .estimators import (
 )
 from .decompositions import kak
 from .fields import FieldSpec, format_scalar, parse_scalar
-from .linalg import as_matrix, matrix_from_json_dict, vector_to_strings
+from .linalg import flat_matrices, matrix_from_json_dict, vector_to_strings
 from .pingpong import pingpong_certificate
 from .report import decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
 from .walks import GENERATOR_NAME, find_proximal_element, load_measure
@@ -331,11 +331,7 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
 
 
 def _cmd_kak(args) -> int:
-    doc = _load_json(args.matrix)
-    try:
-        g, field = matrix_from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{args.matrix}: malformed matrix document: {exc}") from exc
+    g, field = matrix_from_json_dict(_load_json(args.matrix))
     dec = kak(g, field)
     d = g.shape[0]
     out = {
@@ -352,19 +348,7 @@ def _cmd_kak(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    doc = _load_json(args.generators)
-    try:
-        field = FieldSpec.from_dict(doc["field"])
-        d = int(doc["d"])
-        gens = []
-        for flat in doc["generators"]:
-            if len(flat) != d * d:
-                raise ConfigError(f"generator needs {d * d} entries, got {len(flat)}")
-            gens.append(
-                as_matrix([[parse_scalar(flat[i * d + j], field) for j in range(d)] for i in range(d)], field)
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{args.generators}: malformed generators document: {exc}") from exc
+    field, gens = flat_matrices(_load_json(args.generators), "generators")
     cert = pingpong_certificate(gens, args.r, args.eps, field, certified=args.exact)
     out = cert.to_json_dict(field)
     sys.stdout.write(dumps_json(out))

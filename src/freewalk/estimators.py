@@ -3,10 +3,12 @@
 Every estimator is a pure function of (inputs, seed): trajectory i of an
 experiment runs on RNG stream i (or a documented affine reallocation for
 multi-walk experiments), and results are reduced in trajectory order.
-All trajectories of an estimator run as one batch through the walk
-kernel (:func:`walk_indices` and :func:`walk_products`); KAK frames of
-the products come from :func:`frames`.  Only the exact replays of
-direction and frame convergence still walk one trajectory at a time.
+All trajectories of an estimator run as one batch: :func:`walk_indices`
+stacks their index rows, :func:`walk_products` folds scaled products
+along them, and the exact replays of direction and KAK-frame
+convergence fold whole stacks of integer matrices with
+:func:`integer_products`.  KAK frames of the products come from
+:func:`frames`.
 
 Decay rates are never asserted against theoretical constants (the
 theorems' bounds are not effective); fits report sign, monotonicity and
@@ -45,7 +47,7 @@ from .pingpong import (
     pole_pair,
     tuple_failure_reasons,
 )
-from .walks import WalkMeasure, walk_indices, walk_products
+from .walks import WalkMeasure, integer_products, walk_indices, walk_products
 
 Z95 = 1.959963984540054
 
@@ -310,18 +312,10 @@ def direction_convergence(
     # directions are projective: replay integer numerators, drop denominators
     x_int, _ = _integer_form(x)
     atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
-    cps = set(grid) | {horizon}
-
-    rows = []
-    for idx in walk_indices(measure, horizon, seed, range(reps)).tolist():
-        prod = np.eye(measure.d, dtype=object)
-        dirs = {}
-        for i, ai in enumerate(idx, start=1):
-            prod = prod @ atoms[ai]
-            if i in cps:
-                dirs[i] = prod @ x_int
-        rows.append([_exact_delta(dirs[n], dirs[horizon], field) for n in grid])
-    return _decay_from_means(grid, list(zip(*rows)), reps, extra={"horizon": horizon})
+    idx = walk_indices(measure, horizon, seed, range(reps))
+    *dirs, limit = (m @ x_int for m in integer_products(atoms, idx, "left", [*grid, horizon]))
+    cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, limit)] for at_n in dirs]
+    return _decay_from_means(grid, cols, reps, extra={"horizon": horizon})
 
 
 @dataclass(frozen=True)
@@ -330,20 +324,16 @@ class KakFrameConvergence:
     u_curve: DecayEstimate  # delta(U_n^{-1} e1*, U_N^{-1} e1*), U from kak(S_n)
 
 
-def _top_left_direction(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # three power steps on M M^T: angular error O((a2/a1)^6), far below
-    # the O(a2/a1) scale of the frame-convergence curves
-    w = z
-    for _ in range(3):
-        w = m @ (m.T @ w)
-    return w
+def _top_left_directions(stack: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Top left singular direction of each matrix of a stack, one row each.
 
-
-def _top_right_direction(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    w = z
+    Three power steps on M M^T: angular error O((a2/a1)^6), far below the
+    O(a2/a1) scale of the frame-convergence curves.
+    """
+    w = z[:, None]
     for _ in range(3):
-        w = m.T @ (m @ w)
-    return w
+        w = stack @ (stack.swapaxes(1, 2) @ w)
+    return w[..., 0]
 
 
 def kak_convergence(
@@ -358,29 +348,18 @@ def kak_convergence(
     if horizon < 2 * max(grid):
         raise UsageError("horizon too small: need horizon >= 2 * max(grid)")
     field = measure.field
-    d = measure.d
-    z = np.array([3**j for j in range(d)], dtype=object)
+    z = np.array([3**j for j in range(measure.d)], dtype=object)
     # the power-step directions are projective: replay integer numerators
     atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
-    cps = set(grid) | {horizon}
-
-    rows = []
-    for idx in walk_indices(measure, horizon, seed, range(reps)).tolist():
-        m = np.eye(d, dtype=object)
-        s = np.eye(d, dtype=object)
-        vs, hs = {}, {}
-        for i, ai in enumerate(idx, start=1):
-            a = atoms[ai]
-            m = m @ a
-            s = a @ s
-            if i in cps:
-                vs[i] = _top_left_direction(m, z)
-                hs[i] = _top_right_direction(s, z)
-        kd = [_exact_delta(vs[n], vs[horizon], field) for n in grid]
-        ud = [_exact_delta(hs[n], hs[horizon], field) for n in grid]
-        rows.append((kd, ud))
-    k_cols = list(zip(*[r[0] for r in rows]))
-    u_cols = list(zip(*[r[1] for r in rows]))
+    idx = walk_indices(measure, horizon, seed, range(reps))
+    cps = [*grid, horizon]
+    # k-part: top left direction of M_n; u-part: top right direction of S_n
+    *vs, v_lim = (_top_left_directions(m, z) for m in integer_products(atoms, idx, "left", cps))
+    *hs, h_lim = (
+        _top_left_directions(s.swapaxes(1, 2), z) for s in integer_products(atoms, idx, "right", cps)
+    )
+    k_cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, v_lim)] for at_n in vs]
+    u_cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, h_lim)] for at_n in hs]
     extra = {"horizon": horizon}
     return KakFrameConvergence(
         k_curve=_decay_from_means(grid, k_cols, reps, extra=extra),

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, UsageError
+from .errors import ConfigError, DomainError, InvariantViolation
 from .fields import FieldSpec, abs_value, format_scalar, parse_scalar, valuation
 
 UNIMODULAR_TOL = 1e-9
@@ -257,14 +257,33 @@ def matrix_to_json_dict(m: np.ndarray, field: FieldSpec) -> dict:
     }
 
 
+def flat_matrices(doc: dict, key: str, single: bool = False) -> tuple[FieldSpec, list[np.ndarray]]:
+    """The field and matrices of a document of row-major entry lists.
+
+    doc["field"] is a field spec, doc["d"] an integer >= 2 (SL_1 is the
+    trivial group and P^0 has no hyperplanes) and doc[key] a list of flat
+    d*d entry lists, or one such list when single is set.  Entries are
+    parsed with :func:`parse_scalar`; any malformed part raises ConfigError.
+    """
+    try:
+        field = FieldSpec.from_dict(doc["field"])
+        d = doc["d"]
+        if type(d) is not int or d < 2:
+            raise ConfigError(f"d must be an integer >= 2, got {d!r}")
+        mats = []
+        for flat in [doc[key]] if single else doc[key]:
+            if len(flat) != d * d:
+                raise ConfigError(f"{key}: a {d}x{d} matrix needs {d * d} entries, got {len(flat)}")
+            rows = [[parse_scalar(flat[i * d + j], field) for j in range(d)] for i in range(d)]
+            mats.append(as_matrix(rows, field))
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed matrix document: {exc}") from exc
+    return field, mats
+
+
 def matrix_from_json_dict(doc: dict) -> tuple[np.ndarray, FieldSpec]:
-    field = FieldSpec.from_dict(doc["field"])
-    d = int(doc["d"])
-    entries = doc["entries"]
-    if len(entries) != d * d:
-        raise UsageError(f"matrix header says d={d} but {len(entries)} entries given")
-    rows = [[parse_scalar(entries[i * d + j], field) for j in range(d)] for i in range(d)]
-    return as_matrix(rows, field), field
+    field, (m,) = flat_matrices(doc, "entries", single=True)
+    return m, field
 
 
 def vector_to_strings(x: np.ndarray, field: FieldSpec) -> list[str]:

@@ -21,7 +21,6 @@ Three evaluation modes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -134,14 +133,6 @@ FAIL_CROSS = "cross-margin"
 FAIL_UNCERTIFIED = "uncertified-geometry"
 
 
-def tuple_geometry(gs, field: FieldSpec, unimodular: bool = True):
-    """Per-generator (g, g^{-1}) contraction data; poles ordered g_0, g_0^{-1}, g_1, ..."""
-    out = []
-    for g in gs:
-        out.extend(pole_pair(g, field, unimodular=unimodular))
-    return out
-
-
 def cross_margin_matrix(poles, field: FieldSpec):
     """margins[p][q] = delta(v_p, Ker h_q) over all poles; diagonal blocks are own-separations."""
     m = len(poles)
@@ -226,31 +217,23 @@ def pingpong_certificate(
     _check_r_eps(r, eps)
     if len(gs) < 2:
         raise DomainError("a ping-pong tuple needs at least 2 generators")
-    poles = tuple_geometry(gs, field)
+    # poles ordered g_0, g_0^{-1}, g_1, ...
+    poles = tuple(p for g in gs for p in pole_pair(g, field))
     margins = cross_margin_matrix(poles, field)
-    failures = tuple_failure_reasons(poles, margins, r, eps)
-    if not certified or not field.is_archimedean:
-        mode = "exact" if not field.is_archimedean else "float"
-        return ProximalityCertificate(
-            generators=tuple(gs),
-            r=r,
-            eps=eps,
-            mode=mode,
-            poles=tuple(poles),
-            margins=tuple(tuple(row) for row in margins),
-            certified=not failures,
-            failures=tuple(sorted(failures)),
-        )
-    cert_failures = _certified_failures_real(gs, r, eps)
+    if certified and field.is_archimedean:
+        mode, failures = "certified-interval", _certified_failures_real(gs, r, eps)
+    else:
+        mode = "float" if field.is_archimedean else "exact"
+        failures = tuple_failure_reasons(poles, margins, r, eps)
     return ProximalityCertificate(
         generators=tuple(gs),
         r=r,
         eps=eps,
-        mode="certified-interval",
-        poles=tuple(poles),
+        mode=mode,
+        poles=poles,
         margins=tuple(tuple(row) for row in margins),
-        certified=not cert_failures,
-        failures=tuple(sorted(cert_failures)),
+        certified=not failures,
+        failures=tuple(sorted(failures)),
     )
 
 

@@ -23,13 +23,14 @@ a batch of streams into an array of shape (reps, n), and
 inverses or exterior squares) along every row at once.  Over R the batch
 is one stack of float matrices renormalized by its max-abs entry after
 every step, exactly as :func:`scaled_premultiply` does, so each row is
-bit-identical to the sequential fold.  Over Q_p each increment is split
-once per call into p**e * A / D, with A an integer matrix and D a p-unit
-integer; the batch is one stack of integer matrices from which the
-common power of p is divided out after every step (that power is the
-scale), and each row's unit is built once at the end as N / prod(D).
-Units and scales equal the exact sequential fold.  :func:`run_walk` and
-:func:`advance` keep the sequential fold for single trajectories.
+bit-identical to the sequential fold.  Every exact product goes through
+:func:`integer_products`, one fold of stacked integer matrices with no
+gcd and no renormalisation: over Q_p each row's numerator N is divided
+by its denominator and by the p-power of its content once, at the end,
+which gives the unit and scale of the exact sequential fold; the exact
+replays (:func:`exact_product` and the direction and KAK-frame
+estimators) use the same fold.  :func:`run_walk` and :func:`advance`
+keep the sequential fold for single trajectories.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ from .decompositions import (
     scaled_premultiply,
 )
 from .errors import ConfigError, DomainError, InvariantViolation, UsageError
-from .fields import FieldSpec, abs_value, format_scalar, parse_scalar, valuation
+from .fields import FieldSpec, abs_value, format_scalar, valuation
 from .linalg import (
     _integer_form,
     as_matrix,
     exact_det,
     exact_matrix,
+    flat_matrices,
     identity,
     vector_to_strings,
 )
@@ -149,20 +151,12 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
 
 
 def measure_from_json_dict(doc: dict) -> WalkMeasure:
+    field, atoms = flat_matrices(doc, "atoms")
     try:
-        field = FieldSpec.from_dict(doc["field"])
-        d = int(doc["d"])
-        atom_rows = []
-        for flat in doc["atoms"]:
-            if len(flat) != d * d:
-                raise ConfigError(f"atom needs {d * d} entries, got {len(flat)}")
-            atom_rows.append(
-                [[parse_scalar(flat[i * d + j], field) for j in range(d)] for i in range(d)]
-            )
         probs = [Fraction(p) for p in doc["probs"]]
     except (KeyError, ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed measure document: {exc}") from exc
-    return make_measure(atom_rows, probs, field)
+    return make_measure(atoms, probs, field)
 
 
 def load_measure(path) -> WalkMeasure:
@@ -293,9 +287,9 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
     """
     if order not in ("left", "right"):
         raise UsageError(f"order must be 'left' or 'right', not {order!r}")
-    left = order == "left"
     if not field.is_archimedean:
-        return _padic_walk_products(increments, idx, field.prime, left)
+        return _padic_walk_products(increments, idx, field.prime, order)
+    left = order == "left"
     table = np.asarray(increments, dtype=float)
     reps, n = idx.shape
     m = table.shape[1]
@@ -316,49 +310,55 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
     return [ScaledMatrix(prod[r], float(scales[r])) for r in range(reps)]
 
 
-def _p_split(m, p: int) -> tuple[np.ndarray, int, int]:
-    """(A, e, D) with m == p**e * A / D, A integer and not all divisible by p, D a p-unit."""
-    a, den = _integer_form(m)
-    if not a.any():
-        raise DomainError("cannot scale the zero matrix")
-    e = 0
-    while den % p == 0:
-        den //= p
-        e -= 1
-    while all(x % p == 0 for x in a.flat):
-        a //= p
-        e += 1
-    return a, e, den
+def integer_products(table, idx: np.ndarray, order: str, checkpoints) -> list:
+    """Exact products of integer matrices along each row of an index array.
 
-
-def _padic_walk_products(increments, idx: np.ndarray, p: int, left: bool) -> list:
-    """The Q_p branch of :func:`walk_products` on integer matrices."""
-    parts = [_p_split(x, p) for x in increments]
+    table holds integer matrices (object arrays of Python ints) and
+    X_t = table[idx[row, t]]; order "left" gives X_1 ... X_t, "right"
+    gives X_t ... X_1.  Returns one (reps, m, m) object stack per entry of
+    checkpoints, in the order given: row r of the stack for t is the exact
+    product of the row's first t increments, with no gcd and no
+    renormalisation (t = 0 is the identity).
+    """
+    if order not in ("left", "right"):
+        raise UsageError(f"order must be 'left' or 'right', not {order!r}")
+    left = order == "left"
     reps, n = idx.shape
-    m = parts[0][0].shape[0]
-    table = np.array([a for a, _, _ in parts], dtype=object)
+    checkpoints = list(checkpoints)
+    if any(not 0 <= t <= n for t in checkpoints):
+        raise UsageError(f"checkpoints must lie in [0, {n}]")
+    ints = np.array(list(table), dtype=object)
+    m = ints.shape[1]
     prod = np.empty((reps, m, m), dtype=object)
     prod[:] = np.eye(m, dtype=object)
-    scales = np.zeros(reps, dtype=np.int64)
-    for col in idx.T:
-        x = table[col]
-        prod = prod @ x if left else x @ prod
-        while True:
-            divisible = (prod % p == 0).reshape(reps, m * m).all(axis=1)
-            if not divisible.any():
-                break
-            if not prod[divisible].any():  # only zero rows are left divisible
-                raise DomainError("cannot scale the zero matrix")
-            prod[divisible] //= p
-            scales[divisible] += 1
-    exps = np.array([e for _, e, _ in parts], dtype=np.int64)
-    scales += exps[idx].sum(axis=1)
-    dens = [den for _, _, den in parts]
+    snaps = {}
+    done = 0
+    for stop in sorted(set(checkpoints)):
+        for col in idx.T[done:stop]:
+            x = ints[col]
+            prod = prod @ x if left else x @ prod
+        snaps[stop] = prod
+        done = stop
+    return [snaps[t] for t in checkpoints]
+
+
+def _padic_walk_products(increments, idx: np.ndarray, p: int, order: str) -> list:
+    """The Q_p branch of :func:`walk_products`.
+
+    With X_t = A_t / D_t (A_t the integer numerators, D_t > 0) a row's
+    product is N / prod(D); its scale is v = min v_p(entry of N) -
+    v_p(prod(D)) and its unit N / prod(D) * p**(-v).
+    """
+    forms = [_integer_form(x) for x in increments]
+    (prod,) = integer_products([a for a, _ in forms], idx, order, [idx.shape[1]])
     out = []
-    for r, row in enumerate(idx.tolist()):
-        den = math.prod(dens[i] for i in row)
-        unit = np.array([Fraction(v, den) for v in prod[r].flat], dtype=object)
-        out.append(ScaledMatrix(unit.reshape(m, m), int(scales[r])))
+    for row, num in zip(idx.tolist(), prod):
+        content = math.gcd(*num.flat)
+        if content == 0:
+            raise DomainError("cannot scale the zero matrix")
+        den = math.prod(forms[i][1] for i in row)
+        v = valuation(content, p) - valuation(den, p)
+        out.append(ScaledMatrix(num * (Fraction(p) ** -v / den), v))
     return out
 
 
@@ -382,15 +382,10 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
     order "left" gives X_1 ... X_n (the M walk), "right" gives
     X_n ... X_1 (the S walk).
     """
-    seq = list(increments) if order == "left" else list(reversed(increments))
     forms = [_integer_form(a) for a in measure.exact_atoms]
-    prod = np.eye(measure.d, dtype=object)
-    den = 1
-    for idx in seq:
-        a, a_den = forms[idx]
-        prod = prod @ a
-        den *= a_den
-    return np.array([[Fraction(v, den) for v in row] for row in prod], dtype=object)
+    idx = np.array([increments], dtype=np.intp).reshape(1, -1)
+    (prod,) = integer_products([a for a, _ in forms], idx, order, [idx.shape[1]])
+    return prod[0] * Fraction(1, math.prod(forms[i][1] for i in idx[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -244,32 +244,50 @@ def test_config_validation_errors(workdir, capsys):
     assert main(["lyapunov", str(cfg)]) == 2
 
 
+def _assert_input_error(argv):
+    # run at once: _config reuses one file name per experiment kind
+    proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2, (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_non_finite_entries_exit_2(workdir):
-    # measure, matrix and generator documents: inf and nan are input errors
-    # (exit 2, no traceback), never an uncaught exception
+    # measure, matrix and generator documents: inf and nan entries, and a
+    # dimension d that is not an integer >= 2, are input errors (exit 2, no
+    # traceback), never an uncaught exception
     real = {"kind": "archimedean"}
-    cases = []
     for i, bad in enumerate(["inf", "nan", "-Infinity", "1/0", float("inf")]):
         measure = corpus.diagonal_point_mass().to_json_dict()
         measure["atoms"][0][0] = bad
         (workdir / f"m{i}.json").write_text(json.dumps(measure))
         cfg = _config(workdir, kind="lyapunov", measure=f"m{i}.json", n=20, reps=10)
-        cases.append(["lyapunov", str(cfg), "--out", str(workdir / "nf")])
+        _assert_input_error(["lyapunov", str(cfg), "--out", str(workdir / "nf")])
     probs = corpus.diagonal_point_mass().to_json_dict()
     probs["probs"] = [float("inf")]
     (workdir / "probs.json").write_text(json.dumps(probs))
-    cases.append(["lyapunov", str(_config(workdir, kind="lyapunov", measure="probs.json", n=20, reps=10))])
+    _assert_input_error(["lyapunov", str(_config(workdir, kind="lyapunov", measure="probs.json", n=20, reps=10))])
     (workdir / "mat_inf.json").write_text(json.dumps({"field": real, "d": 2, "entries": ["1", "inf", "0", "1"]}))
-    cases.append(["kak", str(workdir / "mat_inf.json")])
+    _assert_input_error(["kak", str(workdir / "mat_inf.json")])
     (workdir / "gens_nan.json").write_text(
         json.dumps({"field": real, "d": 2, "generators": [["1", "nan", "0", "1"], ["1", "0", "2", "1"]]})
     )
-    cases.append(["certify", str(workdir / "gens_nan.json"), "--r", "0.5", "--eps", "0.02", "--exact"])
-    for argv in cases:
-        proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], capture_output=True, text=True)
-        assert proc.returncode == 2, (argv, proc.stderr)
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
+    _assert_input_error(["certify", str(workdir / "gens_nan.json"), "--r", "0.5", "--eps", "0.02", "--exact"])
+    # d = 1e400 overflows int(); d = 0 and -1 with matching entry counts reach
+    # the linear algebra; d = 1 (SL_1 is trivial, P^0 has no hyperplanes)
+    for i, (d, count) in enumerate([("1e400", 4), ("0", 0), ("-1", 1), ("1", 1)]):
+        flat = json.dumps(["1"] * count)
+        head = f'"field": {json.dumps(real)}, "d": {d}'  # d as raw JSON text
+        (workdir / f"mat_d{i}.json").write_text(f'{{{head}, "entries": {flat}}}')
+        _assert_input_error(["kak", str(workdir / f"mat_d{i}.json")])
+        (workdir / f"gens_d{i}.json").write_text(f'{{{head}, "generators": [{flat}, {flat}]}}')
+        _assert_input_error(["certify", str(workdir / f"gens_d{i}.json"), "--r", "0.5", "--eps", "0.02"])
+    line = {"schema": "freewalk/measure/v1", "field": real, "d": 1, "atoms": [["1"]], "probs": ["1"]}
+    (workdir / "line.json").write_text(json.dumps(line))
+    cfg = _config(workdir, kind="decay", measure="line.json", grid=[2, 4], reps=4,
+                  thresholds={"r_base": 0.9, "eps_base": 0.5})
+    _assert_input_error(["decay", str(cfg), "--out", str(workdir / "nf")])
+    _assert_input_error(["lyapunov", str(_config(workdir, kind="lyapunov", measure="line.json", n=20, reps=10))])
 
 
 def test_seed_override_and_env(workdir, monkeypatch):

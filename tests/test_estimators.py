@@ -22,7 +22,16 @@ from freewalk import (
 )
 from freewalk import corpus
 from freewalk.decompositions import scaled_log_vector_norm
-from freewalk.estimators import Z95, _mean_se, _pole_caches, _walk_poles
+from freewalk.estimators import (
+    Z95,
+    DecayEstimate,
+    GeometricFit,
+    KakFrameConvergence,
+    _mean_se,
+    _pole_caches,
+    _walk_poles,
+)
+from freewalk.fields import parse_scalar
 from freewalk.linalg import exact_inv, fubini_study
 from freewalk.walks import exact_product, walk_indices, walk_products
 
@@ -163,6 +172,95 @@ def test_kak_convergence_padic():
     frames = kak_convergence(m, [4, 8], 32, 20, seed=8)
     assert frames.k_curve.p_hat[0] >= frames.k_curve.p_hat[1]
     assert frames.u_curve.p_hat[0] >= frames.u_curve.p_hat[1]
+
+
+def _mean_curve(p_hat, ci_lo, ci_hi, fit):
+    return DecayEstimate(
+        kind="mean",
+        grid=(2, 4, 6),
+        p_hat=p_hat,
+        ci_lo=ci_lo,
+        ci_hi=ci_hi,
+        reps=5,
+        fit=GeometricFit(*fit),
+        extra={"horizon": 12},
+    )
+
+
+# direction, k-part and u-part curves at grid (2, 4, 6), horizon 12, reps 5,
+# seed 3, x = (1, 2, ...), recorded from the per-trajectory exact replay
+# that the batched integer fold replaced
+_PINNED_CONVERGENCE = {
+    "positive_matrices": (
+        _mean_curve(
+            (0.008431940393471421, 0.00018841228480737066, 6.326862286208982e-06),
+            (0.0042317357062949265, 7.414587236279833e-05, 3.0877567906250134e-06),
+            (0.012632145080647916, 0.000302678697251943, 9.565967781792951e-06),
+            (-1.707042329571127, -1.728735249591322, 0.9996764264379112, 3),
+        ),
+        _mean_curve(
+            (0.004137182465666759, 9.852716445992974e-05, 2.9859246603460678e-06),
+            (0.00028540324940766904, 8.668193287733562e-06, 2.6451201997549295e-07),
+            (0.007988961681925848, 0.00018838613563212591, 5.707337300716642e-06),
+            (-1.753428700866942, -2.2011845355135256, 0.9999050896923332, 3),
+        ),
+        _mean_curve(
+            (0.004137182465666759, 9.852716445992974e-05, 2.9859246603460678e-06),
+            (0.00028540324940766904, 8.668193287733562e-06, 2.6451201997549295e-07),
+            (0.007988961681925848, 0.00018838613563212591, 5.707337300716642e-06),
+            (-1.753428700866942, -2.2011845355135256, 0.9999050896923332, 3),
+        ),
+    ),
+    "padic_contracting": (
+        _mean_curve(
+            (0.012345679012345675, 0.00015241579027587248, 1.8816764231589204e-06),
+            (0.012345679012345675, 0.00015241579027587248, 1.8816764231589204e-06),
+            (0.012345679012345675, 0.00015241579027587248, 1.8816764231589204e-06),
+            (-2.1972245773362222, 0.0, 1.0, 3),
+        ),
+        _mean_curve(
+            (0.002652034750800184, 3.0734048244929035e-05, 3.7788398950681217e-07),
+            (0.0008958713575289222, 6.644015415419286e-06, 7.860775701007345e-08),
+            (0.004408198144071446, 5.4824081074438784e-05, 6.771602220035509e-07),
+            (-2.2000436941446306, -1.588425987389694, 0.999997743258796, 3),
+        ),
+        _mean_curve(
+            (0.002652034750800184, 3.0734048244929035e-05, 3.7788398950681217e-07),
+            (0.0008958713575289222, 6.644015415419286e-06, 7.860775701007345e-08),
+            (0.004408198144071446, 5.4824081074438784e-05, 6.771602220035509e-07),
+            (-2.2000436941446306, -1.588425987389694, 0.999997743258796, 3),
+        ),
+    ),
+    "sl3_integer": (
+        _mean_curve(
+            (0.08128148408394609, 0.03404729849628797, 0.01049754515239584),
+            (0.015941702593582366, 0.003683983327185756, 0.002048432115856655),
+            (0.14662126557430982, 0.06441061366539019, 0.018946658188935026),
+            (-0.5340173438080371, -1.3392485028576753, 0.9940053237042877, 3),
+        ),
+        _mean_curve(
+            (0.10994464883523374, 0.027544012730000823, 0.004962225395528032),
+            (0.052517231164013196, 0.007315395166603886, 0.000439061054684599),
+            (0.16737206650645428, 0.04777263029339776, 0.009485389736371464),
+            (-0.8050570386596603, -0.4651190699827026, 0.9969008279764754, 3),
+        ),
+        _mean_curve(
+            (0.08434189247053256, 0.02400581260151732, 0.004072741907336306),
+            (0.03630149713139841, 0.006626870485956917, 0.0020517983681198723),
+            (0.1323822878096667, 0.041384754717077726, 0.006093685446552741),
+            (-0.8074208185953442, -0.6501695096374441, 0.9931046235428209, 3),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONVERGENCE))
+def test_convergence_curves_pinned(name):
+    m = corpus.padic_contracting(3) if name == "padic_contracting" else getattr(corpus, name)()
+    x = [parse_scalar(v, m.field) for v in ["1", "2", "3"][: m.d]]
+    direction, k_curve, u_curve = _PINNED_CONVERGENCE[name]
+    assert direction_convergence(m, x, [2, 4, 6], 12, 5, seed=3) == direction
+    assert kak_convergence(m, [2, 4, 6], 12, 5, seed=3) == KakFrameConvergence(k_curve, u_curve)
 
 
 def test_holder_catalog(real_field):

@@ -25,11 +25,12 @@ from freewalk.decompositions import (
     scaled_premultiply,
     scaled_reconstruct,
 )
-from freewalk.errors import ConfigError
-from freewalk.linalg import exact_inv, identity
+from freewalk.errors import ConfigError, UsageError
+from freewalk.linalg import _integer_form, exact_inv, identity
 from freewalk.walks import (
     _sample_index,
     exact_product,
+    integer_products,
     load_measure,
     measure_from_json_dict,
     sample_increment_indices,
@@ -357,3 +358,26 @@ def test_exact_product_matches_fraction_fold():
             assert all(isinstance(x, Fraction) for x in got.flat)
             assert (got == want).all()
         assert (exact_product(m, [], "left") == identity(m.d)).all()
+
+
+def test_integer_products_match_fraction_fold():
+    # R-exact atoms (d = 2 and 3) and Q_p atoms with p-unit denominators
+    real = [corpus.sanov(), corpus.slow_contracting(), corpus.sl3_integer()]
+    for m in real + _padic_kernel_measures():
+        forms = [_integer_form(a) for a in m.exact_atoms]
+        n = 12
+        idx = walk_indices(m, n, 5, range(3))
+        cps = [n, 0, 5, 1, 5]
+        for order in ("left", "right"):
+            stacks = integer_products([a for a, _ in forms], idx, order, cps)
+            assert len(stacks) == len(cps)
+            for t, stack in zip(cps, stacks):
+                assert stack.shape == (3, m.d, m.d) and stack.dtype == object
+                for row, got in zip(idx.tolist(), stack):
+                    want = identity(m.d)
+                    for i in row[:t]:
+                        want = want @ m.exact_atoms[i] if order == "left" else m.exact_atoms[i] @ want
+                    assert all(type(x) is int for x in got.flat)
+                    assert (got == want * math.prod(forms[i][1] for i in row[:t])).all()
+    with pytest.raises(UsageError):
+        integer_products([a for a, _ in forms], idx, "left", [n + 1])
