@@ -57,9 +57,7 @@ from .walks import (
     make_measure,
     make_stream,
     new_walk_state,
-    run_independent_walks,
     run_walk,
-    sample_increment,
 )
 from .estimators import (
     DecayEstimate,

@@ -41,7 +41,7 @@ from .estimators import (
     wilson_interval,
 )
 from .decompositions import kak
-from .fields import FieldSpec, format_scalar, parse_scalar
+from .fields import ARCHIMEDEAN, NONARCHIMEDEAN, FieldSpec, format_scalar, parse_scalar
 from .linalg import flat_matrices, matrix_from_json_dict, vector_to_strings
 from .pingpong import pingpong_certificate
 from .report import decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
@@ -59,7 +59,12 @@ CONFIG_SCHEMA = {
         "kind": {"enum": list(EXPERIMENT_KINDS)},
         "measure": {"type": "string"},
         "measure2": {"type": "string"},
-        "field": {"type": "object"},
+        "field": {
+            "type": "object",
+            "required": ["kind"],
+            "additionalProperties": False,
+            "properties": {"kind": {"enum": [ARCHIMEDEAN, NONARCHIMEDEAN]}, "prime": {"type": "integer"}},
+        },
         "grid": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
         "reps": {"type": "integer", "minimum": 1},
         "horizon": {"type": "integer", "minimum": 1},
@@ -102,6 +107,18 @@ CONFIG_SCHEMA = {
 }
 
 
+#: The fields each experiment kind needs; "a.b" is field b of object a and
+#: "a|b" needs a or b.
+REQUIRED = {
+    "lyapunov": ("n", "reps"),
+    "decay": ("grid", "reps", "thresholds.r_base", "thresholds.eps_base"),
+    "direction": ("grid", "horizon", "reps"),
+    "independence": ("reps", "grid|n"),
+    "invariant": ("n", "reps", "hyperplanes", "thresholds.t"),
+    "tuple": ("n", "reps", "tuple_size", "thresholds.r_base", "thresholds.eps_base"),
+}
+
+
 def _env_int(name: str):
     value = os.environ.get(name)
     if not value:
@@ -122,6 +139,14 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+def _has(doc: dict, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if part not in doc:
+            return False
+        doc = doc[part]
+    return True
+
+
 def _validate_config(doc: dict, path: str) -> None:
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
@@ -132,21 +157,27 @@ def _validate_config(doc: dict, path: str) -> None:
     grid = doc.get("grid")
     if grid is not None and any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{path}: grid must be strictly increasing")
-
-
-def _require(config: dict, kind: str, *keys: str) -> None:
-    missing = [k for k in keys if _dig(config, k) is None]
+    kind = doc["kind"]
+    missing = [
+        need.replace("|", " or ")
+        for need in REQUIRED[kind]
+        if not any(_has(doc, alt) for alt in need.split("|"))
+    ]
     if missing:
         raise ConfigError(f"{kind} experiment needs config fields: {', '.join(missing)}")
 
 
-def _dig(config: dict, dotted: str):
-    cur = config
-    for part in dotted.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return None
-        cur = cur[part]
-    return cur
+def _vector(entries, where: str, measure) -> list:
+    """A config vector parsed over the measure's field: measure.d scalars, not all zero."""
+    if len(entries) != measure.d:
+        raise ConfigError(f"field {where}: needs {measure.d} entries, got {len(entries)}")
+    try:
+        vec = [parse_scalar(v, measure.field) for v in entries]
+    except (FreewalkError, ValueError) as exc:
+        raise ConfigError(f"field {where}: {exc}") from exc
+    if not any(vec):
+        raise ConfigError(f"field {where}: every entry is zero")
+    return vec
 
 
 def _resolve_measures(config: dict, base: Path):
@@ -159,10 +190,6 @@ def _resolve_measures(config: dict, base: Path):
     if "field" in config and FieldSpec.from_dict(config["field"]) != measure.field:
         raise ConfigError("config field spec disagrees with the measure file")
     return measure, measure2
-
-
-def _default_x(d: int) -> list[str]:
-    return ["1"] * d
 
 
 def _sidecar(kind: str, config: dict, measure, measure2, payload: dict, probe=None) -> dict:
@@ -187,6 +214,28 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
     reps = config.get("reps")
     th = config.get("thresholds", {})
 
+    # every config vector is parsed and checked before any walk runs
+    if kind == "direction":
+        x = config.get("x", ["1"] * measure.d)
+        x_vec = _vector(x, "x", measure)
+    elif kind == "invariant":
+        planes = [_vector(h, f"hyperplanes/{i}", measure) for i, h in enumerate(config["hyperplanes"])]
+    elif kind == "independence":
+        e1 = ["1"] + ["0"] * (measure.d - 1)
+        phi_docs = {
+            name: config.get(name, {"kind": "dist_to_point", "reference": e1, "exponent": 1.0})
+            for name in ("phi1", "phi2")
+        }
+        phi1, phi2 = (
+            holder_function(
+                doc["kind"],
+                _vector([str(v) for v in doc["reference"]], f"{name}/reference", measure),
+                measure.field,
+                doc.get("exponent", 1.0),
+            )
+            for name, doc in phi_docs.items()
+        )
+
     # contraction/irreducibility of the support are not decidable from the
     # atoms; warn when not even a proximal witness shows up in short products
     probe = find_proximal_element(measure, seed=seed)
@@ -198,7 +247,6 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
         )
 
     if kind == "lyapunov":
-        _require(config, kind, "n", "reps")
         est = lyapunov_estimate(measure, config["n"], reps, seed)
         verdict = gap_test(est)
         header = ["n", "lambda1_hat", "lambda1_ci", "lambda12_hat", "lambda12_ci", "gap_hat", "gap_ci", "reps"]
@@ -215,7 +263,6 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
         }
 
     elif kind == "decay":
-        _require(config, kind, "grid", "reps", "thresholds.r_base", "thresholds.eps_base")
         est = pingpong_decay(
             measure, measure2 or measure, th["r_base"], th["eps_base"],
             config["grid"], reps, seed,
@@ -231,12 +278,7 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
                    "thresholds_valid": est.extra["thresholds_valid"]}
 
     elif kind == "direction":
-        _require(config, kind, "grid", "horizon", "reps")
-        x = config.get("x", _default_x(measure.d))
-        direction = direction_convergence(
-            measure, [parse_scalar(v, measure.field) for v in x],
-            config["grid"], config["horizon"], reps, seed,
-        )
+        direction = direction_convergence(measure, x_vec, config["grid"], config["horizon"], reps, seed)
         frames = kak_convergence(measure, config["grid"], config["horizon"], reps, seed)
         header = ["n", "p_hat", "ci_lo", "ci_hi", "reps", "curve"]
         rows = []
@@ -253,20 +295,7 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
         }
 
     elif kind == "independence":
-        _require(config, kind, "reps")
-        if config.get("grid"):
-            ns = config["grid"]
-        elif config.get("n"):
-            ns = [config["n"]]
-        else:
-            raise ConfigError("independence experiment needs grid or n")
-        e1 = ["1"] + ["0"] * (measure.d - 1)
-        phi1_doc = config.get("phi1", {"kind": "dist_to_point", "reference": e1, "exponent": 1.0})
-        phi2_doc = config.get("phi2", {"kind": "dist_to_point", "reference": e1, "exponent": 1.0})
-        phi1 = holder_function(phi1_doc["kind"], [str(v) for v in phi1_doc["reference"]],
-                               measure.field, phi1_doc.get("exponent", 1.0))
-        phi2 = holder_function(phi2_doc["kind"], [str(v) for v in phi2_doc["reference"]],
-                               measure.field, phi2_doc.get("exponent", 1.0))
+        ns = config.get("grid") or [config["n"]]
         header = ["n", "p_hat", "ci_lo", "ci_hi", "reps", "mean_joint", "mean_phi1", "mean_phi2"]
         rows = []
         results = {}
@@ -276,15 +305,10 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
                          res.discrepancy + Z95 * res.se, reps,
                          res.mean_joint, res.mean_phi1, res.mean_phi2])
             results[str(n)] = {"discrepancy": res.discrepancy, "se": res.se}
-        payload = {"discrepancies": results, "phi1": phi1_doc, "phi2": phi2_doc}
+        payload = {"discrepancies": results, **phi_docs}
 
     elif kind == "invariant":
-        _require(config, kind, "n", "reps", "hyperplanes", "thresholds.t")
-        res = invariant_measure_probe(
-            measure, config["n"], reps,
-            [[parse_scalar(v, measure.field) for v in h] for h in config["hyperplanes"]],
-            th["t"], seed,
-        )
+        res = invariant_measure_probe(measure, config["n"], reps, planes, th["t"], seed)
         header = ["n", "p_hat", "ci_lo", "ci_hi", "reps", "hyperplane"]
         rows = [
             [res.n, f, lo, hi, reps, i]
@@ -293,8 +317,6 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
         payload = {"sup_fraction": res.sup_fraction, "t": res.t, "n": res.n}
 
     elif kind == "tuple":
-        _require(config, kind, "n", "reps", "tuple_size",
-                 "thresholds.r_base", "thresholds.eps_base")
         n = config["n"]
         rho = config.get("rho_hat")
         pair_fit = None

@@ -133,40 +133,32 @@ class DecayEstimate:
     extra: dict = dc_field(default_factory=dict)
 
 
-def _decay_from_means(grid, per_point_values, reps, extra=None) -> DecayEstimate:
-    means, los, his = [], [], []
-    for vals in per_point_values:
-        m, se = _mean_se(vals)
-        means.append(m)
-        los.append(m - Z95 * se)
-        his.append(m + Z95 * se)
-    fit = fit_geometric_decay(grid, means, [hi - lo for lo, hi in zip(los, his)])
-    return DecayEstimate(
-        kind="mean",
-        grid=tuple(grid),
-        p_hat=tuple(means),
-        ci_lo=tuple(los),
-        ci_hi=tuple(his),
-        reps=reps,
-        fit=fit,
-        extra=extra or {},
-    )
+def _mean_point(values) -> tuple[float, float, float]:
+    """(mean, lo, hi) with the normal 95% interval."""
+    m, se = _mean_se(values)
+    return m, m - Z95 * se, m + Z95 * se
 
 
-def _decay_from_counts(grid, counts, reps, extra=None) -> DecayEstimate:
-    ps, los, his = [], [], []
-    for c in counts:
-        ps.append(c / reps)
-        lo, hi = wilson_interval(c, reps)
-        los.append(lo)
-        his.append(hi)
-    fit = fit_geometric_decay(grid, ps, [hi - lo for lo, hi in zip(los, his)])
+def _proportion_point(count: int, trials: int) -> tuple[float, float, float]:
+    """(fraction, lo, hi) with the Wilson 95% interval."""
+    return (count / trials, *wilson_interval(count, trials))
+
+
+def _columns(points) -> tuple:
+    """Values, lower and upper bounds as three tuples, from (value, lo, hi) triples."""
+    return tuple(zip(*points)) or ((), (), ())
+
+
+def _decay(kind: str, grid, points, reps: int, extra=None) -> DecayEstimate:
+    """The DecayEstimate of one (value, lo, hi) triple per grid point."""
+    values, los, his = _columns(points)
+    fit = fit_geometric_decay(grid, values, [hi - lo for lo, hi in zip(los, his)])
     return DecayEstimate(
-        kind="proportion",
+        kind=kind,
         grid=tuple(grid),
-        p_hat=tuple(ps),
-        ci_lo=tuple(los),
-        ci_hi=tuple(his),
+        p_hat=values,
+        ci_lo=los,
+        ci_hi=his,
         reps=reps,
         fit=fit,
         extra=extra or {},
@@ -315,7 +307,7 @@ def direction_convergence(
     idx = walk_indices(measure, horizon, seed, range(reps))
     *dirs, limit = (m @ x_int for m in integer_products(atoms, idx, "left", [*grid, horizon]))
     cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, limit)] for at_n in dirs]
-    return _decay_from_means(grid, cols, reps, extra={"horizon": horizon})
+    return _decay("mean", grid, [_mean_point(c) for c in cols], reps, extra={"horizon": horizon})
 
 
 @dataclass(frozen=True)
@@ -362,8 +354,8 @@ def kak_convergence(
     u_cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, h_lim)] for at_n in hs]
     extra = {"horizon": horizon}
     return KakFrameConvergence(
-        k_curve=_decay_from_means(grid, k_cols, reps, extra=extra),
-        u_curve=_decay_from_means(grid, u_cols, reps, extra=extra),
+        k_curve=_decay("mean", grid, [_mean_point(c) for c in k_cols], reps, extra=extra),
+        u_curve=_decay("mean", grid, [_mean_point(c) for c in u_cols], reps, extra=extra),
     )
 
 
@@ -489,16 +481,11 @@ def invariant_measure_probe(
         for i, f in enumerate(covs):
             if dist_point_hyperplane(direction, f, field) <= threshold:
                 counts[i] += 1
-    fracs, los, his = [], [], []
-    for c in counts:
-        fracs.append(c / reps)
-        lo, hi = wilson_interval(c, reps)
-        los.append(lo)
-        his.append(hi)
+    fracs, los, his = _columns(_proportion_point(c, reps) for c in counts)
     return InvariantProbeResult(
-        fractions=tuple(fracs),
-        ci_lo=tuple(los),
-        ci_hi=tuple(his),
+        fractions=fracs,
+        ci_lo=los,
+        ci_hi=his,
         sup_fraction=max(fracs) if fracs else 0.0,
         t=t,
         n=n,
@@ -605,7 +592,7 @@ def pingpong_decay(
         "r_base": r_base,
         "eps_base": eps_base,
     }
-    return _decay_from_counts(grid, counts, reps, extra=extra)
+    return _decay("proportion", grid, [_proportion_point(c, reps) for c in counts], reps, extra=extra)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ gcd and no renormalisation: over Q_p each row's numerator N is divided
 by its denominator and by the p-power of its content once, at the end,
 which gives the unit and scale of the exact sequential fold; the exact
 replays (:func:`exact_product` and the direction and KAK-frame
-estimators) use the same fold.  :func:`run_walk` and :func:`advance`
-keep the sequential fold for single trajectories.
+estimators) use the same fold.  :func:`advance` is the one sequential
+fold: it takes one step of one trajectory, :func:`run_walk` iterates it,
+and the kernel is checked against it.
 """
 
 from __future__ import annotations
@@ -202,11 +203,6 @@ def _sample_index(measure: WalkMeasure, u: float) -> int:
     return min(bisect_right(measure.cumulative, u), len(measure.cumulative) - 1)
 
 
-def sample_increment(measure: WalkMeasure, rng: np.random.Generator) -> np.ndarray:
-    """Draw one atom; consumes exactly one uniform draw from rng."""
-    return measure.atoms[_sample_index(measure, rng.random())]
-
-
 def _restore_stream(rng_state: dict) -> np.random.Generator:
     rng = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
     rng.bit_generator.state = rng_state
@@ -229,46 +225,26 @@ def advance(state: WalkState, measure: WalkMeasure) -> WalkState:
 
 
 def run_walk(measure: WalkMeasure, n: int, seed: int, stream: int = 0, checkpoints=None):
-    """Walk n steps on one stream.
+    """Walk n steps on one stream by iterating :func:`advance`.
 
     Returns the final WalkState, or {n: WalkState} snapshots when
-    checkpoints is given.  Step for step identical to iterating
-    :func:`advance` from :func:`new_walk_state`; the uniforms are drawn in
-    one call per stretch between checkpoints.
+    checkpoints is given.
     """
-    field = measure.field
-    rng = make_stream(seed, stream)
-    left = right = scaled_identity(measure.d, field)
-    increments: list[int] = []
+    state = new_walk_state(measure, seed, stream)
     wanted = set(checkpoints) if checkpoints is not None else set()
-    snaps = {}
-    for stop in sorted({c for c in wanted if 0 <= c <= n} | {n}):
-        for i in _draw_indices(measure, rng, stop - len(increments)).tolist():
-            x = measure.atoms[i]
-            left = scaled_multiply(left, x, field)
-            right = scaled_premultiply(x, right, field)
-            increments.append(i)
-        state = WalkState(
-            step=stop,
-            left_product=left,
-            right_product=right,
-            increments=tuple(increments),
-            rng_state=rng.bit_generator.state,
-        )
-        if stop in wanted:
-            snaps[stop] = state
+    snaps = {0: state} if 0 in wanted else {}
+    for _ in range(n):
+        state = advance(state, measure)
+        if state.step in wanted:
+            snaps[state.step] = state
     return snaps if checkpoints is not None else state
 
 
-def _draw_indices(measure: WalkMeasure, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count atom indices, one uniform each: the vector form of :func:`_sample_index`."""
-    cum = measure.cumulative
-    return np.minimum(np.searchsorted(cum, rng.random(count), side="right"), len(cum) - 1)
-
-
 def sample_increment_indices(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """The first n atom indices of a stream, without building products."""
-    return _draw_indices(measure, make_stream(seed, stream), n)
+    """The first n atom indices of a stream: :func:`_sample_index` of one uniform each."""
+    cum = measure.cumulative
+    u = make_stream(seed, stream).random(n)
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
 def walk_indices(measure: WalkMeasure, n: int, seed: int, streams) -> np.ndarray:
@@ -359,20 +335,6 @@ def _padic_walk_products(increments, idx: np.ndarray, p: int, order: str) -> lis
         den = math.prod(forms[i][1] for i in row)
         v = valuation(content, p) - valuation(den, p)
         out.append(ScaledMatrix(num * (Fraction(p) ** -v / den), v))
-    return out
-
-
-def run_independent_walks(measure, measure2, count: int, n: int, seed: int) -> list:
-    """count trajectories on streams split deterministically from seed.
-
-    Walk i draws from `measure` when measure2 is None or i is even, and
-    from `measure2` when i is odd; trajectory i is reproducible in
-    isolation from (seed, i).
-    """
-    out = []
-    for i in range(count):
-        m = measure if (measure2 is None or i % 2 == 0) else measure2
-        out.append(run_walk(m, n, seed, stream=i))
     return out
 
 

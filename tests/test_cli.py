@@ -1,9 +1,15 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freewalk import corpus
 from freewalk.cli import main
@@ -288,6 +294,116 @@ def test_non_finite_entries_exit_2(workdir):
                   thresholds={"r_base": 0.9, "eps_base": 0.5})
     _assert_input_error(["decay", str(cfg), "--out", str(workdir / "nf")])
     _assert_input_error(["lyapunov", str(_config(workdir, kind="lyapunov", measure="line.json", n=20, reps=10))])
+
+
+def test_malformed_config_vectors_and_field_exit_2(workdir):
+    # config vectors must have measure.d parseable entries, not all zero, and
+    # the field spec needs a known kind and an integer prime
+    cases = [
+        dict(kind="direction", grid=[4], horizon=8, reps=4, x=["1", "2", "3"]),
+        dict(kind="direction", grid=[4], horizon=8, reps=4, x=["abc", "1"]),
+        dict(kind="direction", grid=[4], horizon=8, reps=4, x=["0", "0"]),
+        dict(kind="invariant", n=10, reps=4, hyperplanes=[["1", "0"], ["1", "2", "3"]], thresholds={"t": 0.9}),
+        dict(kind="independence", n=5, reps=4,
+             phi1={"kind": "dist_to_point", "reference": ["1", "0", "0"]}),
+        dict(kind="lyapunov", n=20, reps=10, field={}),
+        dict(kind="lyapunov", n=20, reps=10, field={"kind": "nonarchimedean", "prime": "3"}),
+    ]
+    for case in cases:
+        cfg = _config(workdir, measure="positive.json", **case)
+        _assert_input_error([case["kind"], str(cfg), "--out", str(workdir / "bad-out")])
+
+
+_BASE_CONFIGS = {
+    "direction": {"grid": [4, 8], "horizon": 16, "reps": 4, "x": ["1", "2"]},
+    "invariant": {"n": 10, "reps": 4, "hyperplanes": [["1", "0"], ["0", "1"]], "thresholds": {"t": 0.9}},
+    "independence": {
+        "grid": [5, 10],
+        "reps": 4,
+        "phi1": {"kind": "dist_to_point", "reference": ["1", "0"], "exponent": 1.0},
+        "phi2": {"kind": "dist_to_hyperplane", "reference": ["0", "1"], "exponent": 0.5},
+    },
+}
+_VECTOR_PATHS = {
+    "direction": [("x",)],
+    "invariant": [("hyperplanes", 0), ("hyperplanes", 1)],
+    "independence": [("phi1", "reference"), ("phi2", "reference")],
+}
+_OPTIONAL = {"x", "phi1", "phi2"}  # absent, each takes a valid default
+_SCALARS = st.sampled_from(["1", "-2", "1/3", 0.5, 7])
+_bad_vectors = st.one_of(
+    st.lists(_SCALARS, max_size=5).filter(lambda v: len(v) != 2),
+    st.tuples(st.sampled_from(["abc", "1/0", "inf", "nan", "", "1/x"]), _SCALARS, st.booleans()).map(
+        lambda t: [t[0], t[1]] if t[2] else [t[1], t[0]]
+    ),
+    st.lists(st.sampled_from(["0", 0, "0/5", 0.0, "-0"]), min_size=2, max_size=2),
+)
+_bad_fields = st.sampled_from([
+    {},
+    {"kind": "nonarchimedean", "prime": "3"},
+    {"kind": "nonarchimedean"},
+    {"kind": "nonarchimedean", "prime": 4},
+    {"kind": "nonarchimedean", "prime": 3},  # disagrees with the real measure
+    {"kind": "archimedean", "prime": 2},
+    {"kind": "archimedean", "extra": 1},
+    {"kind": "complex"},
+])
+
+
+def _base_config(kind: str) -> dict:
+    return {"schema": "freewalk/config/v1", "kind": kind, "measure": "positive.json", "seed": 5,
+            **copy.deepcopy(_BASE_CONFIGS[kind])}
+
+
+@st.composite
+def _broken_configs(draw):
+    """A valid config with exactly one field broken: (kind, document)."""
+    kind = draw(st.sampled_from(sorted(_BASE_CONFIGS)))
+    doc = _base_config(kind)
+    how = draw(st.sampled_from(["value", "delete", "vector", "field", "unknown"]))
+    if how == "vector":
+        *parents, key = draw(st.sampled_from(_VECTOR_PATHS[kind]))
+        value = draw(_bad_vectors)
+    elif how == "field":
+        parents, key, value = [], "field", draw(_bad_fields)
+    elif how == "unknown":
+        parents, key, value = [], "bogus", 1
+    else:
+        parents = []
+        key = draw(st.sampled_from(sorted(set(doc) - _OPTIONAL if how == "delete" else doc)))
+        value = draw(st.sampled_from([None, "text", -1, [], {}]))
+    target = doc
+    for part in parents:
+        target = target[part]
+    if how == "delete":
+        del target[key]
+    else:
+        target[key] = value
+    return kind, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "positive.json").write_text(dumps_json(corpus.positive_matrices().to_json_dict()))
+    for kind in _BASE_CONFIGS:  # the unbroken configs run
+        (root / "base.json").write_text(json.dumps(_base_config(kind)))
+        assert main([kind, str(root / "base.json"), "--out", str(root / "out")]) == 0
+    return root
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=_broken_configs())
+def test_broken_config_field_exits_2_before_any_walk(fuzz_dir, case):
+    kind, doc = case
+    path = fuzz_dir / "broken.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    walk = mock.patch("freewalk.cli.find_proximal_element", side_effect=AssertionError("a walk ran"))
+    with redirect_stderr(err), walk:
+        code = main([kind, str(path), "--out", str(fuzz_dir / "broken-out")])
+    assert code == 2, (doc, err.getvalue())
+    assert err.getvalue().startswith("error: ")
 
 
 def test_seed_override_and_env(workdir, monkeypatch):

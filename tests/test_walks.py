@@ -12,9 +12,7 @@ from freewalk import (
     make_measure,
     make_stream,
     new_walk_state,
-    run_independent_walks,
     run_walk,
-    sample_increment,
 )
 from freewalk import corpus
 from freewalk.decompositions import (
@@ -78,9 +76,7 @@ def test_load_measure_errors(tmp_path):
 
 def test_point_mass_sampling(real_field):
     m = corpus.diagonal_point_mass()
-    rng = make_stream(1, 0)
-    for _ in range(10):
-        assert (sample_increment(m, rng) == m.atoms[0]).all()
+    assert sample_increment_indices(m, 10, seed=1, stream=0).tolist() == [0] * 10
 
 
 def test_sampling_frequencies_3sigma(real_field):
@@ -155,14 +151,13 @@ def test_reversed_walk_law_ks(positive_measure):
     # log||M_n|| and log||S_n|| share one law; two-sample KS on disjoint
     # streams must stay below the 1% critical value
     n, reps = 20, 10000
-    xs, ys = [], []
-    for rep in range(reps):
-        st = run_walk(positive_measure, n, seed=31, stream=rep)
-        xs.append(scaled_log_norm(st.left_product, positive_measure.field))
-        st2 = run_walk(positive_measure, n, seed=31, stream=reps + rep)
-        ys.append(scaled_log_norm(st2.right_product, positive_measure.field))
-    xs.sort()
-    ys.sort()
+    field = positive_measure.field
+    lefts = walk_products(positive_measure.atoms, walk_indices(positive_measure, n, 31, range(reps)),
+                          field, order="left")
+    rights = walk_products(positive_measure.atoms,
+                           walk_indices(positive_measure, n, 31, range(reps, 2 * reps)), field)
+    xs = sorted(scaled_log_norm(m, field) for m in lefts)
+    ys = sorted(scaled_log_norm(s, field) for s in rights)
     # two-sample KS statistic by merge
     i = j = 0
     d = 0.0
@@ -174,24 +169,6 @@ def test_reversed_walk_law_ks(positive_measure):
         d = max(d, abs(i / len(xs) - j / len(ys)))
     critical = 1.628 * math.sqrt(2 / reps)  # alpha = 0.01
     assert d <= critical
-
-
-def test_run_independent_walks(real_field):
-    g = corpus.diagonal_point_mass()
-    h = corpus.rotation_point_mass()
-    walks = run_independent_walks(g, h, 2, 4, seed=9)
-    assert np.allclose(
-        scaled_reconstruct(walks[0].left_product, real_field), np.diag([16.0, 1 / 16.0])
-    )
-    rot4 = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), 4)
-    assert np.allclose(scaled_reconstruct(walks[1].left_product, real_field), rot4)
-
-    m = corpus.sanov()
-    eight = run_independent_walks(m, None, 8, 10, seed=77)
-    again = run_independent_walks(m, None, 8, 10, seed=77)
-    assert [w.increments for w in eight] == [w.increments for w in again]
-    solo = run_walk(m, 10, seed=77, stream=5)
-    assert eight[5].increments == solo.increments
 
 
 def test_proximal_probe():
