@@ -21,7 +21,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     dist_point_hyperplane,
-    dual_action,
     exterior_square,
     fubini_study,
     operator_norm,
@@ -33,7 +32,6 @@ from .decompositions import (
     ScaledMatrix,
     iwasawa,
     kak,
-    kak_kan_ratio,
     scaled_identity,
     scaled_multiply,
     scaled_premultiply,

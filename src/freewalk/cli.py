@@ -45,7 +45,7 @@ from .fields import ARCHIMEDEAN, NONARCHIMEDEAN, FieldSpec, format_scalar, parse
 from .linalg import flat_matrices, matrix_from_json_dict, vector_to_strings
 from .pingpong import pingpong_certificate
 from .report import decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
-from .walks import GENERATOR_NAME, find_proximal_element, load_measure
+from .walks import GENERATOR_NAME, PROXIMAL_MAX_LEN, find_proximal_element, load_measure
 
 EXPERIMENT_KINDS = ("lyapunov", "decay", "direction", "independence", "invariant", "tuple")
 
@@ -165,6 +165,8 @@ def _validate_config(doc: dict, path: str) -> None:
     ]
     if missing:
         raise ConfigError(f"{kind} experiment needs config fields: {', '.join(missing)}")
+    if kind == "direction" and doc["horizon"] < 2 * max(grid):
+        raise ConfigError(f"{path}: field horizon: need horizon >= 2 * max(grid) = {2 * max(grid)}")
 
 
 def _vector(entries, where: str, measure) -> list:
@@ -241,8 +243,9 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
     probe = find_proximal_element(measure, seed=seed)
     if probe is None:
         print(
-            "warning: no proximal element found among sampled products of length <= 12; "
-            "the walk may violate the strong irreducibility / contraction hypotheses",
+            "warning: no proximal element found among sampled products of length "
+            f"<= {PROXIMAL_MAX_LEN}; the walk may violate the strong irreducibility / "
+            "contraction hypotheses",
             file=sys.stderr,
         )
 

@@ -24,9 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .fields import FieldSpec, abs_value, valuation
+from .fields import FieldSpec, valuation
 from .linalg import (
-    as_matrix,
     exterior_square,
     identity,
     normalize_representative,
@@ -219,15 +218,6 @@ def _iwasawa_padic(g: np.ndarray, field: FieldSpec) -> IwasawaDecomposition:
         k[:, i] = k[:, i] * unit
         n[i, :] = m[i, :] / m[i, i]
     return IwasawaDecomposition(k=k, a=a, n=n)
-
-
-def kak_kan_ratio(g: np.ndarray, field: FieldSpec) -> list:
-    """Componentwise |a_i(KAK)| / |a_i(KAN)| for the same g."""
-    dk = kak(g, field)
-    di = iwasawa(g, field)
-    return [
-        abs_value(x, field) / abs_value(y, field) for x, y in zip(dk.a, di.a)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ stacks their index rows, :func:`walk_products` folds scaled products
 along them, and the exact replays of direction and KAK-frame
 convergence fold whole stacks of integer matrices with
 :func:`integer_products`.  KAK frames of the products come from
-:func:`frames`.
+:func:`frames`.  The ping-pong estimators keep the poles of a batch as
+stacked arrays, v and h of shape (reps, 2, d) and ratios (reps, 2), and
+score every tuple of the batch with one call each to
+:func:`cross_margin_matrix` and :func:`tuple_failure_reasons`.
 
 Decay rates are never asserted against theoretical constants (the
 theorems' bounds are not effective); fits report sign, monotonicity and
@@ -37,16 +40,10 @@ from .linalg import (
     _integer_form,
     as_vector,
     dist_point_hyperplane,
-    exact_inv,
     fubini_study,
     wedge_pairs,
 )
-from .pingpong import (
-    ContractionData,
-    cross_margin_matrix,
-    pole_pair,
-    tuple_failure_reasons,
-)
+from .pingpong import _pole_arrays, cross_margin_matrix, pole_pair, tuple_failure_reasons
 from .walks import WalkMeasure, integer_products, walk_indices, walk_products
 
 Z95 = 1.959963984540054
@@ -500,14 +497,8 @@ def invariant_measure_probe(
 FAILURE_KEYS = ("own-contraction", "own-separation", "cross-margin")
 
 
-def _inverse_atoms(measure: WalkMeasure) -> tuple:
-    if measure.field.is_archimedean:
-        return tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
-    return tuple(exact_inv(a) for a in measure.exact_atoms)
-
-
-def _walk_poles(measure: WalkMeasure, idx, inv_atoms, wedges, inv_wedges) -> list:
-    """Contraction data (S_n, S_n^{-1}) of every index row.
+def _walk_poles(measure: WalkMeasure, idx) -> tuple:
+    """Poles of (S_n, S_n^{-1}) of every index row: v, h (reps, 2, d) and ratios (reps, 2).
 
     Over R the poles of S_n^{-1} are the KAK frames of the product of
     inverse atoms X_1^{-1} ... X_n^{-1}, not the bottom singular vectors
@@ -515,35 +506,24 @@ def _walk_poles(measure: WalkMeasure, idx, inv_atoms, wedges, inv_wedges) -> lis
     float precision (d >= 3).  The singular value ratios use
     ||wedge(g)|| / ||g||**2 on scaled log products, which stays fully
     accurate when the true ratio is far below float precision.  The
-    p-adic route is exact throughout.
+    p-adic route is exact throughout, with :func:`pole_pair` per row.
     """
     field = measure.field
     s = walk_products(measure.atoms, idx, field)
     if not field.is_archimedean:
-        return [pole_pair(x.unit, field, unimodular=False) for x in s]
+        poles = _pole_arrays([p for x in s for p in pole_pair(x.unit, field, unimodular=False)])
+        return tuple(a.reshape(len(s), 2, *a.shape[1:]) for a in poles)
+    inv_atoms = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
     s_inv = walk_products(inv_atoms, idx, field, order="left")
-    w = walk_products(wedges, idx, field)
-    w_inv = walk_products(inv_wedges, idx, field, order="left")
+    w = walk_products(exterior_square_atoms(measure.atoms), idx, field)
+    w_inv = walk_products(exterior_square_atoms(inv_atoms), idx, field, order="left")
     v_p, h_p = frames([x.unit for x in s], field)
     v_m, h_m = frames([x.unit for x in s_inv], field)
-    out = []
-    for i in range(len(s)):
-        ratio_p = math.exp(scaled_log_norm(w[i], field) - 2 * scaled_log_norm(s[i], field))
-        ratio_m = math.exp(scaled_log_norm(w_inv[i], field) - 2 * scaled_log_norm(s_inv[i], field))
-        out.append(
-            (
-                ContractionData.of(v_p[i], h_p[i], ratio_p, field),
-                ContractionData.of(v_m[i], h_m[i], ratio_m, field),
-            )
-        )
-    return out
-
-
-def _pole_caches(measure: WalkMeasure):
-    inv_atoms = _inverse_atoms(measure)
-    wedges = exterior_square_atoms(measure.atoms)
-    inv_wedges = exterior_square_atoms(inv_atoms)
-    return inv_atoms, wedges, inv_wedges
+    ratio = [
+        [math.exp(scaled_log_norm(wi, field) - 2 * scaled_log_norm(si, field)) for wi, si in pair]
+        for pair in zip(zip(w, s), zip(w_inv, s_inv))
+    ]
+    return np.stack([v_p, v_m], axis=1), np.stack([h_p, h_m], axis=1), np.array(ratio)
 
 
 def pingpong_decay(
@@ -566,24 +546,19 @@ def pingpong_decay(
         raise DomainError("need 0 < eps_base < r_base < 1")
     grid = sorted(grid)
     field = measure.field
-    caches1 = _pole_caches(measure)
-    caches2 = _pole_caches(measure2)
-
-    counts = [0] * len(grid)
-    breakdown = {k: [0] * len(grid) for k in FAILURE_KEYS}
+    counts = []
+    breakdown = {k: [] for k in FAILURE_KEYS}
     for gi, n in enumerate(grid):
         # trajectory pair (gi, rep) walks streams 2*(gi*reps+rep) and 2*(gi*reps+rep)+1
         streams = [2 * (gi * reps + rep) for rep in range(reps)]
-        poles1 = _walk_poles(measure, walk_indices(measure, n, seed, streams), *caches1)
-        idx2 = walk_indices(measure2, n, seed, [s + 1 for s in streams])
-        for pair1, pair2 in zip(poles1, _walk_poles(measure2, idx2, *caches2)):
-            poles = [*pair1, *pair2]
-            margins = cross_margin_matrix(poles, field)
-            fails = tuple_failure_reasons(poles, margins, r_base**n, eps_base**n)
-            if fails:
-                counts[gi] += 1
-            for k in fails:
-                breakdown[k][gi] += 1
+        poles1 = _walk_poles(measure, walk_indices(measure, n, seed, streams))
+        poles2 = _walk_poles(measure2, walk_indices(measure2, n, seed, [s + 1 for s in streams]))
+        # each tuple's poles: S_n, S_n^{-1}, S'_n, S'_n^{-1}
+        v, h, ratio = (np.concatenate(pair, axis=1) for pair in zip(poles1, poles2))
+        fails = tuple_failure_reasons(ratio, cross_margin_matrix(v, h, field), r_base**n, eps_base**n)
+        counts.append(int(np.any(list(fails.values()), axis=0).sum()))
+        for k in FAILURE_KEYS:
+            breakdown[k].append(int(fails[k].sum()))
     extra = {
         "breakdown": breakdown,
         "thresholds_valid": [r_base**n > 2 * eps_base**n for n in grid],
@@ -631,16 +606,11 @@ def tuple_decay(
     """
     if l < 2:
         raise DomainError("tuple size l must be at least 2")
-    field = measure.field
-    caches = _pole_caches(measure)
-
-    # walk w of tuple rep runs on stream rep*l + w
-    pairs = _walk_poles(measure, walk_indices(measure, n, seed, range(reps * l)), *caches)
-    failures = 0
-    for rep in range(reps):
-        poles = [p for pair in pairs[rep * l:(rep + 1) * l] for p in pair]
-        if tuple_failure_reasons(poles, cross_margin_matrix(poles, field), r, eps):
-            failures += 1
+    # walk w of tuple rep runs on stream rep*l + w; its poles are 2w and 2w+1
+    poles = _walk_poles(measure, walk_indices(measure, n, seed, range(reps * l)))
+    v, h, ratio = (a.reshape(reps, 2 * l, *a.shape[2:]) for a in poles)
+    fails = tuple_failure_reasons(ratio, cross_margin_matrix(v, h, measure.field), r, eps)
+    failures = int(np.any(list(fails.values()), axis=0).sum())
     prediction = None
     prediction_se = None
     if rho_hat is not None:

@@ -121,15 +121,9 @@ def det(m: np.ndarray, field: FieldSpec):
     return exact_det(m)
 
 
-def inv(m: np.ndarray, field: FieldSpec) -> np.ndarray:
-    if field.is_archimedean and m.dtype != object:
-        return np.linalg.inv(m)
-    return exact_inv(m)
-
-
-def is_unimodular(m: np.ndarray, field: FieldSpec, tol: float = UNIMODULAR_TOL) -> bool:
+def is_unimodular(m: np.ndarray, field: FieldSpec) -> bool:
     if field.is_archimedean:
-        return abs(det(m, field) - 1.0) <= tol
+        return abs(det(m, field) - 1.0) <= UNIMODULAR_TOL
     return exact_det(m) == 1
 
 
@@ -177,11 +171,6 @@ def wedge_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([x[i] * y[j] - x[j] * y[i] for i, j in wedge_pairs(d)], dtype=x.dtype)
 
 
-def dual_action(g: np.ndarray, f: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Contragredient action (g.f)(x) = f(g^{-1} x); returns the covector f o g^{-1}."""
-    return f @ inv(g, field)
-
-
 def _require_nonzero(x: np.ndarray, what: str) -> None:
     if all(v == 0 for v in x):
         raise DomainError(f"{what} must be nonzero")
@@ -226,7 +215,7 @@ def normalize_representative(x: np.ndarray, field: FieldSpec) -> np.ndarray:
     return np.array([c * factor for c in scaled], dtype=object)
 
 
-def is_isometry(k: np.ndarray, field: FieldSpec, tol: float = UNIMODULAR_TOL) -> bool:
+def is_isometry(k: np.ndarray, field: FieldSpec) -> bool:
     """Whether k preserves the canonical norm.
 
     Archimedean: orthogonal.  Nonarchimedean: entries in the valuation ring
@@ -234,7 +223,7 @@ def is_isometry(k: np.ndarray, field: FieldSpec, tol: float = UNIMODULAR_TOL) ->
     """
     d = k.shape[0]
     if field.is_archimedean:
-        return bool(np.max(np.abs(k.T @ k - np.eye(d))) <= tol)
+        return bool(np.max(np.abs(k.T @ k - np.eye(d))) <= UNIMODULAR_TOL)
     p = field.prime
     for v in k.flat:
         if v != 0 and valuation(Fraction(v), p) < 0:

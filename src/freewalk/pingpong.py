@@ -7,6 +7,13 @@ sufficient singular-value criterion ratio <= eps**2, not the mapping
 definition of eps-contraction, which is strictly weaker to check and
 never needed here.
 
+Poles are scored as stacks of arrays: :func:`cross_margin_matrix` gives
+every delta(v_p, Ker h_q) of a stack of tuples, own-separations on its
+diagonal, and :func:`tuple_failure_reasons` is the one place that
+compares them, and the contraction ratios, with the thresholds.  The
+decay and tuple estimators, :func:`pingpong_certificate` and
+:func:`is_very_proximal` all score through these two functions.
+
 Three evaluation modes:
 
 * float (archimedean default): plain SVD arithmetic, adequate for
@@ -37,6 +44,7 @@ from .linalg import (
     exact_matrix,
     exterior_square,
     normalize_representative,
+    vector_norm,
     vector_to_strings,
 )
 
@@ -116,11 +124,8 @@ def pole_pair(g: np.ndarray, field: FieldSpec, unimodular: bool = True):
 def is_very_proximal(g: np.ndarray, r: float, eps: float, field: FieldSpec) -> bool:
     """(r, eps)-very proximal: g and g^{-1} both contract and are r-separated."""
     _check_r_eps(r, eps)
-    eps_sq = eps * eps if field.is_archimedean else Fraction(eps) ** 2
-    for data in pole_pair(g, field):
-        if not (data.ratio <= eps_sq and data.separation > r):
-            return False
-    return True
+    v, h, ratio = _pole_arrays(pole_pair(g, field))
+    return not any(tuple_failure_reasons(ratio, cross_margin_matrix(v, h, field), r, eps).values())
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +138,46 @@ FAIL_CROSS = "cross-margin"
 FAIL_UNCERTIFIED = "uncertified-geometry"
 
 
-def cross_margin_matrix(poles, field: FieldSpec):
-    """margins[p][q] = delta(v_p, Ker h_q) over all poles; diagonal blocks are own-separations."""
-    m = len(poles)
-    return [
-        [dist_point_hyperplane(poles[p].v, poles[q].h, field) for q in range(m)]
-        for p in range(m)
-    ]
+def _pole_arrays(poles) -> tuple:
+    """(v, h, ratio) arrays of m ContractionData, shaped (m, d), (m, d), (m,)."""
+    return tuple(np.array([getattr(p, name) for p in poles]) for name in ("v", "h", "ratio"))
 
 
-def tuple_failure_reasons(poles, margins, r: float, eps: float) -> set[str]:
-    """Which ping-pong conditions fail at thresholds (r, eps).
+def cross_margin_matrix(v: np.ndarray, h: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """margins[..., p, q] = delta(v_p, Ker h_q) for poles v, h shaped (..., m, d).
 
-    Unguarded: evaluates the raw inequalities whether or not r > 2*eps, so
-    decay experiments can score scheduled thresholds at every walk length.
-    Fraction-valued data is compared exactly.
+    The own-separations lie on the diagonal.  Entry for entry this is
+    :func:`dist_point_hyperplane`: one :func:`vector_norm` per pole vector
+    and h_q . v_p summed in coordinate order; exact Fractions over Q_p.
     """
-    eps_sq = Fraction(eps) ** 2 if poles and isinstance(poles[0].ratio, Fraction) else eps * eps
-    failures: set[str] = set()
-    if any(p.ratio > eps_sq for p in poles):
-        failures.add(FAIL_CONTRACTION)
-    if any(p.separation <= r for p in poles):
-        failures.add(FAIL_SEPARATION)
-    m = len(poles)
-    for p in range(m):
-        for q in range(m):
-            if p // 2 != q // 2 and margins[p][q] < r:
-                failures.add(FAIL_CROSS)
-    return failures
+    d = v.shape[-1]
+    dot = sum(h[..., None, :, k] * v[..., :, None, k] for k in range(d))
+    if field.is_archimedean:
+        num = np.abs(dot)
+    else:
+        num = np.frompyfunc(lambda x: abs_value(x, field), 1, 1)(dot)
+    norm_v, norm_h = (
+        np.array([vector_norm(x, field) for x in a.reshape(-1, d)]).reshape(a.shape[:-1]) for a in (v, h)
+    )
+    return num / (norm_h[..., None, :] * norm_v[..., :, None])
+
+
+def tuple_failure_reasons(ratio: np.ndarray, margins: np.ndarray, r: float, eps: float) -> dict:
+    """Each failure reason at thresholds (r, eps), as a boolean array over a stack of tuples.
+
+    ratio (..., m) and margins (..., m, m) hold tuples of m poles ordered
+    g_0, g_0^{-1}, g_1, ...  Unguarded: evaluates the raw inequalities
+    whether or not r > 2*eps, so decay experiments can score scheduled
+    thresholds at every walk length.  Fractions are compared exactly.
+    """
+    eps_sq = Fraction(eps) ** 2 if ratio.dtype == object else eps * eps
+    block = np.arange(ratio.shape[-1]) // 2
+    other = block[:, None] != block[None, :]
+    return {
+        FAIL_CONTRACTION: (ratio > eps_sq).any(axis=-1),
+        FAIL_SEPARATION: (np.diagonal(margins, axis1=-2, axis2=-1) <= r).any(axis=-1),
+        FAIL_CROSS: ((margins < r) & other).any(axis=(-2, -1)),
+    }
 
 
 @dataclass(frozen=True)
@@ -219,19 +236,21 @@ def pingpong_certificate(
         raise DomainError("a ping-pong tuple needs at least 2 generators")
     # poles ordered g_0, g_0^{-1}, g_1, ...
     poles = tuple(p for g in gs for p in pole_pair(g, field))
-    margins = cross_margin_matrix(poles, field)
+    v, h, ratio = _pole_arrays(poles)
+    margins = cross_margin_matrix(v, h, field)
     if certified and field.is_archimedean:
         mode, failures = "certified-interval", _certified_failures_real(gs, r, eps)
     else:
         mode = "float" if field.is_archimedean else "exact"
-        failures = tuple_failure_reasons(poles, margins, r, eps)
+        reasons = tuple_failure_reasons(ratio, margins, r, eps)
+        failures = {k for k, hit in reasons.items() if hit}
     return ProximalityCertificate(
         generators=tuple(gs),
         r=r,
         eps=eps,
         mode=mode,
         poles=poles,
-        margins=tuple(tuple(row) for row in margins),
+        margins=tuple(map(tuple, margins.tolist())),
         certified=not failures,
         failures=tuple(sorted(failures)),
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 SIGNIFICANT_DIGITS = 12
 
 
-def fmt(x, sig: int = SIGNIFICANT_DIGITS) -> str:
+def fmt(x) -> str:
     """Fixed significant-digit rendering for any scalar cell."""
     if x is None:
         return ""
@@ -19,21 +19,21 @@ def fmt(x, sig: int = SIGNIFICANT_DIGITS) -> str:
         return str(x)
     if isinstance(x, Fraction):
         x = float(x)
-    return f"{float(x):.{sig}g}"
+    return f"{float(x):.{SIGNIFICANT_DIGITS}g}"
 
 
-def round_floats(obj, sig: int = SIGNIFICANT_DIGITS):
+def round_floats(obj):
     """Recursively clamp floats to the output precision (keeps JSON stable)."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.{sig}g}")
+        return float(f"{obj:.{SIGNIFICANT_DIGITS}g}")
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
-        return {k: round_floats(v, sig) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 

@@ -58,10 +58,10 @@ from .fields import FieldSpec, abs_value, format_scalar, valuation
 from .linalg import (
     _integer_form,
     as_matrix,
-    exact_det,
     exact_matrix,
     flat_matrices,
     identity,
+    is_unimodular,
     vector_to_strings,
 )
 
@@ -130,10 +130,7 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
         if a.shape != (d, d):
             raise InvariantViolation("atoms must share one dimension")
         e = exact_matrix(a)
-        if field.is_archimedean:
-            if abs(float(np.linalg.det(np.asarray(a, dtype=float))) - 1.0) > 1e-9:
-                raise InvariantViolation("atom determinant is not 1")
-        elif exact_det(e) != 1:
+        if not is_unimodular(a, field):
             raise InvariantViolation("atom determinant is not 1")
         exact.append(e)
     cum = []
@@ -416,17 +413,23 @@ def _unique_max_modulus_root(coeffs, field: FieldSpec) -> bool:
     return hull[-1][0] - hull[-2][0] == 1
 
 
-def find_proximal_element(measure: WalkMeasure, seed: int = 0, tries: int = 64, max_len: int = 12):
+#: Products the proximal probe samples, and their longest length.
+PROXIMAL_TRIES = 64
+PROXIMAL_MAX_LEN = 12
+
+
+def find_proximal_element(measure: WalkMeasure, seed: int = 0):
     """Heuristic probe: a proximal element among short sampled products.
 
     Strong irreducibility and contraction of the generated semigroup are
     not decidable from the atoms; a proximal element (unique eigenvalue of
-    maximal modulus) among products of length <= max_len is the practical
-    witness for contraction.  Returns {"length", "word"} or None.
+    maximal modulus) among PROXIMAL_TRIES sampled products of length <=
+    PROXIMAL_MAX_LEN is the practical witness for contraction.  Returns
+    {"length", "word"} or None.
     """
     rng = make_stream(seed, 0)
-    for _ in range(tries):
-        length = int(rng.integers(1, max_len + 1))
+    for _ in range(PROXIMAL_TRIES):
+        length = int(rng.integers(1, PROXIMAL_MAX_LEN + 1))
         word = [_sample_index(measure, rng.random()) for _ in range(length)]
         prod = exact_product(measure, word, order="right")
         if _unique_max_modulus_root(characteristic_polynomial(prod), measure.field):

@@ -360,8 +360,11 @@ def _broken_configs(draw):
     """A valid config with exactly one field broken: (kind, document)."""
     kind = draw(st.sampled_from(sorted(_BASE_CONFIGS)))
     doc = _base_config(kind)
-    how = draw(st.sampled_from(["value", "delete", "vector", "field", "unknown"]))
-    if how == "vector":
+    hows = ["value", "delete", "vector", "field", "unknown"] + (["horizon"] if kind == "direction" else [])
+    how = draw(st.sampled_from(hows))
+    if how == "horizon":  # below 2 * max(grid)
+        parents, key, value = [], "horizon", draw(st.integers(1, 2 * max(doc["grid"]) - 1))
+    elif how == "vector":
         *parents, key = draw(st.sampled_from(_VECTOR_PATHS[kind]))
         value = draw(_bad_vectors)
     elif how == "field":

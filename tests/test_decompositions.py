@@ -11,7 +11,6 @@ from freewalk import (
     as_matrix,
     iwasawa,
     kak,
-    kak_kan_ratio,
     operator_norm,
     scaled_identity,
     scaled_multiply,
@@ -166,17 +165,6 @@ def test_iwasawa_random(real_field, q2):
                 assert decq.n[i, i] == 1
                 for j in range(i):
                     assert decq.n[i, j] == 0
-
-
-def test_kak_kan_ratio_examples(real_field):
-    ident = as_matrix([[1, 0], [0, 1]], real_field)
-    assert kak_kan_ratio(ident, real_field) == pytest.approx([1.0, 1.0])
-    diag = as_matrix([[4, 0], [0, 0.25]], real_field)
-    assert kak_kan_ratio(diag, real_field) == pytest.approx([1.0, 1.0])
-    rng = random.Random(94)
-    g = as_matrix(random_unimodular_int(rng, 2, steps=20), real_field)
-    ratios = kak_kan_ratio(g, real_field)
-    assert all(r > 0 and math.isfinite(r) for r in ratios)
 
 
 def test_kak_kan_ratio_bounded_along_trajectories(positive_measure):

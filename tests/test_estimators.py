@@ -23,12 +23,12 @@ from freewalk import (
 from freewalk import corpus
 from freewalk.decompositions import scaled_log_vector_norm
 from freewalk.estimators import (
+    FAILURE_KEYS,
     Z95,
     DecayEstimate,
     GeometricFit,
     KakFrameConvergence,
     _mean_se,
-    _pole_caches,
     _walk_poles,
 )
 from freewalk.fields import parse_scalar
@@ -352,6 +352,70 @@ def test_pingpong_decay_rerun_bit_exact(positive_measure):
     assert a.extra["breakdown"] == b.extra["breakdown"]
 
 
+# pingpong_decay at grid (4, 8, 16, 32), reps 8, seed 4 and (r_base, eps_base)
+# = (0.8, 0.7), (0.7, 0.3), (0.99, 0.95): p_hat, ci_lo, ci_hi and the
+# (own-contraction, own-separation, cross-margin) breakdown; then the
+# failures of tuple_decay with l = 3, r = 0.9**n, eps = 0.85**n, reps 8,
+# seed 4 at n = 16, 32, 48.  Recorded from the per-tuple scalar scorer.
+_ALL_FAIL = ((1.0,) * 4, (0.6755924351161198,) * 4, (1.0,) * 4)
+_PINNED_DECAY = {
+    "positive_matrices": (
+        (
+            (1.0, 0.5, 0.25, 0.125),
+            (0.6755924351161198, 0.21521606221387757, 0.071479212752109, 0.02241749145005667),
+            (1.0, 0.7847839377861224, 0.5907245696898311, 0.4708881822128535),
+            ([0, 0, 0, 0], [0, 0, 0, 0], [8, 4, 2, 1]),
+        ),
+        (*_ALL_FAIL, ([8, 8, 8, 8], [0, 0, 0, 0], [7, 4, 1, 0])),
+        (*_ALL_FAIL, ([0, 0, 0, 0], [5, 4, 0, 0], [8, 8, 8, 8])),
+        [8, 6, 7],
+    ),
+    "sl3_integer": (
+        (*_ALL_FAIL, ([8, 8, 8, 8], [2, 0, 0, 0], [8, 8, 4, 0])),
+        (*_ALL_FAIL, ([8, 8, 8, 8], [0, 0, 0, 0], [8, 6, 1, 0])),
+        (*_ALL_FAIL, ([0, 0, 0, 0], [8, 7, 7, 6], [8, 8, 8, 8])),
+        [8, 8, 3],
+    ),
+    "padic_contracting(2)": (
+        (
+            (0.875, 0.5, 0.125, 0.0),
+            (0.5291118177871464, 0.21521606221387757, 0.02241749145005667, 0.0),
+            (0.9775825085499433, 0.7847839377861224, 0.4708881822128535, 0.32440756488388023),
+            ([0, 0, 0, 0], [0, 0, 0, 0], [7, 4, 1, 0]),
+        ),
+        (*_ALL_FAIL, ([8, 8, 8, 8], [0, 0, 0, 0], [7, 4, 0, 0])),
+        (*_ALL_FAIL, ([0, 0, 0, 0], [0, 0, 0, 0], [8, 8, 8, 8])),
+        [8, 6, 3],
+    ),
+    "padic_contracting(3)": (
+        (
+            (1.0, 0.5, 0.25, 0.25),
+            (0.6755924351161198, 0.21521606221387757, 0.071479212752109, 0.071479212752109),
+            (1.0, 0.7847839377861224, 0.5907245696898311, 0.5907245696898311),
+            ([0, 0, 0, 0], [0, 0, 0, 0], [8, 4, 2, 2]),
+        ),
+        (*_ALL_FAIL, ([8, 8, 8, 8], [0, 0, 0, 0], [7, 4, 1, 0])),
+        (*_ALL_FAIL, ([0, 0, 0, 0], [0, 0, 0, 0], [8, 8, 8, 8])),
+        [8, 6, 7],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DECAY))
+def test_decay_results_pinned(name):
+    p = {"padic_contracting(2)": 2, "padic_contracting(3)": 3}.get(name)
+    m = corpus.padic_contracting(p) if p else getattr(corpus, name)()
+    *pinned, tuple_failures = _PINNED_DECAY[name]
+    for (r_base, eps_base), (p_hat, ci_lo, ci_hi, breakdown) in zip(
+        [(0.8, 0.7), (0.7, 0.3), (0.99, 0.95)], pinned
+    ):
+        est = pingpong_decay(m, m, r_base, eps_base, [4, 8, 16, 32], 8, seed=4)
+        assert (est.p_hat, est.ci_lo, est.ci_hi) == (p_hat, ci_lo, ci_hi)
+        assert est.extra["breakdown"] == dict(zip(FAILURE_KEYS, breakdown))
+    failures = [tuple_decay(m, 3, 0.9**n, 0.85**n, n, 8, seed=4).failures for n in (16, 32, 48)]
+    assert failures == tuple_failures
+
+
 def _float_top_frame(g):
     """Top singular directions of an exact matrix, rounded once to floats."""
     top = max(abs(x) for x in g.flat)
@@ -364,12 +428,14 @@ def test_walk_poles_match_exact_replay_sl3(real_field):
     # S_n^{-1} must still agree with those of the exactly replayed inverse
     m = corpus.sl3_integer()
     idx = walk_indices(m, 80, seed=11, streams=range(4))
-    for row, (plus, minus) in zip(idx.tolist(), _walk_poles(m, idx, *_pole_caches(m))):
+    vs, hs, ratios = _walk_poles(m, idx)
+    assert vs.shape == hs.shape == (4, 2, 3) and ratios.shape == (4, 2)
+    for row, v_row, h_row in zip(idx.tolist(), vs, hs):
         s = exact_product(m, row, order="right")
-        for data, g in ((plus, s), (minus, exact_inv(s))):
+        for pole_v, pole_h, g in zip(v_row, h_row, (s, exact_inv(s))):
             v, h = _float_top_frame(g)
-            assert fubini_study(data.v, v, real_field) <= 1e-9
-            assert fubini_study(data.h, h, real_field) <= 1e-9
+            assert fubini_study(pole_v, v, real_field) <= 1e-9
+            assert fubini_study(pole_h, h, real_field) <= 1e-9
 
 
 def test_tuple_decay_l2_matches_pair(positive_measure):

@@ -11,7 +11,6 @@ from freewalk import (
     as_matrix,
     as_vector,
     dist_point_hyperplane,
-    dual_action,
     exterior_square,
     fubini_study,
     operator_norm,
@@ -80,29 +79,6 @@ def test_exterior_square_multiplicative_exact(q3):
             g = as_matrix(random_unimodular_int(rng, d), q3)
             h = as_matrix(random_unimodular_int(rng, d), q3)
             assert (exterior_square(g @ h) == exterior_square(g) @ exterior_square(h)).all()
-
-
-def test_dual_action(real_field, q2):
-    ident = as_matrix([[1, 0], [0, 1]], real_field)
-    f = as_vector([3, 4], real_field)
-    assert np.allclose(dual_action(ident, f, real_field), f)
-    diag = as_matrix([[2, 0], [0, F(1, 2)]], q2)
-    e1s = as_vector([1, 0], q2)
-    out = dual_action(diag, e1s, q2)
-    assert list(out) == [F(1, 2), F(0)]  # (1/2) e1*
-
-
-def test_dual_action_contravariant(q3):
-    rng = random.Random(12)
-    for _ in range(50):
-        g = as_matrix(random_unimodular_int(rng, 3), q3)
-        h = as_matrix(random_unimodular_int(rng, 3), q3)
-        f = as_vector([rng.randint(-5, 5) for _ in range(3)], q3)
-        if all(v == 0 for v in f):
-            continue
-        lhs = dual_action(g @ h, f, q3)
-        rhs = dual_action(g, dual_action(h, f, q3), q3)
-        assert (lhs == rhs).all()
 
 
 def test_fubini_study_examples(real_field, q3):

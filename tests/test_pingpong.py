@@ -7,6 +7,7 @@ import pytest
 
 from freewalk import (
     DomainError,
+    FieldSpec,
     UsageError,
     as_matrix,
     as_vector,
@@ -22,7 +23,13 @@ from freewalk import (
 from freewalk import corpus
 from freewalk.fields import Interval
 from freewalk.linalg import exact_inv, exact_matrix, exterior_square
-from freewalk.pingpong import _certified_pole_real, _certified_separation, pole_pair
+from freewalk.pingpong import (
+    _certified_pole_real,
+    _certified_separation,
+    cross_margin_matrix,
+    pole_pair,
+    tuple_failure_reasons,
+)
 from freewalk.walks import exact_product, run_walk
 
 from conftest import random_unimodular_int
@@ -86,6 +93,70 @@ def test_is_very_proximal(real_field):
     assert is_very_proximal(as_matrix(conj, real_field), 0.5, 0.02, real_field)
     with pytest.raises(DomainError):
         is_very_proximal(big, 0.03, 0.02, real_field)
+
+
+def _random_pole_stack(field, d, rng, reps=6, m=4):
+    """Random (v, h, ratio) stacks of reps tuples of m poles, no zero vector."""
+
+    def scalar():
+        if field.is_archimedean:
+            return rng.gauss(0.0, 1.0)
+        return F(rng.randint(-9, 9), field.prime ** rng.randint(0, 2) * rng.choice([1, 5, 7]))
+
+    def vector():
+        while True:
+            x = np.array([scalar() for _ in range(d)], dtype=float if field.is_archimedean else object)
+            if any(c != 0 for c in x):
+                return x
+
+    v, h = (np.array([[vector() for _ in range(m)] for _ in range(reps)]) for _ in range(2))
+    if field.is_archimedean:
+        ratio = np.array([[rng.random() for _ in range(m)] for _ in range(reps)])
+    else:
+        ratio = np.array([[F(1, field.prime ** rng.randint(0, 4)) for _ in range(m)] for _ in range(reps)])
+    return v, h, ratio
+
+
+def _scalar_failure_reasons(ratio, margins, r, eps):
+    """The ping-pong inequalities of one tuple, pole by pole."""
+    eps_sq = F(eps) ** 2 if isinstance(ratio[0], F) else eps * eps
+    m = len(ratio)
+    failures = set()
+    if any(x > eps_sq for x in ratio):
+        failures.add("own-contraction")
+    if any(margins[p][p] <= r for p in range(m)):
+        failures.add("own-separation")
+    if any(margins[p][q] < r for p in range(m) for q in range(m) if p // 2 != q // 2):
+        failures.add("cross-margin")
+    return failures
+
+
+@pytest.mark.parametrize("prime, d", [(None, 2), (None, 3), (2, 2), (3, 3)])
+def test_stacked_margins_match_scalar(prime, d):
+    field = FieldSpec.real() if prime is None else FieldSpec.padic(prime)
+    rng = random.Random(7 * d + (prime or 0))
+    v, h, ratio = _random_pole_stack(field, d, rng)
+    margins = cross_margin_matrix(v, h, field)
+    reps, m = ratio.shape
+    assert margins.shape == (reps, m, m)
+    table = margins.tolist()
+    for t in range(reps):
+        for p in range(m):
+            for q in range(m):
+                want = dist_point_hyperplane(v[t, p], h[t, q], field)
+                assert type(table[t][p][q]) is type(want) and table[t][p][q] == want
+    # thresholds at the margins themselves probe the strict and non-strict sides
+    rs = sorted({float(x) for x in margins.flat})
+    seen = set()
+    for r in [0.0, *rs[:: max(1, len(rs) // 8)], rs[-1], 1.5]:
+        for eps in (0.3, 0.5, 0.9):
+            reasons = tuple_failure_reasons(ratio, margins, r, eps)
+            assert set(reasons) == {"own-contraction", "own-separation", "cross-margin"}
+            for t in range(reps):
+                got = {k for k, hit in reasons.items() if hit[t]}
+                assert got == _scalar_failure_reasons(ratio[t], table[t], r, eps)
+                seen |= got
+    assert seen == {"own-contraction", "own-separation", "cross-margin"}
 
 
 def test_pole_pair_matches_direct_inverse(real_field, q3):
