@@ -425,16 +425,16 @@ def main(argv=None) -> int:
             return _cmd_certify(args)
         config_path = Path(args.config)
         config = _load_json(args.config)
+        # the override is validated with the config, so one check covers both
+        env_seed = _env_int("FREEWALK_SEED")
+        seed = args.seed if args.seed is not None else env_seed
+        if seed is not None and isinstance(config, dict):
+            config["seed"] = seed
         _validate_config(config, args.config)
         if config["kind"] != args.command:
             raise ConfigError(
                 f"config kind {config['kind']!r} does not match subcommand {args.command!r}"
             )
-        env_seed = _env_int("FREEWALK_SEED")
-        if args.seed is not None:
-            config["seed"] = args.seed
-        elif env_seed is not None:
-            config["seed"] = env_seed
         out = args.out or os.environ.get("FREEWALK_OUT") or config.get("out") or "."
         return _run_experiment(args.command, config, config_path.parent, Path(out))
     except FreewalkError as exc:

@@ -43,7 +43,7 @@ from .linalg import (
     fubini_study,
     wedge_pairs,
 )
-from .pingpong import _pole_arrays, cross_margin_matrix, pole_pair, tuple_failure_reasons
+from .pingpong import cross_margin_matrix, pole_pair, tuple_failure_reasons
 from .walks import WalkMeasure, integer_products, walk_indices, walk_products
 
 Z95 = 1.959963984540054
@@ -506,13 +506,12 @@ def _walk_poles(measure: WalkMeasure, idx) -> tuple:
     float precision (d >= 3).  The singular value ratios use
     ||wedge(g)|| / ||g||**2 on scaled log products, which stays fully
     accurate when the true ratio is far below float precision.  The
-    p-adic route is exact throughout, with :func:`pole_pair` per row.
+    p-adic route is exact throughout: :func:`pole_pair` of the stack of units.
     """
     field = measure.field
     s = walk_products(measure.atoms, idx, field)
     if not field.is_archimedean:
-        poles = _pole_arrays([p for x in s for p in pole_pair(x.unit, field, unimodular=False)])
-        return tuple(a.reshape(len(s), 2, *a.shape[1:]) for a in poles)
+        return pole_pair([x.unit for x in s], field, unimodular=False)
     inv_atoms = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
     s_inv = walk_products(inv_atoms, idx, field, order="left")
     w = walk_products(exterior_square_atoms(measure.atoms), idx, field)

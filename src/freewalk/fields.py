@@ -56,7 +56,8 @@ class FieldSpec:
         if self.kind not in (ARCHIMEDEAN, NONARCHIMEDEAN):
             raise DomainError(f"unknown field kind {self.kind!r}")
         if self.kind == NONARCHIMEDEAN:
-            if self.prime is None or not _is_prime(self.prime):
+            # an int, not 3.0 or True, which compare equal to ints
+            if type(self.prime) is not int or not _is_prime(self.prime):
                 raise DomainError(f"nonarchimedean field needs a prime >= 2, got {self.prime!r}")
         elif self.prime is not None:
             raise DomainError("archimedean field takes no prime")

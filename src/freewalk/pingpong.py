@@ -7,12 +7,14 @@ sufficient singular-value criterion ratio <= eps**2, not the mapping
 definition of eps-contraction, which is strictly weaker to check and
 never needed here.
 
-Poles are scored as stacks of arrays: :func:`cross_margin_matrix` gives
-every delta(v_p, Ker h_q) of a stack of tuples, own-separations on its
-diagonal, and :func:`tuple_failure_reasons` is the one place that
-compares them, and the contraction ratios, with the thresholds.  The
-decay and tuple estimators, :func:`pingpong_certificate` and
-:func:`is_very_proximal` all score through these two functions.
+Poles are arrays from decomposition to score: :func:`pole_pair` gives
+v, h (m, 2, d) and ratios (m, 2) for a stack of m matrices,
+:func:`cross_margin_matrix` every delta(v_p, Ker h_q) of a stack of
+tuples, own-separations on its diagonal, and :func:`tuple_failure_reasons`
+is the one place that compares them, and the ratios, with the
+thresholds.  The decay and tuple estimators, :func:`pingpong_certificate`
+and :func:`is_very_proximal` all score through these functions;
+:class:`ContractionData` is the single-matrix API only.
 
 Three evaluation modes:
 
@@ -58,17 +60,12 @@ class ContractionData:
     ratio: object  # float or Fraction, |a_2 / a_1|
     separation: object  # float or Fraction, delta(v, Ker h)
 
-    @classmethod
-    def of(cls, v: np.ndarray, h: np.ndarray, ratio, field: FieldSpec) -> "ContractionData":
-        """Contraction data with the own-separation delta(v, Ker h) filled in."""
-        return cls(v=v, h=h, ratio=ratio, separation=dist_point_hyperplane(v, h, field))
-
 
 def contraction_data(g: np.ndarray, field: FieldSpec) -> ContractionData:
     """Contraction data of a determinant-1 matrix, via its KAK decomposition."""
     dec = kak(g, field)
     ratio = abs_value(dec.a[1], field) / abs_value(dec.a[0], field)
-    return ContractionData.of(dec.v, dec.h, ratio, field)
+    return ContractionData(dec.v, dec.h, ratio, dist_point_hyperplane(dec.v, dec.h, field))
 
 
 def _check_eps(eps: float) -> None:
@@ -92,39 +89,39 @@ def is_eps_contracting(g: np.ndarray, eps: float, field: FieldSpec):
     return ok, data
 
 
-def pole_pair(g: np.ndarray, field: FieldSpec, unimodular: bool = True):
-    """Contraction data for g and g^{-1}, from one decomposition of g.
+def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
+    """Poles of g and g^{-1} for each matrix g of a stack, one decomposition each.
 
-    If g = K A U then g^{-1} = (U^{-1} J)(J A^{-1} J)(J K^{-1}) with J the
-    index reversal, so the attracting point of g^{-1} is the class of
-    U^{-1} e_d and its repelling covector the last row of K^{-1}.  This
-    avoids inverting g and matches the reversed-reciprocal a-part
-    identity.  It suits one matrix of moderate condition number; for long
-    products, whose unit part cannot resolve U^{-1} e_d in floats once
-    a_1/a_d passes 1e16 (d >= 3), the walk estimators decompose the
-    product of the inverses instead.
+    Returns v, h of shape (m, 2, d) and ratios |a_2/a_1| of shape (m, 2);
+    index 0 is g and index 1 is g^{-1}.  If g = K A U then
+    g^{-1} = (U^{-1} J)(J A^{-1} J)(J K^{-1}) with J the index reversal,
+    so the attracting point of g^{-1} is the class of U^{-1} e_d and its
+    repelling covector the last row of K^{-1}.  This avoids inverting g
+    and matches the reversed-reciprocal a-part identity.  It suits
+    matrices of moderate condition number; for long products, whose unit
+    part cannot resolve U^{-1} e_d in floats once a_1/a_d passes 1e16
+    (d >= 3), the walk estimators decompose the product of the inverses
+    instead.
     """
-    dec = kak(g, field, unimodular=unimodular)
-    d = g.shape[0]
-    if field.is_archimedean:
-        u_inv, k_inv = dec.u.T, dec.k.T
-    else:
-        u_inv, k_inv = exact_inv(dec.u), exact_inv(dec.k)
-    a = [abs_value(x, field) for x in dec.a]
-    plus = ContractionData.of(dec.v, dec.h, a[1] / a[0], field)
-    minus = ContractionData.of(
-        normalize_representative(u_inv[:, d - 1], field),
-        normalize_representative(k_inv[d - 1, :], field),
-        a[d - 1] / a[d - 2],
-        field,
-    )
-    return plus, minus
+    v, h, ratio = [], [], []
+    for g in gs:
+        dec = kak(g, field, unimodular=unimodular)
+        d = g.shape[0]
+        if field.is_archimedean:
+            u_inv, k_inv = dec.u.T, dec.k.T
+        else:
+            u_inv, k_inv = exact_inv(dec.u), exact_inv(dec.k)
+        a = [abs_value(x, field) for x in dec.a]
+        v.append([dec.v, normalize_representative(u_inv[:, d - 1], field)])
+        h.append([dec.h, normalize_representative(k_inv[d - 1, :], field)])
+        ratio.append([a[1] / a[0], a[d - 1] / a[d - 2]])
+    return np.array(v), np.array(h), np.array(ratio)
 
 
 def is_very_proximal(g: np.ndarray, r: float, eps: float, field: FieldSpec) -> bool:
     """(r, eps)-very proximal: g and g^{-1} both contract and are r-separated."""
     _check_r_eps(r, eps)
-    v, h, ratio = _pole_arrays(pole_pair(g, field))
+    v, h, ratio = pole_pair([g], field)
     return not any(tuple_failure_reasons(ratio, cross_margin_matrix(v, h, field), r, eps).values())
 
 
@@ -136,11 +133,6 @@ FAIL_CONTRACTION = "own-contraction"
 FAIL_SEPARATION = "own-separation"
 FAIL_CROSS = "cross-margin"
 FAIL_UNCERTIFIED = "uncertified-geometry"
-
-
-def _pole_arrays(poles) -> tuple:
-    """(v, h, ratio) arrays of m ContractionData, shaped (m, d), (m, d), (m,)."""
-    return tuple(np.array([getattr(p, name) for p in poles]) for name in ("v", "h", "ratio"))
 
 
 def cross_margin_matrix(v: np.ndarray, h: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -168,9 +160,10 @@ def tuple_failure_reasons(ratio: np.ndarray, margins: np.ndarray, r: float, eps:
     ratio (..., m) and margins (..., m, m) hold tuples of m poles ordered
     g_0, g_0^{-1}, g_1, ...  Unguarded: evaluates the raw inequalities
     whether or not r > 2*eps, so decay experiments can score scheduled
-    thresholds at every walk length.  Fractions are compared exactly.
+    thresholds at every walk length.  Fractions are compared exactly, with
+    r and eps**2 converted to Fractions once.
     """
-    eps_sq = Fraction(eps) ** 2 if ratio.dtype == object else eps * eps
+    r, eps_sq = (Fraction(r), Fraction(eps) ** 2) if ratio.dtype == object else (r, eps * eps)
     block = np.arange(ratio.shape[-1]) // 2
     other = block[:, None] != block[None, :]
     return {
@@ -188,8 +181,10 @@ class ProximalityCertificate:
     r: float
     eps: float
     mode: str  # "float" | "exact" | "certified-interval"
-    poles: tuple  # ContractionData, ordered g_0, g_0^{-1}, g_1, ...
-    margins: tuple  # full delta(v_p, Ker h_q) matrix
+    v: np.ndarray  # attracting points (2m, d), ordered g_0, g_0^{-1}, g_1, ...
+    h: np.ndarray  # repelling covectors (2m, d), in the same order
+    ratio: np.ndarray  # |a_2/a_1| of each pole, (2m,)
+    margins: tuple  # full delta(v_p, Ker h_q) matrix, own-separations on the diagonal
     certified: bool
     failures: tuple
 
@@ -201,18 +196,17 @@ class ProximalityCertificate:
             [format_scalar(g[i, j], field) for i in range(d) for j in range(d)]
             for g in self.generators
         ]
-        pole_docs = []
-        for i, p in enumerate(self.poles):
-            pole_docs.append(
-                {
-                    "generator": i // 2,
-                    "inverse": bool(i % 2),
-                    "ratio": float(p.ratio),
-                    "separation": float(p.separation),
-                    "v": vector_to_strings(p.v, field),
-                    "h": vector_to_strings(p.h, field),
-                }
-            )
+        pole_docs = [
+            {
+                "generator": i // 2,
+                "inverse": bool(i % 2),
+                "ratio": float(self.ratio[i]),
+                "separation": float(self.margins[i][i]),
+                "v": vector_to_strings(self.v[i], field),
+                "h": vector_to_strings(self.h[i], field),
+            }
+            for i in range(len(self.ratio))
+        ]
         return {
             "schema": "freewalk/certificate/v1",
             "verdict": "certified-free" if self.certified else "not-certified",
@@ -235,8 +229,7 @@ def pingpong_certificate(
     if len(gs) < 2:
         raise DomainError("a ping-pong tuple needs at least 2 generators")
     # poles ordered g_0, g_0^{-1}, g_1, ...
-    poles = tuple(p for g in gs for p in pole_pair(g, field))
-    v, h, ratio = _pole_arrays(poles)
+    v, h, ratio = (a.reshape(-1, *a.shape[2:]) for a in pole_pair(gs, field))
     margins = cross_margin_matrix(v, h, field)
     if certified and field.is_archimedean:
         mode, failures = "certified-interval", _certified_failures_real(gs, r, eps)
@@ -249,7 +242,9 @@ def pingpong_certificate(
         r=r,
         eps=eps,
         mode=mode,
-        poles=poles,
+        v=v,
+        h=h,
+        ratio=ratio,
         margins=tuple(map(tuple, margins.tolist())),
         certified=not failures,
         failures=tuple(sorted(failures)),

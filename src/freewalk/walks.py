@@ -31,7 +31,8 @@ which gives the unit and scale of the exact sequential fold; the exact
 replays (:func:`exact_product` and the direction and KAK-frame
 estimators) use the same fold.  :func:`advance` is the one sequential
 fold: it takes one step of one trajectory, :func:`run_walk` iterates it,
-and the kernel is checked against it.
+and the kernel is checked against it.  One trajectory reruns from
+(seed, stream) through the same kernel, with a one-element stream list.
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ import numpy as np
 
 from .decompositions import (
     ScaledMatrix,
-    kak,
     scaled_identity,
-    scaled_log_norm,
     scaled_multiply,
     scaled_premultiply,
 )
 from .errors import ConfigError, DomainError, InvariantViolation, UsageError
-from .fields import FieldSpec, abs_value, format_scalar, valuation
+from .fields import FieldSpec, format_scalar, valuation
 from .linalg import (
     _integer_form,
     as_matrix,
@@ -62,7 +61,6 @@ from .linalg import (
     flat_matrices,
     identity,
     is_unimodular,
-    vector_to_strings,
 )
 
 GENERATOR_NAME = "philox4x64"
@@ -221,20 +219,12 @@ def advance(state: WalkState, measure: WalkMeasure) -> WalkState:
     )
 
 
-def run_walk(measure: WalkMeasure, n: int, seed: int, stream: int = 0, checkpoints=None):
-    """Walk n steps on one stream by iterating :func:`advance`.
-
-    Returns the final WalkState, or {n: WalkState} snapshots when
-    checkpoints is given.
-    """
+def run_walk(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> WalkState:
+    """The state after n steps on one stream, by iterating :func:`advance`."""
     state = new_walk_state(measure, seed, stream)
-    wanted = set(checkpoints) if checkpoints is not None else set()
-    snaps = {0: state} if 0 in wanted else {}
     for _ in range(n):
         state = advance(state, measure)
-        if state.step in wanted:
-            snaps[state.step] = state
-    return snaps if checkpoints is not None else state
+    return state
 
 
 def sample_increment_indices(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -347,32 +337,6 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
     return prod[0] * Fraction(1, math.prod(forms[i][1] for i in idx[0].tolist()))
 
 
-# ---------------------------------------------------------------------------
-# Trajectory dumps
-# ---------------------------------------------------------------------------
-
-
-def trajectory_records(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> list:
-    """Per-step summary records: norms plus KAK geometry of S_n."""
-    field = measure.field
-    snaps = run_walk(measure, n, seed, stream, checkpoints=range(1, n + 1))
-    records = []
-    for step in range(1, n + 1):
-        state = snaps[step]
-        dec = kak(state.right_product.unit, field, unimodular=False)
-        records.append(
-            {
-                "n": step,
-                "log_norm_M": scaled_log_norm(state.left_product, field),
-                "log_norm_S": scaled_log_norm(state.right_product, field),
-                "a_ratio": float(abs_value(dec.a[1], field) / abs_value(dec.a[0], field)),
-                "v": vector_to_strings(dec.v, field),
-                "h": vector_to_strings(dec.h, field),
-            }
-        )
-    return records
-
-
 def characteristic_polynomial(m: np.ndarray) -> list:
     """Exact char poly coefficients [c_0, ..., c_d] (monic), Faddeev-LeVerrier."""
     d = m.shape[0]
@@ -435,9 +399,3 @@ def find_proximal_element(measure: WalkMeasure, seed: int = 0):
         if _unique_max_modulus_root(characteristic_polynomial(prod), measure.field):
             return {"length": length, "word": word}
     return None
-
-
-def write_trajectory_jsonl(path, measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> None:
-    with open(path, "w") as fh:
-        for rec in trajectory_records(measure, n, seed, stream):
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

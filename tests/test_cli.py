@@ -1,9 +1,10 @@
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
@@ -250,9 +251,10 @@ def test_config_validation_errors(workdir, capsys):
     assert main(["lyapunov", str(cfg)]) == 2
 
 
-def _assert_input_error(argv):
+def _assert_input_error(argv, env=None):
     # run at once: _config reuses one file name per experiment kind
-    proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "freewalk.cli", *argv], capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
     assert proc.returncode == 2, (argv, proc.stderr)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -312,6 +314,27 @@ def test_malformed_config_vectors_and_field_exit_2(workdir):
     for case in cases:
         cfg = _config(workdir, measure="positive.json", **case)
         _assert_input_error([case["kind"], str(cfg), "--out", str(workdir / "bad-out")])
+
+
+def test_float_prime_and_negative_seed_exit_2(workdir):
+    # a prime must be an int: 3.0 compares equal to 3 but is not a prime of
+    # a field, and the seed overrides meet the config's seed >= 0 rule
+    q3 = {"kind": "nonarchimedean", "prime": 3.0}
+    measure = corpus.padic_contracting(3).to_json_dict()
+    measure["field"] = q3
+    (workdir / "fq3.json").write_text(json.dumps(measure))
+    cfg = _config(workdir, kind="lyapunov", measure="fq3.json", n=20, reps=10)
+    _assert_input_error(["lyapunov", str(cfg), "--out", str(workdir / "fp")])
+    (workdir / "mat_fq3.json").write_text(json.dumps({"field": q3, "d": 2, "entries": ["9", "0", "0", "1/9"]}))
+    _assert_input_error(["kak", str(workdir / "mat_fq3.json")])
+    (workdir / "gens_fq3.json").write_text(
+        json.dumps({"field": q3, "d": 2, "generators": [["9", "0", "0", "1/9"], ["1", "1", "1", "2"]]})
+    )
+    for exact in ([], ["--exact"]):
+        _assert_input_error(["certify", str(workdir / "gens_fq3.json"), "--r", "0.5", "--eps", "0.02", *exact])
+    cfg = _config(workdir, kind="lyapunov", measure="positive.json", n=20, reps=10)
+    _assert_input_error(["lyapunov", str(cfg), "--seed", "-1", "--out", str(workdir / "neg")])
+    _assert_input_error(["lyapunov", str(cfg), "--out", str(workdir / "neg")], env={"FREEWALK_SEED": "-5"})
 
 
 _BASE_CONFIGS = {
@@ -409,6 +432,91 @@ def test_broken_config_field_exits_2_before_any_walk(fuzz_dir, case):
     assert err.getvalue().startswith("error: ")
 
 
+_REAL, _Q2, _Q3 = ({"kind": "archimedean"}, {"kind": "nonarchimedean", "prime": 2},
+                   {"kind": "nonarchimedean", "prime": 3})
+# (document kind, a valid document, the key of its matrices)
+_VALID_DOCUMENTS = [
+    ("measure", corpus.positive_matrices().to_json_dict(), "atoms"),
+    ("measure", corpus.padic_contracting(3).to_json_dict(), "atoms"),
+    ("matrix", {"field": _REAL, "d": 2, "entries": ["1", "2", "0", "1"]}, "entries"),
+    ("matrix", {"field": _Q2, "d": 2, "entries": ["2", "0", "0", "1/2"]}, "entries"),
+    ("generators", {"field": _REAL, "d": 2, "generators": [["100", "0", "0", "1/100"],
+                                                           ["10001/200", "9999/200", "9999/200", "10001/200"]]},
+     "generators"),
+    ("generators", {"field": _Q3, "d": 2, "generators": [["9", "0", "0", "1/9"], ["1", "1", "1", "2"]]},
+     "generators"),
+]
+_bad_doc_fields = st.sampled_from([
+    {"kind": "nonarchimedean", "prime": 3.0},
+    {"kind": "nonarchimedean", "prime": 2.0},
+    {"kind": "nonarchimedean", "prime": True},
+    {"kind": "nonarchimedean", "prime": "3"},
+    {"kind": "nonarchimedean", "prime": 4},
+    {"kind": "nonarchimedean", "prime": -3},
+    {"kind": "nonarchimedean"},
+    {"kind": "archimedean", "prime": 2},
+    {"kind": "complex"},
+    {},
+])
+_bad_entries = st.sampled_from(["abc", "1/0", "", "inf", "nan", "1/x", None, [], {}])
+
+
+@st.composite
+def _broken_documents(draw):
+    """A valid measure, matrix or generator document with exactly one part broken."""
+    kind, doc, key = draw(st.sampled_from(_VALID_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    read = ["field", "d", key] + (["probs"] if kind == "measure" else [])
+    how = draw(st.sampled_from(["delete", "value", "field", "entry"]))
+    if how == "delete":
+        del doc[draw(st.sampled_from(read))]
+    elif how == "value":
+        doc[draw(st.sampled_from(read))] = draw(st.sampled_from([None, "text", -1, 2.5, [], {}]))
+    elif how == "field":
+        doc["field"] = draw(_bad_doc_fields)
+    else:
+        flat = doc[key] if kind == "matrix" else doc[key][draw(st.integers(0, len(doc[key]) - 1))]
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(_bad_entries)
+    return kind, doc, draw(st.booleans())
+
+
+def _document_argv(root, kind: str, exact: bool) -> list:
+    if kind == "measure":
+        return ["lyapunov", str(root / "lyapunov.json"), "--out", str(root / "out")]
+    if kind == "matrix":
+        return ["kak", str(root / "doc.json")]
+    return ["certify", str(root / "doc.json"), "--r", "0.5", "--eps", "0.02"] + (["--exact"] if exact else [])
+
+
+@pytest.fixture(scope="module")
+def doc_fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("docfuzz")
+    (root / "lyapunov.json").write_text(json.dumps(
+        {"schema": "freewalk/config/v1", "kind": "lyapunov", "measure": "doc.json", "seed": 5, "n": 20, "reps": 10}
+    ))
+    for kind, doc, _ in _VALID_DOCUMENTS:  # the unbroken documents run
+        (root / "doc.json").write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()):
+            assert main(_document_argv(root, kind, False)) in (0, 1)
+    return root
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=_broken_documents())
+def test_broken_document_exits_2(doc_fuzz_dir, case):
+    kind, doc, exact = case
+    (doc_fuzz_dir / "doc.json").write_text(json.dumps(doc))
+    argv = _document_argv(doc_fuzz_dir, kind, exact)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except Exception as exc:  # at the command line, a traceback
+            pytest.fail(f"{argv[0]} raised {exc!r} on {doc}")
+    assert code == 2, (argv[0], doc, err.getvalue())
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
 def test_seed_override_and_env(workdir, monkeypatch):
     cfg = _config(
         workdir, kind="lyapunov", measure="positive.json", n=30, reps=10, out=str(workdir / "a")
@@ -425,6 +533,15 @@ def test_seed_override_and_env(workdir, monkeypatch):
     assert main(["lyapunov", str(cfg)]) == 0
     c = json.loads((workdir / "c" / "lyapunov.json").read_text())
     assert c["lambda1_hat"] == b["lambda1_hat"]
+
+    # an override supplies the seed a config leaves out
+    doc = json.loads(cfg.read_text())
+    del doc["seed"]
+    no_seed = workdir / "noseed.json"
+    no_seed.write_text(json.dumps(doc))
+    assert main(["lyapunov", str(no_seed), "--out", str(workdir / "d")]) == 0
+    d = json.loads((workdir / "d" / "lyapunov.json").read_text())
+    assert d["config"]["seed"] == 7 and d["lambda1_hat"] == b["lambda1_hat"]
 
 
 def test_hypothesis_warning_for_isometry_measure(workdir, capsys):

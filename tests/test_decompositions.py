@@ -23,7 +23,7 @@ from freewalk.decompositions import (
 from freewalk.fields import valuation
 from freewalk.linalg import exterior_square, is_isometry
 from freewalk import corpus
-from freewalk.walks import run_walk
+from freewalk.walks import advance, new_walk_state
 
 from conftest import random_unimodular_int
 
@@ -173,10 +173,11 @@ def test_kak_kan_ratio_bounded_along_trajectories(positive_measure):
     ok = 0
     trials = 200
     for traj in range(trials):
-        snaps = run_walk(positive_measure, 200, seed=424242, stream=traj, checkpoints=range(1, 201))
+        state = new_walk_state(positive_measure, seed=424242, stream=traj)
         first = second = 0.0
         for n in range(1, 201):
-            unit = snaps[n].right_product.unit
+            state = advance(state, positive_measure)
+            unit = state.right_product.unit
             _, s, _ = np.linalg.svd(unit)
             q, r = np.linalg.qr(unit)
             anorm = np.abs(np.diag(r))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from freewalk.pingpong import (
     pole_pair,
     tuple_failure_reasons,
 )
+from freewalk.report import dumps_json
 from freewalk.walks import exact_product, run_walk
 
 from conftest import random_unimodular_int
@@ -163,27 +165,32 @@ def test_pole_pair_matches_direct_inverse(real_field, q3):
     from freewalk.linalg import exact_inv
 
     rng = random.Random(42)
+    gs, gqs, ks = [], [], []
     for _ in range(25):
-        rows = random_unimodular_int(rng, 2, steps=16)
-        g = as_matrix(rows, real_field)
-        plus, minus = pole_pair(g, real_field)
-        direct = contraction_data(np.linalg.inv(g), real_field)
-        assert minus.ratio == pytest.approx(direct.ratio, rel=1e-7, abs=1e-12)
-        if minus.ratio < 0.5:  # classes only canonical when the gap is strict
-            assert fubini_study(minus.v, direct.v, real_field) <= 1e-6
+        gs.append(as_matrix(random_unimodular_int(rng, 2, steps=16), real_field))
         # p-adic: conjugates of diag(9, 1/9) have a strict gap (SL_2(Z) itself
         # consists of p-adic isometries, where the classes are not canonical)
-        k = as_matrix(random_unimodular_int(rng, 2), q3)
-        gq = k @ as_matrix([[9, 0], [0, F(1, 9)]], q3) @ exact_inv(k)
-        plus_q, minus_q = pole_pair(gq, q3)
+        ks.append(as_matrix(random_unimodular_int(rng, 2), q3))
+        gqs.append(ks[-1] @ as_matrix([[9, 0], [0, F(1, 9)]], q3) @ exact_inv(ks[-1]))
+    v, h, ratio = pole_pair(np.array(gs), real_field)
+    assert v.shape == h.shape == (25, 2, 2) and ratio.shape == (25, 2)
+    vq, hq, ratioq = pole_pair(gqs, q3)
+    assert vq.shape == hq.shape == (25, 2, 2) and ratioq.shape == (25, 2)
+    for i, (g, gq, k) in enumerate(zip(gs, gqs, ks)):
+        plus = contraction_data(g, real_field)
+        assert (v[i, 0] == plus.v).all() and (h[i, 0] == plus.h).all() and ratio[i, 0] == plus.ratio
+        direct = contraction_data(np.linalg.inv(g), real_field)
+        assert ratio[i, 1] == pytest.approx(direct.ratio, rel=1e-7, abs=1e-12)
+        if ratio[i, 1] < 0.5:  # classes only canonical when the gap is strict
+            assert fubini_study(v[i, 1], direct.v, real_field) <= 1e-6
         direct_q = contraction_data(exact_inv(gq), q3)
-        assert minus_q.ratio == direct_q.ratio == F(1, 81)
+        assert ratioq[i, 1] == direct_q.ratio == F(1, 81)
         # attracting classes from two decompositions agree up to the
         # non-uniqueness bound delta <= ratio
-        assert fubini_study(minus_q.v, direct_q.v, q3) <= F(1, 81)
+        assert fubini_study(vq[i, 1], direct_q.v, q3) <= F(1, 81)
         # |9|_3 = 1/9, so the p-adically attracting direction of g^{-1} is k e1
         eigen = k @ as_vector([1, 0], q3)
-        assert fubini_study(minus_q.v, eigen, q3) <= F(1, 81)
+        assert fubini_study(vq[i, 1], eigen, q3) <= F(1, 81)
 
 
 def test_pingpong_pair_example(real_field):
@@ -241,6 +248,71 @@ def test_certified_interval_mode(real_field):
     ident = as_matrix([[1, 0], [0, 1]], real_field)
     cert2 = pingpong_certificate([ident, ident], 0.5, 0.02, real_field, certified=True)
     assert not cert2.certified
+
+
+def _pinned_certificate_tuples():
+    """Generator tuples of test_certificate_json_pinned: name -> (field, rows)."""
+    real = FieldSpec.real()
+    rng = random.Random(2024)
+    out = {
+        "R2-hyperbolic": (real, [[[100, 0], [0, F(1, 100)]], [[F(10001, 200), F(9999, 200)], [F(9999, 200), F(10001, 200)]]]),
+        "R2-shears": (real, [random_unimodular_int(rng, 2, steps=16) for _ in range(3)]),
+    }
+    sl3 = corpus.sl3_integer()
+    out["R3-walk"] = (real, [exact_product(sl3, [rng.randrange(4) for _ in range(6)]).tolist() for _ in range(2)])
+    out["R3-shears"] = (real, [random_unimodular_int(rng, 3, steps=24) for _ in range(2)])
+    for p in (2, 3):
+        q = FieldSpec.padic(p)
+        a = as_matrix([[F(p) ** 3, 0], [0, F(p) ** -3]], q)
+        conj = []
+        for _ in range(2):
+            k = as_matrix(random_unimodular_int(rng, 2), q)
+            conj.append((k @ a @ exact_inv(k)).tolist())
+        out[f"Q{p}-conjugates"] = (q, conj)
+        walk = corpus.padic_contracting(p)
+        out[f"Q{p}-walk"] = (q, [exact_product(walk, [rng.randrange(2) for _ in range(5)]).tolist() for _ in range(2)])
+    return out
+
+
+# sha256 prefixes of dumps_json(to_json_dict) per (tuple, r, eps, mode),
+# recorded before poles became arrays; float and certified-interval modes over R
+_PINNED_CERTIFICATES = {
+    ("R2-hyperbolic", 0.5, 0.02, "float"): "5c464358445184c5",
+    ("R2-hyperbolic", 0.5, 0.02, "certified-interval"): "88b7ed8c6f280fe3",
+    ("R2-hyperbolic", 0.3, 0.1, "float"): "e2b8de00f61418c1",
+    ("R2-hyperbolic", 0.3, 0.1, "certified-interval"): "3f472c9801046fb7",
+    ("R2-shears", 0.5, 0.02, "float"): "4b9491564b5b9757",
+    ("R2-shears", 0.5, 0.02, "certified-interval"): "d904bdb4150d993a",
+    ("R2-shears", 0.3, 0.1, "float"): "725c53534066ce87",
+    ("R2-shears", 0.3, 0.1, "certified-interval"): "c2691b77bbe3a56a",
+    ("R3-walk", 0.5, 0.02, "float"): "ccc671cc2177c112",
+    ("R3-walk", 0.5, 0.02, "certified-interval"): "295b91cc53ad5c46",
+    ("R3-walk", 0.3, 0.1, "float"): "74e542e219dfee0b",
+    ("R3-walk", 0.3, 0.1, "certified-interval"): "821941f3f3f9f9e0",
+    ("R3-shears", 0.5, 0.02, "float"): "6dfce8d20c613bcf",
+    ("R3-shears", 0.5, 0.02, "certified-interval"): "56b787a4faf58cf5",
+    ("R3-shears", 0.3, 0.1, "float"): "7622d34600db5c76",
+    ("R3-shears", 0.3, 0.1, "certified-interval"): "ce6053eaacb2e373",
+    ("Q2-conjugates", 0.5, 0.02, "exact"): "7edadd55c03cd9c7",
+    ("Q2-conjugates", 0.3, 0.1, "exact"): "85bca2677799d134",
+    ("Q2-walk", 0.5, 0.02, "exact"): "3db47e60740f61e2",
+    ("Q2-walk", 0.3, 0.1, "exact"): "d4b07288efe96e23",
+    ("Q3-conjugates", 0.5, 0.02, "exact"): "0965a951864abf9e",
+    ("Q3-conjugates", 0.3, 0.1, "exact"): "feec1608aa17811c",
+    ("Q3-walk", 0.5, 0.02, "exact"): "ed30f671c89311f2",
+    ("Q3-walk", 0.3, 0.1, "exact"): "e2ed2fb9d4fa499e",
+}
+
+
+def test_certificate_json_pinned():
+    tuples = _pinned_certificate_tuples()
+    for (name, r, eps, mode), digest in _PINNED_CERTIFICATES.items():
+        field, rows = tuples[name]
+        gs = [as_matrix(x, field) for x in rows]
+        cert = pingpong_certificate(gs, r, eps, field, certified=mode == "certified-interval")
+        assert cert.mode == mode
+        text = dumps_json(cert.to_json_dict(field))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (name, r, eps, mode, text)
 
 
 def test_contraction_mapping_property(real_field, q2):

@@ -32,10 +32,8 @@ from freewalk.walks import (
     load_measure,
     measure_from_json_dict,
     sample_increment_indices,
-    trajectory_records,
     walk_indices,
     walk_products,
-    write_trajectory_jsonl,
 )
 
 F = Fraction
@@ -188,25 +186,6 @@ def test_characteristic_polynomial_exact():
     m = np.array([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
     coeffs = characteristic_polynomial(m)  # (x-1)(x^2-3x+1) = x^3 -4x^2 +4x -1
     assert coeffs == [F(-1), F(4), F(-4), F(1)]
-
-
-def test_trajectory_records_and_jsonl(tmp_path, positive_measure):
-    recs = trajectory_records(positive_measure, 6, seed=3, stream=0)
-    assert [r["n"] for r in recs] == list(range(1, 7))
-    for r in recs:
-        assert set(r) == {"n", "log_norm_M", "log_norm_S", "a_ratio", "v", "h"}
-        assert 0 <= r["a_ratio"] <= 1
-        assert len(r["v"]) == 2 and len(r["h"]) == 2
-    path = tmp_path / "traj.jsonl"
-    write_trajectory_jsonl(path, positive_measure, 6, seed=3, stream=0)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 6
-    assert json.loads(lines[0])["n"] == 1
-
-    mq = corpus.padic_contracting(3)
-    recq = trajectory_records(mq, 4, seed=3, stream=0)
-    assert recq[-1]["log_norm_S"] == pytest.approx(4 * math.log(3))
-    assert recq[-1]["a_ratio"] == pytest.approx(3.0 ** (-8))
 
 
 # ---------------------------------------------------------------------------
