@@ -7,9 +7,13 @@ by :class:`fractions.Fraction`.  Keeping nonarchimedean scalars exact
 turns every ultrametric identity into an equality that tests can assert
 without tolerances.
 
-A small outward-rounded interval type (:class:`Interval`) provides the
-certified archimedean mode used by the ping-pong certifier: every
-arithmetic result is an interval guaranteed to contain the exact value.
+Certified archimedean arithmetic rounds outward: every result is a pair
+of float endpoints guaranteed to contain the exact value.  Three private
+endpoint functions hold that rounding: the enclosure of an exact rational
+n/d given as two ints, the square root and the quotient of endpoint
+pairs.  The ping-pong certifier calls them on its integer bounds, and the
+public :class:`Interval` type calls the same functions, so there is one
+rounding path.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class FieldSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FieldSpec":
+        if not isinstance(doc, dict) or not doc.keys() <= {"kind", "prime"}:
+            raise ConfigError(f"a field spec is an object with keys kind and prime only, got {doc!r}")
         return cls(doc["kind"], doc.get("prime"))
 
     def __str__(self) -> str:
@@ -172,6 +178,35 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
+def _enclose(n: int, d: int) -> tuple[float, float]:
+    """Endpoints enclosing the rational n / d (Python ints, d != 0).
+
+    n / d is the correctly rounded quotient; when it equals n / d exactly
+    it is both endpoints, else its two float neighbours are.  A quotient
+    beyond the float range raises OverflowError.
+    """
+    f = n / d
+    fn, fd = f.as_integer_ratio()
+    if fn * d == n * fd:
+        return f, f
+    return _down(f), _up(f)
+
+
+def _sqrt(lo: float, hi: float) -> tuple[float, float]:
+    """Endpoints enclosing the square roots of [lo, hi]."""
+    if lo < 0:
+        raise DomainError("interval sqrt of a possibly negative interval")
+    return max(0.0, _down(math.sqrt(lo))), _up(math.sqrt(hi))
+
+
+def _div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    """Endpoints enclosing [alo, ahi] / [blo, bhi]."""
+    if blo <= 0.0 <= bhi:
+        raise DomainError("interval division by an interval containing zero")
+    c = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+    return _down(min(c)), _up(max(c))
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed float interval with outward rounding.
@@ -195,10 +230,7 @@ class Interval:
         if isinstance(x, float):
             return cls(x, x)
         q = Fraction(x)
-        f = float(q)
-        if not math.isinf(f) and Fraction(f) == q:
-            return cls(f, f)
-        return cls(_down(f), _up(f))
+        return cls(*_enclose(int(q.numerator), int(q.denominator)))
 
     def __add__(self, other) -> "Interval":
         o = Interval.exact(other)
@@ -224,10 +256,7 @@ class Interval:
 
     def __truediv__(self, other) -> "Interval":
         o = Interval.exact(other)
-        if o.lo <= 0.0 <= o.hi:
-            raise DomainError("interval division by an interval containing zero")
-        c = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(_down(min(c)), _up(max(c)))
+        return Interval(*_div(self.lo, self.hi, o.lo, o.hi))
 
     def __rtruediv__(self, other) -> "Interval":
         return Interval.exact(other) / self
@@ -240,11 +269,7 @@ class Interval:
         return Interval(0.0, max(-self.lo, self.hi))
 
     def sqrt(self) -> "Interval":
-        if self.lo < 0:
-            raise DomainError("interval sqrt of a possibly negative interval")
-        lo = math.sqrt(self.lo)
-        hi = math.sqrt(self.hi)
-        return Interval(max(0.0, _down(lo)), _up(hi))
+        return Interval(*_sqrt(self.lo, self.hi))
 
     # Certified comparisons: true only when every pair of contained values
     # satisfies the relation.

@@ -14,6 +14,7 @@ defining covector.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -58,15 +59,23 @@ def exact_matrix(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ratio(x) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact scalar (floats convert exactly)."""
+    if isinstance(x, float):
+        return x.as_integer_ratio()
+    q = Fraction(x)
+    return q.numerator, q.denominator
+
+
 def _integer_form(m) -> tuple[np.ndarray, int]:
     """Clear the denominators of an exact array once: m == a / den.
 
     a is an object array of Python ints shaped like m, and den > 0 the
     least common denominator of the entries (floats convert exactly).
     """
-    qs = [Fraction(x) for x in np.asarray(m, dtype=object).flat]
-    den = math.lcm(*(q.denominator for q in qs))
-    a = np.array([q.numerator * (den // q.denominator) for q in qs], dtype=object)
+    qs = [_ratio(x) for x in np.asarray(m, dtype=object).flat]
+    den = math.lcm(*(q for _, q in qs))
+    a = np.array([p * (den // q) for p, q in qs], dtype=object)
     return a.reshape(np.shape(m)), den
 
 
@@ -90,6 +99,42 @@ def exact_det(m: np.ndarray) -> Fraction:
                 for k in range(c, d):
                     a[r][k] -= f * a[c][k]
     return det
+
+
+def _int_det(rows: list) -> int:
+    """Determinant of a square list of int rows, by Bareiss fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n - 1):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            a[r] = [(a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev for k in range(n)]
+        prev = a[c][c]
+    return sign * a[-1][-1] if n else 1
+
+
+def adjugate(a) -> np.ndarray:
+    """Adjugate of a square integer matrix: adjugate(a) @ a == det(a) * I.
+
+    Entries must be ints (Python or numpy); the result is an object array
+    of Python ints, each cofactor an integer determinant, so no Fraction
+    is built.  For invertible a, a^{-1} = adjugate(a) / det(a), and a
+    column or row of it spans the same projective point as that of a^{-1}.
+    """
+    rows = [[operator.index(x) for x in row] for row in np.asarray(a).tolist()]
+    d = len(rows)
+    adj = np.empty((d, d), dtype=object)
+    # adj[j, i] is the (i, j) cofactor
+    adj[:, :] = [
+        [(-1) ** (i + j) * _int_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]) for i in range(d)]
+        for j in range(d)
+    ]
+    return adj
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:

@@ -24,8 +24,11 @@ Three evaluation modes:
   is exact;
 * certified (archimedean with exact rational inputs): candidate
   attracting/repelling data from a float SVD is verified with exact
-  Rayleigh-quotient and residual bounds plus outward-rounded interval
-  arithmetic, so a positive verdict holds at interval endpoints.
+  Rayleigh-quotient and residual bounds on integers (g^{-1} comes from
+  the integer adjugate), which meet floats only as outward-rounded
+  (lo, hi) endpoint pairs from the same endpoint functions that
+  :class:`~freewalk.fields.Interval` uses, so a positive verdict holds
+  at interval endpoints.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ import numpy as np
 
 from .decompositions import kak
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, Interval, abs_value
+from .fields import FieldSpec, Interval, _div, _down, _enclose, _sqrt, _up, abs_value
 from .linalg import (
     _integer_form,
+    adjugate,
     dist_point_hyperplane,
     exact_inv,
-    exact_matrix,
     exterior_square,
     normalize_representative,
     vector_norm,
@@ -96,7 +99,8 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     index 0 is g and index 1 is g^{-1}.  If g = K A U then
     g^{-1} = (U^{-1} J)(J A^{-1} J)(J K^{-1}) with J the index reversal,
     so the attracting point of g^{-1} is the class of U^{-1} e_d and its
-    repelling covector the last row of K^{-1}.  This avoids inverting g
+    repelling covector the last row of K^{-1}; over Q_p the integer
+    adjugates of U and K span the same classes.  This avoids inverting g
     and matches the reversed-reciprocal a-part identity.  It suits
     matrices of moderate condition number; for long products, whose unit
     part cannot resolve U^{-1} e_d in floats once a_1/a_d passes 1e16
@@ -109,8 +113,8 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
         d = g.shape[0]
         if field.is_archimedean:
             u_inv, k_inv = dec.u.T, dec.k.T
-        else:
-            u_inv, k_inv = exact_inv(dec.u), exact_inv(dec.k)
+        else:  # normalize_representative is scale-invariant: adjugates stand in for the inverses
+            u_inv, k_inv = adjugate(_integer_form(dec.u)[0]), adjugate(_integer_form(dec.k)[0])
         a = [abs_value(x, field) for x in dec.a]
         v.append([dec.v, normalize_representative(u_inv[:, d - 1], field)])
         h.append([dec.h, normalize_representative(k_inv[d - 1, :], field)])
@@ -264,16 +268,21 @@ def is_pingpong_tuple(gs, r: float, eps: float, field: FieldSpec):
 
 @dataclass(frozen=True)
 class _CertifiedPole:
-    v: np.ndarray  # integer candidate; the attracting point is v / v_den
+    v: tuple  # integer candidate; the attracting point is v / v_den
     v_den: int
-    h: np.ndarray  # integer candidate; the repelling covector is h / h_den
+    vv: int  # v . v
+    h: tuple  # integer candidate; the repelling covector is h / h_den
     h_den: int
+    hh: int  # h . h
     ratio_sq_upper: Fraction
-    sin_v: Interval
-    sin_h: Interval
+    sin_v: float  # upper endpoints of the sin-angle bounds; both lower ones are 0.0
+    sin_h: float
 
 
 _SQRT2 = Interval.exact(2).sqrt()
+# Lower endpoint of the Interval product sqrt(2) * (sin_v + sin_h): the
+# same for every pair of sin bounds whose lower endpoints are 0.0.
+_CORRECTION_LO = (_SQRT2 * (Interval(0.0, 0.0) + Interval(0.0, 0.0))).lo
 
 
 def _dot(a, b):
@@ -284,46 +293,49 @@ def _sym_inf_norm(m: np.ndarray):
     return max(sum(abs(x) for x in row) for row in m)
 
 
-def _certified_pole_real(g_exact: np.ndarray) -> Optional[_CertifiedPole]:
-    """Verified geometry bounds for one matrix with exact rational entries.
+def _certified_pole_real(a: np.ndarray, den: int) -> Optional[_CertifiedPole]:
+    """Verified geometry bounds for the matrix g = a / den, a an integer array.
 
-    Candidates come from a float SVD; the verification is exact: Rayleigh
-    quotients lower-bound sigma_1**2, the infinity norm of the exterior
-    square upper-bounds (sigma_1 sigma_2)**2, and residual (Davis-Kahan)
-    bounds control the angle to the true singular directions.  Returns
-    None when the spectral gap cannot be certified.
+    Candidates come from a float SVD of g, each entry the correctly
+    rounded a_ij / den; the verification is exact: Rayleigh quotients
+    lower-bound sigma_1**2, the infinity norm of the exterior square
+    upper-bounds (sigma_1 sigma_2)**2, and residual (Davis-Kahan) bounds
+    control the angle to the true singular directions.  Returns None when
+    the spectral gap cannot be certified.
 
-    The arithmetic runs on integers: g = a / den and the dyadic candidates
-    x = xi / c.  With P = a a^T (or a^T a), xx = xi.xi and ln = xi.P xi, the
-    bounds are lam = ln / (den**2 xx), rho**2 = |xx P xi - ln xi|**2 /
-    (den**4 xx**3) and gap = (ln**2 - W xx**2) / (den**2 xx ln), W the
-    integer exterior-square bound; each becomes a Fraction only where it
-    meets an interval or the eps**4 comparison.
+    The arithmetic runs on integers: with the dyadic candidates x = xi / c,
+    P = a a^T (or a^T a), xx = xi.xi and ln = xi.P xi, the bounds are
+    lam = ln / (den**2 xx), rho**2 = |xx P xi - ln xi|**2 / (den**4 xx**3)
+    and gap = (ln**2 - W xx**2) / (den**2 xx ln), W the integer
+    exterior-square bound.  rho and gap meet float endpoints only through
+    the enclosures of these quotients.  Every bound is invariant under
+    scaling (a, den) by c > 0, so any integer form of g gives the same one.
     """
-    gf = np.asarray([[float(x) for x in row] for row in g_exact], dtype=float)
-    k, _, u = np.linalg.svd(gf)
+    rows = a.tolist()
+    cols = list(zip(*rows))
+    k, _, u = np.linalg.svd(np.array([[x / den for x in row] for row in rows]))
     vhat, v_den = _integer_form(k[:, 0])
     hhat, h_den = _integer_form(u[0, :])
+    vhat, hhat = tuple(vhat.tolist()), tuple(hhat.tolist())
 
-    a, den = _integer_form(g_exact)
-    P = a @ a.T  # eigvec for sigma_1^2: attracting point
-    S = a.T @ a  # eigvec for sigma_1^2: repelling covector
-    W = min(_sym_inf_norm(exterior_square(P)), _sym_inf_norm(exterior_square(S)))
+    # Python-int lists: numpy object arithmetic costs more on such small matrices
+    P = [[_dot(r, s) for s in rows] for r in rows]  # a a^T, eigvec for sigma_1^2: attracting point
+    S = [[_dot(r, s) for s in cols] for r in cols]  # a^T a, eigvec for sigma_1^2: repelling covector
+    W = min(_sym_inf_norm(exterior_square(np.array(M, dtype=object))) for M in (P, S))
     den_sq = den * den
 
     def pole_bounds(A, x):
         xx = _dot(x, x)
-        Ax = A @ x
+        Ax = [_dot(row, x) for row in A]
         ln = _dot(x, Ax)
-        res = xx * Ax - ln * x
+        res = [xx * p - ln * c for p, c in zip(Ax, x)]
         gap_num = ln * ln - W * xx * xx
         if gap_num <= 0:
             return None
-        rho_sq = Fraction(_dot(res, res), den_sq * den_sq * xx**3)
-        gap = Fraction(gap_num, den_sq * xx * ln)
-        sin_bound = Interval.exact(rho_sq).sqrt() / Interval.exact(gap)
+        rho = _sqrt(*_enclose(_dot(res, res), den_sq * den_sq * xx**3))
+        sin_hi = _div(*rho, *_enclose(gap_num, den_sq * xx * ln))[1]
         # W / lam**2, the bound on (sigma_2 / sigma_1)**2 from this candidate
-        return Fraction(W * xx * xx, ln * ln), Interval(0.0, sin_bound.hi)
+        return Fraction(W * xx * xx, ln * ln), sin_hi, xx
 
     bv = pole_bounds(P, vhat)
     bh = pole_bounds(S, hhat)
@@ -332,51 +344,67 @@ def _certified_pole_real(g_exact: np.ndarray) -> Optional[_CertifiedPole]:
     return _CertifiedPole(
         v=vhat,
         v_den=v_den,
+        vv=bv[2],
         h=hhat,
         h_den=h_den,
+        hh=bh[2],
         ratio_sq_upper=min(bv[0], bh[0]),
         sin_v=bv[1],
         sin_h=bh[1],
     )
 
 
-def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> Interval:
-    """Lower-bounded delta(v_p, Ker h_q), corrected for candidate error.
+def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> tuple[float, float]:
+    """Endpoints of delta(v_p, Ker h_q), corrected for candidate error.
 
     delta(., Ker .) is sqrt(2)-Lipschitz in the summed projective metric,
     so the true separation is at least the candidate one minus
-    sqrt(2) * (angle errors).
+    sqrt(2) * (angle errors).  The endpoints are rounded as the Interval
+    expression sqrt(num_sq) / sqrt(den_sq) - sqrt(2) * (sin_v + sin_h)
+    rounds them.
     """
     scale_sq = (p.v_den * q.h_den) ** 2
-    num_sq = Fraction(_dot(q.h, p.v) ** 2, scale_sq)
-    den_sq = Fraction(_dot(p.v, p.v) * _dot(q.h, q.h), scale_sq)
-    sep = Interval.exact(num_sq).sqrt() / Interval.exact(den_sq).sqrt()
-    return sep - _SQRT2 * (p.sin_v + q.sin_h)
+    dot = _dot(q.h, p.v)
+    num = _sqrt(*_enclose(dot * dot, scale_sq))
+    lo, hi = _div(*num, *_sqrt(*_enclose(p.vv * q.hh, scale_sq)))
+    correction_hi = _up(_SQRT2.hi * _up(p.sin_v + q.sin_h))
+    return _down(lo - correction_hi), _up(hi - _CORRECTION_LO)
 
 
 def _certified_failures_real(gs, r: float, eps: float) -> set[str]:
+    """Failure reasons of a tuple over R whose verdict holds at interval endpoints.
+
+    g^{-1} = den adj(a) / det(a) for g = a / den, so each generator is put
+    in integer form once.  Only lower endpoints of the separations are
+    compared with r, as certainly_gt / certainly_ge would.
+    """
     eps4 = Fraction(eps) ** 4
+    r_hi = Interval.exact(r).hi
     poles: list[Optional[_CertifiedPole]] = []
     for g in gs:
-        ge = exact_matrix(np.asarray(g))
-        poles.append(_certified_pole_real(ge))
-        poles.append(_certified_pole_real(exact_inv(ge)))
-    failures: set[str] = set()
+        a, den = _integer_form(g)
+        adj = adjugate(a)
+        det = _dot(a[0], adj[:, 0])
+        if det == 0:
+            raise DomainError("matrix is singular")
+        sign = 1 if det > 0 else -1
+        poles.append(_certified_pole_real(a, den))
+        poles.append(_certified_pole_real(sign * den * adj, sign * det))
     if any(p is None for p in poles):
-        failures.add(FAIL_UNCERTIFIED)
-        return failures
-    for p in poles:
-        if not p.ratio_sq_upper <= eps4:
-            failures.add(FAIL_CONTRACTION)
+        return {FAIL_UNCERTIFIED}
+    failures: set[str] = set()
+    if any(not p.ratio_sq_upper <= eps4 for p in poles):
+        failures.add(FAIL_CONTRACTION)
+    if any(not _certified_separation(p, p)[0] > r_hi for p in poles):
+        failures.add(FAIL_SEPARATION)
     m = len(poles)
-    for a in range(m):
-        for b in range(m):
-            sep = _certified_separation(poles[a], poles[b])
-            if a // 2 == b // 2:
-                if a == b and not sep.certainly_gt(r):
-                    failures.add(FAIL_SEPARATION)
-            elif not sep.certainly_ge(r):
-                failures.add(FAIL_CROSS)
+    if any(
+        not _certified_separation(poles[i], poles[j])[0] >= r_hi
+        for i in range(m)
+        for j in range(m)
+        if i // 2 != j // 2
+    ):
+        failures.add(FAIL_CROSS)
     return failures
 
 

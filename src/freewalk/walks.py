@@ -148,6 +148,8 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
 
 def measure_from_json_dict(doc: dict) -> WalkMeasure:
     field, atoms = flat_matrices(doc, "atoms")
+    if doc.get("schema", MEASURE_SCHEMA) != MEASURE_SCHEMA:
+        raise ConfigError(f"measure schema must be {MEASURE_SCHEMA!r}, got {doc['schema']!r}")
     try:
         probs = [Fraction(p) for p in doc["probs"]]
     except (KeyError, ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:

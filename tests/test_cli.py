@@ -457,7 +457,10 @@ _bad_doc_fields = st.sampled_from([
     {"kind": "archimedean", "prime": 2},
     {"kind": "complex"},
     {},
+    {"kind": "archimedean", "extra": 1},
+    {"kind": "nonarchimedean", "prime": 3, "bogus": True},
 ])
+_bad_schemas = st.sampled_from(["nope", "freewalk/measure/v2", "freewalk/config/v1", None, 1, {}])
 _bad_entries = st.sampled_from(["abc", "1/0", "", "inf", "nan", "1/x", None, [], {}])
 
 
@@ -467,8 +470,10 @@ def _broken_documents(draw):
     kind, doc, key = draw(st.sampled_from(_VALID_DOCUMENTS))
     doc = copy.deepcopy(doc)
     read = ["field", "d", key] + (["probs"] if kind == "measure" else [])
-    how = draw(st.sampled_from(["delete", "value", "field", "entry"]))
-    if how == "delete":
+    how = draw(st.sampled_from(["delete", "value", "field", "entry"] + (["schema"] if kind == "measure" else [])))
+    if how == "schema":
+        doc["schema"] = draw(_bad_schemas)
+    elif how == "delete":
         del doc[draw(st.sampled_from(read))]
     elif how == "value":
         doc[draw(st.sampled_from(read))] = draw(st.sampled_from([None, "text", -1, 2.5, [], {}]))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from freewalk import DomainError, FieldSpec, Interval, UsageError, abs_value, valuation
-from freewalk.fields import INFINITE_VALUATION, format_scalar, parse_scalar
+from freewalk.fields import INFINITE_VALUATION, _enclose, format_scalar, parse_scalar
 
 from conftest import random_rational
 
@@ -138,3 +138,35 @@ def test_interval_exact_of_nonrepresentable():
     iv2 = Interval.exact(0.5)
     assert iv2.lo == iv2.hi == 0.5
     assert math.isfinite(iv.mid)
+
+
+def _fraction_enclosure(q):
+    """Reference: the float nearest q, or its neighbours when q is not a float."""
+    f = float(q)
+    if Fraction(f) == q:
+        return f, f
+    return math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+
+
+def test_rational_enclosure_matches_fraction_reference():
+    rng = random.Random(77)
+    cases = [
+        (3, 4), (1, 1 << 60), (1 << 100, 1), (0, 5), (6, -8),  # representable
+        (1, 3), (1, 10), (2, 7), ((1 << 53) + 1, 1),  # not representable
+        (-1, 3), (1, -3), (-7, -10), (-(1 << 80) - 1, 3),  # negative
+        (10**400 + 1, 3 * 10**399), (-(10**300), 7 * 10**299), (2**2000 + 1, 2**1990),  # huge n and d
+        (1, 10**400), (-1, 3 * 10**330),  # below the smallest subnormal
+    ]
+    cases += [(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(500)]
+    cases += [(random_rational(rng).numerator, random_rational(rng).denominator) for _ in range(500)]
+    for n, d in cases:
+        ref = _fraction_enclosure(Fraction(n, d))
+        assert _enclose(n, d) == ref, (n, d)
+        iv = Interval.exact(Fraction(n, d))
+        assert (iv.lo, iv.hi) == ref, (n, d)
+        assert Fraction(iv.lo) <= Fraction(n, d) <= Fraction(iv.hi)
+    for n, d in ((10**400, 1), (-(10**400), 3)):  # beyond the float range
+        with pytest.raises(OverflowError):
+            _enclose(n, d)
+        with pytest.raises(OverflowError):
+            Interval.exact(Fraction(n, d))

@@ -17,6 +17,7 @@ from freewalk import (
     vector_norm,
 )
 from freewalk.linalg import (
+    adjugate,
     exact_det,
     exact_inv,
     is_isometry,
@@ -164,6 +165,25 @@ def test_exact_det_inv(q3):
             for i in range(d):
                 for j in range(d):
                     assert prod[i, j] == (1 if i == j else 0)
+
+
+def test_adjugate_times_matrix_is_det(q3):
+    rng = random.Random(12)
+    for d in (2, 3, 4):
+        for trial in range(60):
+            a = np.array([[rng.randint(-50, 50) for _ in range(d)] for _ in range(d)], dtype=object)
+            if trial % 6 == 0:  # singular: a repeated row
+                a[d - 1] = a[0]
+            adj = adjugate(a)
+            det = exact_det(a)
+            assert all(type(x) is int for x in adj.flat)
+            scaled = np.array([[det if i == j else 0 for j in range(d)] for i in range(d)], dtype=object)
+            assert (adj @ a == scaled).all() and (a @ adj == scaled).all()
+        g = as_matrix(random_unimodular_int(rng, d), q3)
+        assert (adjugate(g.astype(int)) == exact_inv(g)).all()  # det 1
+    assert adjugate(np.array([[7]])).tolist() == [[1]]
+    with pytest.raises(TypeError):
+        adjugate(np.array([[F(1, 2), 0], [0, 2]], dtype=object))
 
 
 def test_normalize_representative(real_field, q3):

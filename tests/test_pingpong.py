@@ -23,8 +23,10 @@ from freewalk import (
 )
 from freewalk import corpus
 from freewalk.fields import Interval
-from freewalk.linalg import exact_inv, exact_matrix, exterior_square
+from freewalk.decompositions import kak
+from freewalk.linalg import _integer_form, exact_inv, exact_matrix, exterior_square, normalize_representative
 from freewalk.pingpong import (
+    _certified_failures_real,
     _certified_pole_real,
     _certified_separation,
     cross_margin_matrix,
@@ -191,6 +193,24 @@ def test_pole_pair_matches_direct_inverse(real_field, q3):
         # |9|_3 = 1/9, so the p-adically attracting direction of g^{-1} is k e1
         eigen = k @ as_vector([1, 0], q3)
         assert fubini_study(vq[i, 1], eigen, q3) <= F(1, 81)
+
+
+def test_padic_inverse_poles_match_exact_inv():
+    rng = random.Random(31)
+    for p in (2, 3):
+        field = FieldSpec.padic(p)
+        for d in (2, 3):
+            stretch = as_matrix(np.diag([F(p) ** 2] + [F(1)] * (d - 2) + [F(p) ** -2]), field)
+            gs = []
+            for i in range(12):
+                k = as_matrix(random_unimodular_int(rng, d), field)
+                g = k @ stretch @ exact_inv(k) if i % 3 else as_matrix(random_unimodular_int(rng, d), field)
+                gs.append(g @ as_matrix(random_unimodular_int(rng, d), field) if i % 4 == 0 else g)
+            v, h, _ = pole_pair(gs, field)
+            for i, g in enumerate(gs):
+                dec = kak(g, field)
+                assert (v[i, 1] == normalize_representative(exact_inv(dec.u)[:, d - 1], field)).all()
+                assert (h[i, 1] == normalize_representative(exact_inv(dec.k)[d - 1, :], field)).all()
 
 
 def test_pingpong_pair_example(real_field):
@@ -554,13 +574,128 @@ def test_certified_pole_bounds_match_fraction_reference(real_field):
         poles, refs = [], []
         for g in gs:
             for x in (exact_matrix(np.asarray(g)), exact_inv(exact_matrix(np.asarray(g)))):
-                poles.append(_certified_pole_real(x))
+                a, den = _integer_form(x)
+                poles.append(_certified_pole_real(a, den))
+                # the bounds do not depend on the scale of the integer form
+                assert _certified_pole_real(7 * a, 7 * den) == poles[-1], name
                 refs.append(_fraction_pole_bounds(x))
         for pole, (v, h, ratio_sq, sin_v, sin_h) in zip(poles, refs):
-            assert (pole.ratio_sq_upper, pole.sin_v, pole.sin_h) == (ratio_sq, sin_v, sin_h), name
+            assert pole.ratio_sq_upper == ratio_sq, name
+            assert ((0.0, pole.sin_v), (0.0, pole.sin_h)) == ((sin_v.lo, sin_v.hi), (sin_h.lo, sin_h.hi)), name
         for p, (v, _, _, sin_v, _) in zip(poles, refs):
             for q, (_, h, _, _, sin_h) in zip(poles, refs):
                 num_sq = sum(a * b for a, b in zip(h, v)) ** 2
                 den_sq = sum(a * a for a in v) * sum(b * b for b in h)
                 sep = Interval.exact(num_sq).sqrt() / Interval.exact(den_sq).sqrt()
-                assert _certified_separation(p, q) == sep - Interval.exact(2).sqrt() * (sin_v + sin_h)
+                ref = sep - Interval.exact(2).sqrt() * (sin_v + sin_h)
+                assert _certified_separation(p, q) == (ref.lo, ref.hi), name
+
+
+# The Interval-based certified path that preceded the endpoint one, kept
+# as the reference for its failure sets.
+def _interval_pole(g_exact):
+    gf = np.asarray([[float(x) for x in row] for row in g_exact], dtype=float)
+    k, _, u = np.linalg.svd(gf)
+    vhat, v_den = _integer_form(k[:, 0])
+    hhat, h_den = _integer_form(u[0, :])
+    a, den = _integer_form(g_exact)
+    P, S = a @ a.T, a.T @ a
+    W = min(max(sum(abs(x) for x in row) for row in exterior_square(M)) for M in (P, S))
+    den_sq = den * den
+
+    def bounds(A, x):
+        xx = sum(c * c for c in x)
+        Ax = A @ x
+        ln = sum(c * y for c, y in zip(x, Ax))
+        res = xx * Ax - ln * x
+        gap_num = ln * ln - W * xx * xx
+        if gap_num <= 0:
+            return None
+        rho_sq = F(sum(c * c for c in res), den_sq * den_sq * xx**3)
+        sin_bound = Interval.exact(rho_sq).sqrt() / Interval.exact(F(gap_num, den_sq * xx * ln))
+        return F(W * xx * xx, ln * ln), Interval(0.0, sin_bound.hi)
+
+    bv, bh = bounds(P, vhat), bounds(S, hhat)
+    if bv is None or bh is None:
+        return None
+    return vhat, v_den, hhat, h_den, min(bv[0], bh[0]), bv[1], bh[1]
+
+
+def _interval_separation(p, q):
+    v, v_den, sin_v = p[0], p[1], p[5]
+    h, h_den, sin_h = q[2], q[3], q[6]
+    scale_sq = (v_den * h_den) ** 2
+    num_sq = F(sum(a * b for a, b in zip(h, v)) ** 2, scale_sq)
+    den_sq = F(sum(a * a for a in v) * sum(b * b for b in h), scale_sq)
+    sep = Interval.exact(num_sq).sqrt() / Interval.exact(den_sq).sqrt()
+    return sep - Interval.exact(2).sqrt() * (sin_v + sin_h)
+
+
+def _interval_poles(gs):
+    poles = []
+    for g in gs:
+        ge = exact_matrix(np.asarray(g))
+        poles += [_interval_pole(ge), _interval_pole(exact_inv(ge))]
+    return poles
+
+
+def _interval_failures(poles, seps, r, eps):
+    """Failure set from the poles and their separations seps[a][b] = _interval_separation(poles[a], poles[b])."""
+    if any(p is None for p in poles):
+        return {"uncertified-geometry"}
+    failures = set()
+    if any(not p[4] <= F(eps) ** 4 for p in poles):
+        failures.add("own-contraction")
+    for a, row in enumerate(seps):
+        for b, sep in enumerate(row):
+            if a == b and not sep.certainly_gt(r):
+                failures.add("own-separation")
+            elif a // 2 != b // 2 and not sep.certainly_ge(r):
+                failures.add("cross-margin")
+    return failures
+
+
+def _walk_word_tuples(rng, count):
+    """Tuples of walk words over R: Sanov, positive and SL_3(Z) words as
+    float matrices, rational rotation-stretch words as exact Fractions."""
+    measures = [
+        (corpus.sanov(), True),
+        (corpus.positive_matrices(), True),
+        (corpus.sl3_integer(), True),
+        (corpus.slow_contracting(), False),
+    ]
+    for i in range(count):
+        m, as_float = measures[i % len(measures)]
+        gs = []
+        for _ in range(3 if i % 5 == 0 else 2):
+            word = [rng.randrange(len(m.atoms)) for _ in range(rng.randint(2, 24))]
+            g = exact_product(m, word)
+            gs.append(np.array(g, dtype=float) if as_float else g)
+        yield gs
+
+
+def test_certified_failures_match_interval_reference():
+    rng = random.Random(909)
+    thresholds = [(0.2, 0.05), (0.5, 0.02), (0.3, 0.1), (0.05, 0.01), (0.9, 0.3)]
+    checked = boundary = 0
+    for i, gs in enumerate(_walk_word_tuples(rng, 1000)):
+        poles = _interval_poles(gs)
+        seps = []
+        cases = [thresholds[i % len(thresholds)]]
+        if all(p is not None for p in poles):
+            seps = [[_interval_separation(p, q) for q in poles] for p in poles]
+        if seps and i % 3 == 0:
+            # r at a separation's lower endpoint: certainly_gt fails there, certainly_ge holds
+            own = min(seps[a][a].lo for a in range(len(poles)))
+            cross = min(row[b].lo for a, row in enumerate(seps) for b in range(len(row)) if a // 2 != b // 2)
+            if own > 0:
+                assert "own-separation" in _interval_failures(poles, seps, own, 0.3)
+                cases.append((own, 0.3))
+            if cross > 0:
+                assert "cross-margin" not in _interval_failures(poles, seps, cross, 0.3)
+                cases.append((cross, 0.3))
+        for r, eps in cases:
+            assert _certified_failures_real(gs, r, eps) == _interval_failures(poles, seps, r, eps), (i, r, eps)
+            checked += 1
+        boundary += len(cases) - 1
+    assert checked >= 1000 and boundary >= 200
