@@ -6,8 +6,11 @@ column of k and the last row of u together (det g = 1 forces the two
 signs to agree).  The nonarchimedean KAK is a Smith normal form over the
 localization of the integers at p: pivots are chosen with minimal
 valuation (ties at the smallest (row, col) index), so the diagonal
-valuations come out ascending and |a_1| equals the operator norm.  Both
-constructors are deterministic, which keeps regression output bit-stable.
+valuations come out ascending and |a_1| equals the operator norm.  The
+elimination (:func:`_smith`, shared with the Iwasawa decomposition and
+the p-adic poles) runs on Python ints over common denominators; Fractions
+are built only for the returned k, a and u.  Both constructors are
+deterministic, which keeps regression output bit-stable.
 
 k and u are isometries of the canonical norm: orthogonal with det 1 in
 the archimedean case, entries in the valuation ring with unit determinant
@@ -24,8 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .fields import FieldSpec, valuation
+from .fields import FieldSpec, _int_valuation, _p_power, valuation
 from .linalg import (
+    _integer_form,
     exterior_square,
     identity,
     normalize_representative,
@@ -125,56 +129,92 @@ def _kak_real(g: np.ndarray) -> KakDecomposition:
 
 def _kak_padic(g: np.ndarray, field: FieldSpec) -> KakDecomposition:
     p = field.prime
-    d = g.shape[0]
-    m = np.array([[Fraction(x) for x in row] for row in g], dtype=object)
-    k = identity(d, field)
-    u = identity(d, field)
-    # Invariant throughout: g == k @ m @ u.
+    k, dk, u, du, pivots = _smith(g, p)
+    units = [_unit(row[0], den, val, p) for row, den, val in pivots]
+    # m = diag(a) * diag(units); fold the unit part into the rows of u
+    return KakDecomposition(
+        k=np.array([[Fraction(x, dk) for x in row] for row in k], dtype=object),
+        a=tuple(_p_power(p, val) for *_, val in pivots),
+        u=np.array([[Fraction(n * x, q * du) for x in row] for row, (n, q) in zip(u, units)], dtype=object),
+        v=normalize_representative([row[0] for row in k], field),
+        h=normalize_representative(u[0], field),
+    )
+
+
+def _smith(g, p: int, full: bool = True) -> tuple:
+    """Exact elimination g == k @ m @ u of an invertible g over Q_p, on Python ints.
+
+    Returns k_int, dk, u_int, du, pivots: k = k_int / dk and u = u_int / du
+    (lists of int rows; a denominator may be negative).  full: the Smith form, m diagonal,
+    each pivot of minimal valuation in the remaining block (ties at the
+    smallest (row, col) index), so the valuations come out ascending.
+    Otherwise rows only, as for Iwasawa: m upper triangular, each pivot of
+    minimal valuation in its column (ties at the smallest row), u = 1.
+    pivots[t] is (row, den, v): row / den is row t of m from column t on
+    (before the column operations) and v = v_p(m[t, t]).
+
+    The remaining block of m is kept as ints over one common denominator,
+    so its entries' valuations order like those of m.  Each pivot P scales
+    the block and k (or u) by P, which makes the row (column) operations
+    integer ones, and one gcd per pass keeps the entries small.
+    """
+    b, db = _integer_form(g)
+    b = b.tolist()
+    d = len(b)
+    k = [[int(i == j) for j in range(d)] for i in range(d)]
+    u = [row[:] for row in k]
+    dk = du = 1
+    pivots = []
     for t in range(d):
-        pi, pj = _min_valuation_pivot(m, t, p)
-        if pi != t:
-            m[[t, pi], :] = m[[pi, t], :]
-            k[:, [t, pi]] = k[:, [pi, t]]
-        if pj != t:
-            m[:, [t, pj]] = m[:, [pj, t]]
-            u[[t, pj], :] = u[[pj, t], :]
-        piv = m[t, t]
-        for r in range(t + 1, d):
-            if m[r, t] != 0:
-                c = m[r, t] / piv
-                m[r, :] = m[r, :] - c * m[t, :]
-                k[:, t] = k[:, t] + c * k[:, r]
-        for s in range(t + 1, d):
-            if m[t, s] != 0:
-                c = m[t, s] / piv
-                m[:, s] = m[:, s] - c * m[:, t]
-                u[t, :] = u[t, :] + c * u[s, :]
-    vals = [valuation(m[i, i], p) for i in range(d)]
-    if any(vals[i] > vals[i + 1] for i in range(d - 1)):
+        cells = [(i, j) for i in range(d - t) for j in (range(d - t) if full else (0,)) if b[i][j]]
+        if not cells:
+            raise DomainError("matrix is singular")
+        i, j = min(cells, key=lambda c: _int_valuation(b[c[0]][c[1]], p))
+        if i:
+            b[0], b[i] = b[i], b[0]
+            for row in k:
+                row[t], row[t + i] = row[t + i], row[t]
+        if j:
+            for row in b:
+                row[0], row[j] = row[j], row[0]
+            u[t], u[t + j] = u[t + j], u[t]
+        top = b[0]
+        piv = top[0]
+        pivots.append((top, db, _int_valuation(piv, p) - _int_valuation(db, p)))
+        col = [row[0] for row in b[1:]]
+        if any(col):
+            # k[:, t] += (m[r, t] / piv) k[:, r]; m[r, :] -= (m[r, t] / piv) m[t, :]
+            for row in k:
+                head = piv * row[t] + sum(c * x for c, x in zip(col, row[t + 1:]))
+                row[:] = [piv * x for x in row]
+                row[t] = head
+            dk, k = _reduce(dk * piv, k)
+            b = [[piv * x - c * y for x, y in zip(row[1:], top[1:])] for c, row in zip(col, b[1:])]
+            db, b = _reduce(db * piv, b)
+        else:
+            b = [row[1:] for row in b[1:]]
+        if full and any(top[1:]):
+            # u[t, :] += (m[t, s] / piv) u[s, :]; m[t, s] becomes 0
+            head = [piv * x + sum(c * r[j] for c, r in zip(top[1:], u[t + 1:])) for j, x in enumerate(u[t])]
+            u = [[piv * x for x in row] for row in u]
+            u[t] = head
+            du, u = _reduce(du * piv, u)
+    if full and any(pivots[i][2] > pivots[i + 1][2] for i in range(d - 1)):
         raise AssertionError("pivot valuations not ascending")
-    a = tuple(Fraction(p) ** v for v in vals)
-    # m = diag(a) * diag(units); fold the unit part into u.
-    for i in range(d):
-        unit = m[i, i] / a[i]
-        u[i, :] = unit * u[i, :]
-    v, h = _frame(k, u, field)
-    return KakDecomposition(k=k, a=a, u=u, v=v, h=h)
+    return k, dk, u, du, pivots
 
 
-def _min_valuation_pivot(m: np.ndarray, t: int, p: int) -> tuple[int, int]:
-    d = m.shape[0]
-    best = None
-    best_val = None
-    for i in range(t, d):
-        for j in range(t, d):
-            if m[i, j] == 0:
-                continue
-            v = valuation(m[i, j], p)
-            if best_val is None or v < best_val:
-                best_val, best = v, (i, j)
-    if best is None:
-        raise DomainError("matrix is singular")
-    return best
+def _reduce(den: int, rows: list) -> tuple[int, list]:
+    """rows / den with the common factor cancelled."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    if g == 1:
+        return den, rows
+    return den // g, [[x // g for x in row] for row in rows]
+
+
+def _unit(piv: int, den: int, v: int, p: int) -> tuple[int, int]:
+    """Numerator and denominator of the unit (piv / den) / p**v."""
+    return (piv, den * p**v) if v >= 0 else (piv * p ** (-v), den)
 
 
 def iwasawa(g: np.ndarray, field: FieldSpec) -> IwasawaDecomposition:
@@ -193,31 +233,15 @@ def iwasawa(g: np.ndarray, field: FieldSpec) -> IwasawaDecomposition:
 
 def _iwasawa_padic(g: np.ndarray, field: FieldSpec) -> IwasawaDecomposition:
     p = field.prime
-    d = g.shape[0]
-    m = np.array([[Fraction(x) for x in row] for row in g], dtype=object)
-    k = identity(d, field)
-    # Invariant: g == k @ m; m becomes upper triangular.
-    for c in range(d):
-        rows = [r for r in range(c, d) if m[r, c] != 0]
-        if not rows:
-            raise DomainError("matrix is singular")
-        piv_row = min(rows, key=lambda r: (valuation(m[r, c], p), r))
-        if piv_row != c:
-            m[[c, piv_row], :] = m[[piv_row, c], :]
-            k[:, [c, piv_row]] = k[:, [piv_row, c]]
-        for r in range(c + 1, d):
-            if m[r, c] != 0:
-                coef = m[r, c] / m[c, c]
-                m[r, :] = m[r, :] - coef * m[c, :]
-                k[:, c] = k[:, c] + coef * k[:, r]
-    vals = [valuation(m[i, i], p) for i in range(d)]
-    a = tuple(Fraction(p) ** v for v in vals)
-    n = identity(d, field)
-    for i in range(d):
-        unit = m[i, i] / a[i]
-        k[:, i] = k[:, i] * unit
-        n[i, :] = m[i, :] / m[i, i]
-    return IwasawaDecomposition(k=k, a=a, n=n)
+    k, dk, _, _, pivots = _smith(g, p, full=False)
+    units = [_unit(row[0], den, v, p) for row, den, v in pivots]
+    # m = diag(a) * diag(units) * n; fold the unit part into the columns of k
+    k = np.array([[Fraction(x * n, dk * q) for x, (n, q) in zip(row, units)] for row in k], dtype=object)
+    n = np.array(
+        [[Fraction(0)] * t + [Fraction(x, row[0]) for x in row] for t, (row, _, _) in enumerate(pivots)],
+        dtype=object,
+    )
+    return IwasawaDecomposition(k=k, a=tuple(_p_power(p, v) for _, _, v in pivots), n=n)
 
 
 # ---------------------------------------------------------------------------

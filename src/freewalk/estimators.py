@@ -506,12 +506,15 @@ def _walk_poles(measure: WalkMeasure, idx) -> tuple:
     float precision (d >= 3).  The singular value ratios use
     ||wedge(g)|| / ||g||**2 on scaled log products, which stays fully
     accurate when the true ratio is far below float precision.  The
-    p-adic route is exact throughout: :func:`pole_pair` of the stack of units.
+    p-adic route is exact throughout: :func:`pole_pair` of the exact
+    integer products of the atoms' numerators, whose poles and ratios are
+    those of the units (they differ by a scalar).
     """
     field = measure.field
-    s = walk_products(measure.atoms, idx, field)
     if not field.is_archimedean:
-        return pole_pair([x.unit for x in s], field, unimodular=False)
+        (prod,) = integer_products([_integer_form(a)[0] for a in measure.atoms], idx, "right", [idx.shape[1]])
+        return pole_pair(list(prod), field, unimodular=False)
+    s = walk_products(measure.atoms, idx, field)
     inv_atoms = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
     s_inv = walk_products(inv_atoms, idx, field, order="left")
     w = walk_products(exterior_square_atoms(measure.atoms), idx, field)

@@ -103,17 +103,23 @@ def valuation(x: Scalar, prime: int) -> int | float:
     if isinstance(x, float):
         raise UsageError("valuation is defined for exact rationals, not floats")
     x = Fraction(x)
-    if x == 0:
+    return _int_valuation(x.numerator, prime) - _int_valuation(x.denominator, prime)
+
+
+def _int_valuation(n: int, prime: int) -> int | float:
+    """p-adic valuation of a Python int, :data:`INFINITE_VALUATION` at 0."""
+    if n == 0:
         return INFINITE_VALUATION
-    num, den = x.numerator, x.denominator
     v = 0
-    while num % prime == 0:
-        num //= prime
+    while n % prime == 0:
+        n //= prime
         v += 1
-    while den % prime == 0:
-        den //= prime
-        v -= 1
     return v
+
+
+def _p_power(prime: int, e: int) -> Fraction:
+    """prime**e as an exact Fraction, for any integer e."""
+    return Fraction(prime**e) if e >= 0 else Fraction(1, prime ** (-e))
 
 
 def abs_value(x: Scalar, field: FieldSpec):
@@ -126,10 +132,11 @@ def abs_value(x: Scalar, field: FieldSpec):
         return abs(float(x))
     if x == 0:
         return Fraction(0)
-    v = valuation(x, field.prime)
-    if v >= 0:
-        return Fraction(1, field.prime**v)
-    return Fraction(field.prime ** (-v))
+    if isinstance(x, float):
+        raise UsageError("valuation is defined for exact rationals, not floats")
+    x = x if type(x) is Fraction else Fraction(x)
+    p = field.prime
+    return _p_power(p, _int_valuation(x.denominator, p) - _int_valuation(x.numerator, p))
 
 
 def parse_scalar(text, field: FieldSpec) -> Scalar:

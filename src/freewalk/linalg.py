@@ -2,13 +2,16 @@
 
 Archimedean objects are float numpy arrays; nonarchimedean ones are
 object-dtype numpy arrays holding exact Fractions, so every identity in
-the ultrametric world can be checked with ``==``.  Exact hot paths (p-adic
-walk products, exact replay, certified poles) clear the denominators of
-such a matrix once and multiply object arrays of Python ints instead,
-which skips the gcd every Fraction operation pays; they turn back to
-Fractions only where a value leaves them.  Covectors act by
-f(x) = sum_i f_i x_i and hyperplanes are always stored as the class of a
-defining covector.
+the ultrametric world can be checked with ``==``.  Exact work clears the
+denominators of such an array once (:func:`_integer_form`) and runs on
+Python ints instead, which skips the gcd every Fraction operation pays:
+p-adic walk products, exact replay, certified poles, the determinant
+(one fraction-free elimination) and every p-adic metric.  A p-adic norm,
+distance or margin is scale-invariant up to the valuation of the common
+denominator, so it is one exponent of integer valuations and one
+Fraction.  Values turn back to Fractions only where they leave.
+Covectors act by f(x) = sum_i f_i x_i and hyperplanes are always stored
+as the class of a defining covector.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DomainError, InvariantViolation
-from .fields import FieldSpec, abs_value, format_scalar, parse_scalar, valuation
+from .fields import (
+    INFINITE_VALUATION,
+    FieldSpec,
+    _int_valuation,
+    _p_power,
+    abs_value,
+    format_scalar,
+    parse_scalar,
+)
 
 UNIMODULAR_TOL = 1e-9
 
@@ -61,10 +72,19 @@ def exact_matrix(m: np.ndarray) -> np.ndarray:
 
 def _ratio(x) -> tuple[int, int]:
     """Numerator and positive denominator of an exact scalar (floats convert exactly)."""
+    if type(x) is Fraction or type(x) is int:
+        return x.numerator, x.denominator
     if isinstance(x, float):
         return x.as_integer_ratio()
     q = Fraction(x)
     return q.numerator, q.denominator
+
+
+def _int_list(xs) -> tuple[list, int]:
+    """Exact scalars as a list of Python ints over their least common denominator den > 0."""
+    qs = [_ratio(x) for x in xs]
+    den = math.lcm(*(q for _, q in qs))
+    return [p if q == den else p * (den // q) for p, q in qs], den
 
 
 def _integer_form(m) -> tuple[np.ndarray, int]:
@@ -73,32 +93,15 @@ def _integer_form(m) -> tuple[np.ndarray, int]:
     a is an object array of Python ints shaped like m, and den > 0 the
     least common denominator of the entries (floats convert exactly).
     """
-    qs = [_ratio(x) for x in np.asarray(m, dtype=object).flat]
-    den = math.lcm(*(q for _, q in qs))
-    a = np.array([p * (den // q) for p, q in qs], dtype=object)
-    return a.reshape(np.shape(m)), den
+    m = np.asarray(m, dtype=object)
+    a, den = _int_list(m.flat)
+    return np.array(a, dtype=object).reshape(m.shape), den
 
 
 def exact_det(m: np.ndarray) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in m]
-    d = len(a)
-    det = Fraction(1)
-    for c in range(d):
-        piv = next((r for r in range(c, d) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, d):
-            if a[r][c] != 0:
-                f = a[r][c] * inv
-                for k in range(c, d):
-                    a[r][k] -= f * a[c][k]
-    return det
+    """Exact determinant: det(a) / den**d for the integer form m == a / den."""
+    a, den = _integer_form(m)
+    return Fraction(_int_det(a.tolist()), den ** len(a))
 
 
 def _int_det(rows: list) -> int:
@@ -126,7 +129,8 @@ def adjugate(a) -> np.ndarray:
     is built.  For invertible a, a^{-1} = adjugate(a) / det(a), and a
     column or row of it spans the same projective point as that of a^{-1}.
     """
-    rows = [[operator.index(x) for x in row] for row in np.asarray(a).tolist()]
+    # dtype=object: numpy turns a list mixing negative ints and ints >= 2**63 into floats
+    rows = [[operator.index(x) for x in row] for row in np.asarray(a, dtype=object).tolist()]
     d = len(rows)
     adj = np.empty((d, d), dtype=object)
     # adj[j, i] is the (i, j) cofactor
@@ -178,17 +182,36 @@ def require_unimodular(m: np.ndarray, field: FieldSpec) -> None:
 
 
 def vector_norm(x: np.ndarray, field: FieldSpec):
-    """Canonical norm: Euclidean (archimedean) or max of |entries| (p-adic)."""
+    """Canonical norm: Euclidean (archimedean) or max of |entries| (p-adic, any shape)."""
     if field.is_archimedean:
         return float(math.sqrt(float(sum(float(v) ** 2 for v in x))))
-    return max(abs_value(v, field) for v in x)
+    p = field.prime
+    a, den = _int_list(np.asarray(x, dtype=object).flat)
+    e = min(_int_valuation(c, p) for c in a)
+    return Fraction(0) if e == INFINITE_VALUATION else _p_power(p, _int_valuation(den, p) - e)
 
 
 def operator_norm(g: np.ndarray, field: FieldSpec):
     """Operator norm of the canonical norm: top singular value, or max |entry|."""
     if field.is_archimedean:
         return float(np.linalg.norm(np.asarray(g, dtype=float), 2))
-    return max(abs_value(v, field) for v in g.flat)
+    return vector_norm(g, field)
+
+
+def _padic_vector(x, p: int) -> tuple[list, int]:
+    """An integer multiple of an exact vector as a list, and the least valuation of its entries."""
+    a, _ = _int_list(x)
+    return a, min(_int_valuation(c, p) for c in a)
+
+
+def _padic_margin(x: list, x_min: int, f: list, f_min: int, p: int) -> Fraction:
+    """delta([x], Ker f) over Q_p from integer forms and their least valuations.
+
+    |f.x| / (||f|| ||x||) is scale-invariant in x and f, so it is
+    p**-(v_p(f.x) - x_min - f_min) on any integer multiples, and 0 when f.x is.
+    """
+    dot = sum(a * b for a, b in zip(f, x))
+    return Fraction(0) if dot == 0 else _p_power(p, x_min + f_min - _int_valuation(dot, p))
 
 
 def wedge_pairs(d: int) -> list[tuple[int, int]]:
@@ -225,9 +248,14 @@ def fubini_study(x: np.ndarray, y: np.ndarray, field: FieldSpec):
     """Projective distance ||x ^ y|| / (||x|| ||y||); exact in the p-adic case."""
     _require_nonzero(x, "projective representative")
     _require_nonzero(y, "projective representative")
+    if not field.is_archimedean:
+        p = field.prime
+        (a, a_min), (b, b_min) = _padic_vector(x, p), _padic_vector(y, p)
+        w = min(_int_valuation(a[i] * b[j] - a[j] * b[i], p) for i, j in wedge_pairs(len(a)))
+        return Fraction(0) if w == INFINITE_VALUATION else _p_power(p, a_min + b_min - w)
     w = wedge_vector(x, y)
     if all(v == 0 for v in w):
-        return 0.0 if field.is_archimedean else Fraction(0)
+        return 0.0
     return vector_norm(w, field) / (vector_norm(x, field) * vector_norm(y, field))
 
 
@@ -235,6 +263,9 @@ def dist_point_hyperplane(x: np.ndarray, f: np.ndarray, field: FieldSpec):
     """Distance delta([x], Ker f) = |f(x)| / (||f|| ||x||)."""
     _require_nonzero(x, "point representative")
     _require_nonzero(f, "hyperplane covector")
+    if not field.is_archimedean:
+        p = field.prime
+        return _padic_margin(*_padic_vector(x, p), *_padic_vector(f, p), p)
     val = sum(fi * xi for fi, xi in zip(f, x))
     return abs_value(val, field) / (vector_norm(f, field) * vector_norm(x, field))
 
@@ -253,11 +284,11 @@ def normalize_representative(x: np.ndarray, field: FieldSpec) -> np.ndarray:
         v = v / n
         lead = next(c for c in v if c != 0.0)
         return -v if lead < 0 else v
-    lead = next(Fraction(c) for c in x if c != 0)
-    scaled = np.array([Fraction(c) / lead for c in x], dtype=object)
-    m = min(valuation(c, field.prime) for c in scaled if c != 0)
-    factor = Fraction(field.prime) ** (-m)
-    return np.array([c * factor for c in scaled], dtype=object)
+    # scale-invariant: x / lead * p**(v_p(lead) - min v_p) on any integer multiple of x
+    a, a_min = _padic_vector(x, field.prime)
+    lead = next(c for c in a if c)
+    scale = field.prime ** (_int_valuation(lead, field.prime) - a_min)
+    return np.array([Fraction(c * scale, lead) for c in a], dtype=object)
 
 
 def is_isometry(k: np.ndarray, field: FieldSpec) -> bool:
@@ -266,15 +297,9 @@ def is_isometry(k: np.ndarray, field: FieldSpec) -> bool:
     Archimedean: orthogonal.  Nonarchimedean: entries in the valuation ring
     and unit determinant (the full isometry group of the max norm).
     """
-    d = k.shape[0]
     if field.is_archimedean:
-        return bool(np.max(np.abs(k.T @ k - np.eye(d))) <= UNIMODULAR_TOL)
-    p = field.prime
-    for v in k.flat:
-        if v != 0 and valuation(Fraction(v), p) < 0:
-            return False
-    dk = exact_det(k)
-    return dk != 0 and valuation(dk, p) == 0
+        return bool(np.max(np.abs(k.T @ k - np.eye(k.shape[0]))) <= UNIMODULAR_TOL)
+    return operator_norm(k, field) <= 1 and abs_value(exact_det(k), field) == 1
 
 
 # ---------------------------------------------------------------------------

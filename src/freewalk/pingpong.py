@@ -39,16 +39,19 @@ from typing import Optional
 
 import numpy as np
 
-from .decompositions import kak
+from .decompositions import _smith, kak
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, Interval, _div, _down, _enclose, _sqrt, _up, abs_value
+from .fields import FieldSpec, Interval, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value
 from .linalg import (
     _integer_form,
+    _padic_margin,
+    _padic_vector,
     adjugate,
     dist_point_hyperplane,
     exact_inv,
     exterior_square,
     normalize_representative,
+    require_unimodular,
     vector_norm,
     vector_to_strings,
 )
@@ -100,7 +103,9 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     g^{-1} = (U^{-1} J)(J A^{-1} J)(J K^{-1}) with J the index reversal,
     so the attracting point of g^{-1} is the class of U^{-1} e_d and its
     repelling covector the last row of K^{-1}; over Q_p the integer
-    adjugates of U and K span the same classes.  This avoids inverting g
+    adjugates of U and K span the same classes, taken from the integer
+    Smith form before its units are folded in, and |a_i / a_j| is
+    p**(v_i - v_j) of the pivot valuations.  This avoids inverting g
     and matches the reversed-reciprocal a-part identity.  It suits
     matrices of moderate condition number; for long products, whose unit
     part cannot resolve U^{-1} e_d in floats once a_1/a_d passes 1e16
@@ -108,17 +113,24 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     instead.
     """
     v, h, ratio = [], [], []
+    p = field.prime
     for g in gs:
-        dec = kak(g, field, unimodular=unimodular)
         d = g.shape[0]
         if field.is_archimedean:
-            u_inv, k_inv = dec.u.T, dec.k.T
+            dec = kak(g, field, unimodular=unimodular)
+            a = dec.a
+            ratio.append([a[1] / a[0], a[d - 1] / a[d - 2]])
+            v0, h0, k_inv, u_inv = dec.v, dec.h, dec.k.T, dec.u.T
         else:  # normalize_representative is scale-invariant: adjugates stand in for the inverses
-            u_inv, k_inv = adjugate(_integer_form(dec.u)[0]), adjugate(_integer_form(dec.k)[0])
-        a = [abs_value(x, field) for x in dec.a]
-        v.append([dec.v, normalize_representative(u_inv[:, d - 1], field)])
-        h.append([dec.h, normalize_representative(k_inv[d - 1, :], field)])
-        ratio.append([a[1] / a[0], a[d - 1] / a[d - 2]])
+            if unimodular:
+                require_unimodular(g, field)
+            k, _, u, _, pivots = _smith(g, p)
+            vals = [val for *_, val in pivots]
+            ratio.append([_p_power(p, vals[0] - vals[1]), _p_power(p, vals[d - 2] - vals[d - 1])])
+            v0, h0 = normalize_representative([row[0] for row in k], field), normalize_representative(u[0], field)
+            k_inv, u_inv = adjugate(k), adjugate(u)
+        v.append([v0, normalize_representative(u_inv[:, d - 1], field)])
+        h.append([h0, normalize_representative(k_inv[d - 1, :], field)])
     return np.array(v), np.array(h), np.array(ratio)
 
 
@@ -144,14 +156,17 @@ def cross_margin_matrix(v: np.ndarray, h: np.ndarray, field: FieldSpec) -> np.nd
 
     The own-separations lie on the diagonal.  Entry for entry this is
     :func:`dist_point_hyperplane`: one :func:`vector_norm` per pole vector
-    and h_q . v_p summed in coordinate order; exact Fractions over Q_p.
+    and h_q . v_p summed in coordinate order.  Over Q_p each margin is
+    one exponent of integer valuations and one exact Fraction.
     """
     d = v.shape[-1]
-    dot = sum(h[..., None, :, k] * v[..., :, None, k] for k in range(d))
-    if field.is_archimedean:
-        num = np.abs(dot)
-    else:
-        num = np.frompyfunc(lambda x: abs_value(x, field), 1, 1)(dot)
+    if not field.is_archimedean:
+        p = field.prime
+        m = v.shape[-2]
+        vs, hs = ([_padic_vector(x, p) for x in a.reshape(-1, d)] for a in (v, h))
+        rows = [[_padic_margin(*x, *hs[i - i % m + j], p) for j in range(m)] for i, x in enumerate(vs)]
+        return np.array(rows, dtype=object).reshape(v.shape[:-1] + (m,))
+    num = np.abs(sum(h[..., None, :, k] * v[..., :, None, k] for k in range(d)))
     norm_v, norm_h = (
         np.array([vector_norm(x, field) for x in a.reshape(-1, d)]).reshape(a.shape[:-1]) for a in (v, h)
     )
