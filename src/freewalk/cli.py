@@ -167,6 +167,11 @@ def _validate_config(doc: dict, path: str) -> None:
         raise ConfigError(f"{kind} experiment needs config fields: {', '.join(missing)}")
     if kind == "direction" and doc["horizon"] < 2 * max(grid):
         raise ConfigError(f"{path}: field horizon: need horizon >= 2 * max(grid) = {2 * max(grid)}")
+    if kind == "lyapunov" and min(doc["n"], doc["reps"]) < 10:
+        raise ConfigError(f"{path}: lyapunov needs n >= 10 and reps >= 10")
+    th = doc.get("thresholds", {})
+    if kind in ("decay", "tuple") and th["eps_base"] >= th["r_base"]:
+        raise ConfigError(f"{path}: field thresholds: need eps_base < r_base")
 
 
 def _vector(entries, where: str, measure) -> list:

@@ -26,15 +26,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 from .fields import FieldSpec, _int_valuation, _p_power, valuation
 from .linalg import (
     _integer_form,
+    _normalize_rows,
     exterior_square,
     identity,
     normalize_representative,
     operator_norm,
     require_unimodular,
+    vector_norm,
 )
 
 
@@ -87,32 +89,27 @@ def kak(g: np.ndarray, field: FieldSpec, unimodular: bool = True) -> KakDecompos
     invertible matrix with positive determinant, such as the unit part of
     a scaled product; k, u and the frames (v, h) are scale-invariant.
     """
+    if not field.is_archimedean:
+        return _kak_padic(g, field, unimodular)
     if unimodular:
         require_unimodular(g, field)
-    if field.is_archimedean:
-        return _kak_real(np.asarray(g, dtype=float))
-    return _kak_padic(g, field)
+    return _kak_real(np.asarray(g, dtype=float))
 
 
-def frames(units, field: FieldSpec) -> tuple[list, list]:
-    """KAK frames (v, h) of every matrix of a stack, as two lists.
+def frames(units, field: FieldSpec) -> tuple:
+    """KAK frames (v, h) of every matrix of a stack.
 
     v is the attracting point k.e1 and h the repelling covector u^{-1}.e1*
     of g = k a u, both normalized projective representatives; they do not
-    depend on the scale of g.  Archimedean stacks take one stacked SVD,
-    nonarchimedean ones the exact Smith form of each matrix.
+    depend on the scale of g.  Archimedean stacks take one stacked SVD and
+    one stacked normalisation (two (m, d) arrays), nonarchimedean ones the
+    exact Smith form of each matrix (two lists).
     """
     if not field.is_archimedean:
         decs = [_kak_padic(g, field) for g in units]
         return [dec.v for dec in decs], [dec.h for dec in decs]
     k, _, u = np.linalg.svd(np.asarray(units, dtype=float))
-    pairs = [_frame(ki, ui, field) for ki, ui in zip(k, u)]
-    return [v for v, _ in pairs], [h for _, h in pairs]
-
-
-def _frame(k: np.ndarray, u: np.ndarray, field: FieldSpec) -> tuple:
-    """(k.e1, e1*.u) as normalized projective representatives."""
-    return normalize_representative(k[:, 0], field), normalize_representative(u[0, :], field)
+    return _normalize_rows(k[:, :, 0]), _normalize_rows(u[:, 0, :])
 
 
 def _kak_real(g: np.ndarray) -> KakDecomposition:
@@ -123,13 +120,13 @@ def _kak_real(g: np.ndarray) -> KakDecomposition:
         u = u.copy()
         k[:, -1] = -k[:, -1]
         u[-1, :] = -u[-1, :]
-    v, h = _frame(k, u, FieldSpec.real())
+    v, h = (normalize_representative(x, FieldSpec.real()) for x in (k[:, 0], u[0, :]))
     return KakDecomposition(k=k, a=tuple(float(x) for x in s), u=u, v=v, h=h)
 
 
-def _kak_padic(g: np.ndarray, field: FieldSpec) -> KakDecomposition:
+def _kak_padic(g: np.ndarray, field: FieldSpec, unimodular: bool = False) -> KakDecomposition:
     p = field.prime
-    k, dk, u, du, pivots = _smith(g, p)
+    k, dk, u, du, pivots = _smith(g, p, unimodular=unimodular)
     units = [_unit(row[0], den, val, p) for row, den, val in pivots]
     # m = diag(a) * diag(units); fold the unit part into the rows of u
     return KakDecomposition(
@@ -141,7 +138,7 @@ def _kak_padic(g: np.ndarray, field: FieldSpec) -> KakDecomposition:
     )
 
 
-def _smith(g, p: int, full: bool = True) -> tuple:
+def _smith(g, p: int, full: bool = True, unimodular: bool = False) -> tuple:
     """Exact elimination g == k @ m @ u of an invertible g over Q_p, on Python ints.
 
     Returns k_int, dk, u_int, du, pivots: k = k_int / dk and u = u_int / du
@@ -157,6 +154,10 @@ def _smith(g, p: int, full: bool = True) -> tuple:
     so its entries' valuations order like those of m.  Each pivot P scales
     the block and k (or u) by P, which makes the row (column) operations
     integer ones, and one gcd per pass keeps the entries small.
+
+    unimodular: raise InvariantViolation unless det g = 1 (singular g
+    included); k and u carry only swaps and unit-triangular operations, so
+    det g is the product of the pivots, negated once per swap.
     """
     b, db = _integer_form(g)
     b = b.tolist()
@@ -165,11 +166,13 @@ def _smith(g, p: int, full: bool = True) -> tuple:
     u = [row[:] for row in k]
     dk = du = 1
     pivots = []
+    sign = 1
     for t in range(d):
         cells = [(i, j) for i in range(d - t) for j in (range(d - t) if full else (0,)) if b[i][j]]
         if not cells:
-            raise DomainError("matrix is singular")
+            raise InvariantViolation("matrix determinant is not 1") if unimodular else DomainError("matrix is singular")
         i, j = min(cells, key=lambda c: _int_valuation(b[c[0]][c[1]], p))
+        sign *= (-1) ** ((i > 0) + (j > 0))
         if i:
             b[0], b[i] = b[i], b[0]
             for row in k:
@@ -199,6 +202,8 @@ def _smith(g, p: int, full: bool = True) -> tuple:
             u = [[piv * x for x in row] for row in u]
             u[t] = head
             du, u = _reduce(du * piv, u)
+    if unimodular and sign * math.prod(row[0] for row, _, _ in pivots) != math.prod(den for _, den, _ in pivots):
+        raise InvariantViolation("matrix determinant is not 1")
     if full and any(pivots[i][2] > pivots[i + 1][2] for i in range(d - 1)):
         raise AssertionError("pivot valuations not ascending")
     return k, dk, u, du, pivots
@@ -219,21 +224,21 @@ def _unit(piv: int, den: int, v: int, p: int) -> tuple[int, int]:
 
 def iwasawa(g: np.ndarray, field: FieldSpec) -> IwasawaDecomposition:
     """Iwasawa decomposition of a determinant-1 matrix."""
+    if not field.is_archimedean:
+        return _iwasawa_padic(g, field, unimodular=True)
     require_unimodular(g, field)
-    if field.is_archimedean:
-        q, r = np.linalg.qr(np.asarray(g, dtype=float))
-        signs = np.sign(np.diag(r))
-        q = q * signs[np.newaxis, :]
-        r = r * signs[:, np.newaxis]
-        a = np.diag(r).copy()
-        n = r / a[:, np.newaxis]
-        return IwasawaDecomposition(k=q, a=tuple(float(x) for x in a), n=n)
-    return _iwasawa_padic(g, field)
+    q, r = np.linalg.qr(np.asarray(g, dtype=float))
+    signs = np.sign(np.diag(r))
+    q = q * signs[np.newaxis, :]
+    r = r * signs[:, np.newaxis]
+    a = np.diag(r).copy()
+    n = r / a[:, np.newaxis]
+    return IwasawaDecomposition(k=q, a=tuple(float(x) for x in a), n=n)
 
 
-def _iwasawa_padic(g: np.ndarray, field: FieldSpec) -> IwasawaDecomposition:
+def _iwasawa_padic(g: np.ndarray, field: FieldSpec, unimodular: bool = False) -> IwasawaDecomposition:
     p = field.prime
-    k, dk, _, _, pivots = _smith(g, p, full=False)
+    k, dk, _, _, pivots = _smith(g, p, full=False, unimodular=unimodular)
     units = [_unit(row[0], den, v, p) for row, den, v in pivots]
     # m = diag(a) * diag(units) * n; fold the unit part into the columns of k
     k = np.array([[Fraction(x * n, dk * q) for x, (n, q) in zip(row, units)] for row in k], dtype=object)
@@ -301,10 +306,19 @@ def scaled_log_norm(sm: ScaledMatrix, field: FieldSpec) -> float:
     return -sm.scale * math.log(field.prime) + math.log(float(n))
 
 
+def log_norms(products, field: FieldSpec) -> list:
+    """:func:`scaled_log_norm` of every ScaledMatrix of a list, element for element ==.
+
+    Over R: one stacked ``svd(compute_uv=False)``, and math.log (np.log can differ in the last bit).
+    """
+    if not field.is_archimedean:
+        return [scaled_log_norm(sm, field) for sm in products]
+    tops = np.linalg.svd(np.array([sm.unit for sm in products]), compute_uv=False)[:, 0].tolist()
+    return [float(sm.scale) + math.log(top) for sm, top in zip(products, tops)]
+
+
 def scaled_log_vector_norm(sm: ScaledMatrix, x: np.ndarray, field: FieldSpec) -> float:
     """log || (represented matrix) @ x ||."""
-    from .linalg import vector_norm  # local import to keep module load cheap
-
     w = sm.unit @ x
     n = vector_norm(w, field)
     if n == 0:
@@ -312,12 +326,6 @@ def scaled_log_vector_norm(sm: ScaledMatrix, x: np.ndarray, field: FieldSpec) ->
     if field.is_archimedean:
         return float(sm.scale) + math.log(float(n))
     return -sm.scale * math.log(field.prime) + math.log(float(n))
-
-
-def scaled_reconstruct(sm: ScaledMatrix, field: FieldSpec) -> np.ndarray:
-    if field.is_archimedean:
-        return math.exp(sm.scale) * sm.unit
-    return sm.unit * (Fraction(field.prime) ** sm.scale)
 
 
 def exterior_square_atoms(atoms) -> tuple:

@@ -3,15 +3,15 @@
 Every estimator is a pure function of (inputs, seed): trajectory i of an
 experiment runs on RNG stream i (or a documented affine reallocation for
 multi-walk experiments), and results are reduced in trajectory order.
-All trajectories of an estimator run as one batch: :func:`walk_indices`
-stacks their index rows, :func:`walk_products` folds scaled products
-along them, and the exact replays of direction and KAK-frame
-convergence fold whole stacks of integer matrices with
-:func:`integer_products`.  KAK frames of the products come from
-:func:`frames`.  The ping-pong estimators keep the poles of a batch as
-stacked arrays, v and h of shape (reps, 2, d) and ratios (reps, 2), and
-score every tuple of the batch with one call each to
-:func:`cross_margin_matrix` and :func:`tuple_failure_reasons`.
+:func:`walk_indices` stacks the index rows of all trajectories and each
+estimator call folds all its float walks (atoms, inverses, wedges, every
+grid point and measure) in one :func:`walk_products` call per matrix
+size (:func:`_fold`: shorter rows padded at the start with the identity,
+left folds as transposed right folds); the exact replays fold integer
+stacks with :func:`integer_products`.  The whole stack is then scored
+by stacked calls: :func:`frames`, :func:`log_norms`, and
+:func:`cross_margin_matrix` with :func:`tuple_failure_reasons` on pole
+arrays v, h (reps, 2, d) and ratios (reps, 2).
 
 Decay rates are never asserted against theoretical constants (the
 theorems' bounds are not effective); fits report sign, monotonicity and
@@ -25,19 +25,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .decompositions import (
+    ScaledMatrix,
     exterior_square_atoms,
     frames,
-    scaled_log_norm,
+    log_norms,
     scaled_log_vector_norm,
 )
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, abs_value
 from .linalg import (
     _integer_form,
+    _require_nonzero,
     as_vector,
     dist_point_hyperplane,
     fubini_study,
@@ -162,6 +165,32 @@ def _decay(kind: str, grid, points, reps: int, extra=None) -> DecayEstimate:
     )
 
 
+def _fold(jobs, field: FieldSpec) -> list:
+    """walk_products of every job (increments, idx, order), == job for job, one call per matrix size.
+
+    Over R the jobs of one size share one right fold behind an identity
+    increment, which pads a shorter row at the start and leaves its unit
+    and scale as they are; a left fold is the right fold of the
+    transposed increments, transposed back.
+    """
+    if not field.is_archimedean:
+        return [walk_products(inc, idx, field, order) for inc, idx, order in jobs]
+    tables = [np.asarray(inc, dtype=float) for inc, _, _ in jobs]
+    tables = [t.swapaxes(1, 2) if order == "left" else t for t, (_, _, order) in zip(tables, jobs)]
+    out = [None] * len(jobs)
+    for m in {t.shape[1] for t in tables}:
+        group = [j for j, t in enumerate(tables) if t.shape[1] == m]
+        n = max(jobs[j][1].shape[1] for j in group)
+        offsets = np.cumsum([1] + [len(tables[j]) for j in group])
+        idx = [np.pad(jobs[j][1] + base, ((0, 0), (n - jobs[j][1].shape[1], 0))) for j, base in zip(group, offsets)]
+        prods = iter(walk_products(np.concatenate([np.eye(m)[None]] + [tables[j] for j in group]),
+                                   np.concatenate(idx), field))
+        for j in group:
+            part = list(islice(prods, len(jobs[j][1])))
+            out[j] = [ScaledMatrix(x.unit.T, x.scale) for x in part] if jobs[j][2] == "left" else part
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
 # ---------------------------------------------------------------------------
@@ -190,12 +219,10 @@ def lyapunov_estimate(measure: WalkMeasure, n: int, reps: int, seed: int) -> Lya
         raise UsageError("lyapunov_estimate needs n >= 10 and reps >= 10")
     field = measure.field
     idx = walk_indices(measure, n, seed, range(reps))
-    l1s = [scaled_log_norm(s, field) / n for s in walk_products(measure.atoms, idx, field)]
-    if wedge_pairs(measure.d):
-        wedges = walk_products(exterior_square_atoms(measure.atoms), idx, field)
-        l12s = [scaled_log_norm(w, field) / n for w in wedges]
-    else:
-        l12s = [0.0] * reps
+    wedge = [(exterior_square_atoms(measure.atoms), idx, "right")] if wedge_pairs(measure.d) else []
+    s, *w = _fold([(measure.atoms, idx, "right"), *wedge], field)
+    l1s = [x / n for x in log_norms(s, field)]
+    l12s = [x / n for x in log_norms(w[0], field)] if w else [0.0] * reps
     m1, se1 = _mean_se(l1s)
     m12, se12 = _mean_se(l12s)
     gaps = [2 * a - b for a, b in zip(l1s, l12s)]
@@ -240,8 +267,8 @@ def moment_ratio(measure: WalkMeasure, eps: float, n: int, reps: int, seed: int)
     d = measure.d
     basis = [as_vector([1 if i == j else 0 for j in range(d)], field) for i in range(d)]
     sums = [0.0] * d
-    for s in walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field):
-        log_norm = scaled_log_norm(s, field)
+    prods = walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field)
+    for s, log_norm in zip(prods, log_norms(prods, field)):
         for i, e in enumerate(basis):
             sums[i] += math.exp(eps * (log_norm - scaled_log_vector_norm(s, e, field)))
     means = [t / reps for t in sums]
@@ -251,10 +278,6 @@ def moment_ratio(measure: WalkMeasure, eps: float, n: int, reps: int, seed: int)
 # ---------------------------------------------------------------------------
 # Exact-replay projective distances
 # ---------------------------------------------------------------------------
-
-
-def _fraction_log(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def _exact_delta(x, y, field: FieldSpec) -> float:
@@ -277,7 +300,7 @@ def _exact_delta(x, y, field: FieldSpec) -> float:
         num = max(abs_value(c, field) for c in w)
         den = max(abs_value(c, field) for c in x) * max(abs_value(c, field) for c in y)
         delta_sq = (num / den) ** 2
-    return math.exp(0.5 * _fraction_log(delta_sq))
+    return math.exp(0.5 * (math.log(delta_sq.numerator) - math.log(delta_sq.denominator)))
 
 
 def direction_convergence(
@@ -468,16 +491,14 @@ def invariant_measure_probe(
     if not 0 < t < 1:
         raise DomainError("t must lie in (0, 1)")
     field = measure.field
-    covs = [as_vector(h, field) for h in hyperplanes]
-    x0 = as_vector([1] + [0] * (measure.d - 1), field)
-    threshold = t**n
-    counts = [0] * len(covs)
+    covs = np.array([as_vector(h, field) for h in hyperplanes]).reshape(-1, measure.d)
+    for f in covs:
+        _require_nonzero(f, "hyperplane covector")
     idx = walk_indices(measure, n, seed, range(reps))
-    for left in walk_products(measure.atoms, idx, field, order="left"):
-        direction = left.unit @ x0
-        for i, f in enumerate(covs):
-            if dist_point_hyperplane(direction, f, field) <= threshold:
-                counts[i] += 1
+    # M_n[e1] is the first column of each unit
+    directions = np.array([left.unit[:, 0] for left in walk_products(measure.atoms, idx, field, order="left")])
+    margins = cross_margin_matrix(directions[None], covs[None], field)[0]
+    counts = (margins <= t**n).sum(axis=0).tolist()
     fracs, los, his = _columns(_proportion_point(c, reps) for c in counts)
     return InvariantProbeResult(
         fractions=fracs,
@@ -497,35 +518,34 @@ def invariant_measure_probe(
 FAILURE_KEYS = ("own-contraction", "own-separation", "cross-margin")
 
 
-def _walk_poles(measure: WalkMeasure, idx) -> tuple:
-    """Poles of (S_n, S_n^{-1}) of every index row: v, h (reps, 2, d) and ratios (reps, 2).
+def _walk_poles(batches) -> list:
+    """Poles of (S_n, S_n^{-1}) of each batch (measure, idx): v, h (reps, 2, d), ratios (reps, 2).
 
-    Over R the poles of S_n^{-1} are the KAK frames of the product of
-    inverse atoms X_1^{-1} ... X_n^{-1}, not the bottom singular vectors
-    of S_n, which its float unit part cannot resolve once a_1/a_d passes
-    float precision (d >= 3).  The singular value ratios use
-    ||wedge(g)|| / ||g||**2 on scaled log products, which stays fully
-    accurate when the true ratio is far below float precision.  The
-    p-adic route is exact throughout: :func:`pole_pair` of the exact
-    integer products of the atoms' numerators, whose poles and ratios are
-    those of the units (they differ by a scalar).
+    Over R the poles of S_n^{-1} are the KAK frames of X_1^{-1} ...
+    X_n^{-1}, not the bottom singular vectors of S_n, which its float unit
+    cannot resolve once a_1/a_d passes float precision (d >= 3), and the
+    ratios ||wedge(g)|| / ||g||**2 come from scaled log products, accurate
+    far below float precision.  All batches share one :func:`_fold` and one
+    stacked frame and log-norm call.  Over Q_p each batch is exact:
+    :func:`pole_pair` of the integer products of the atoms' numerators.
     """
-    field = measure.field
+    field = batches[0][0].field
     if not field.is_archimedean:
-        (prod,) = integer_products([_integer_form(a)[0] for a in measure.atoms], idx, "right", [idx.shape[1]])
-        return pole_pair(list(prod), field, unimodular=False)
-    s = walk_products(measure.atoms, idx, field)
-    inv_atoms = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
-    s_inv = walk_products(inv_atoms, idx, field, order="left")
-    w = walk_products(exterior_square_atoms(measure.atoms), idx, field)
-    w_inv = walk_products(exterior_square_atoms(inv_atoms), idx, field, order="left")
-    v_p, h_p = frames([x.unit for x in s], field)
-    v_m, h_m = frames([x.unit for x in s_inv], field)
-    ratio = [
-        [math.exp(scaled_log_norm(wi, field) - 2 * scaled_log_norm(si, field)) for wi, si in pair]
-        for pair in zip(zip(w, s), zip(w_inv, s_inv))
-    ]
-    return np.stack([v_p, v_m], axis=1), np.stack([h_p, h_m], axis=1), np.array(ratio)
+        ints = ([_integer_form(a)[0] for a in m.atoms] for m, _ in batches)
+        prods = (integer_products(atoms, idx, "right", [idx.shape[1]]) for atoms, (_, idx) in zip(ints, batches))
+        return [pole_pair(list(prod), field, unimodular=False) for (prod,) in prods]
+    jobs = []
+    for measure, idx in batches:
+        inv = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
+        jobs += [(measure.atoms, idx, "right"), (inv, idx, "left")]
+    folds = _fold(jobs + [(exterior_square_atoms(inc), idx, order) for inc, idx, order in jobs], field)
+    prods, wedges = ([x for fold in half for x in fold] for half in (folds[: len(jobs)], folds[len(jobs):]))
+    vs, hs = frames([x.unit for x in prods], field)
+    ratios = np.array([math.exp(w - 2 * s) for w, s in zip(log_norms(wedges, field), log_norms(prods, field))])
+    # batch b owns parts 2b (S_n of each index row) and 2b + 1 (S_n^{-1})
+    cuts = np.cumsum([len(idx) for _, idx in batches for _ in (0, 1)])[:-1]
+    parts = [np.split(a, cuts) for a in (vs, hs, ratios)]
+    return [tuple(np.stack(p[2 * b:2 * b + 2], axis=1) for p in parts) for b in range(len(batches))]
 
 
 def pingpong_decay(
@@ -542,22 +562,24 @@ def pingpong_decay(
     Thresholds are evaluated at every grid point; points where
     r_base**n <= 2 * eps_base**n cannot support the freeness
     interpretation and are marked invalid in extra["thresholds_valid"]
-    (the raw inequalities are still scored there).
+    (the raw inequalities are still scored there).  All grid points and
+    both measures share one :func:`_walk_poles` and one margin call.
     """
     if not 0 < eps_base < r_base < 1:
         raise DomainError("need 0 < eps_base < r_base < 1")
     grid = sorted(grid)
     field = measure.field
+    # trajectory pair (gi, rep) walks streams 2*(gi*reps+rep) and 2*(gi*reps+rep)+1
+    poles = _walk_poles([(m, walk_indices(m, n, seed, [2 * (gi * reps + rep) + w for rep in range(reps)]))
+                         for gi, n in enumerate(grid) for w, m in enumerate((measure, measure2))])
+    # each tuple's poles: S_n, S_n^{-1}, S'_n, S'_n^{-1}; one row of tuples per grid point
+    v, h, ratio = (np.array([np.concatenate(pair, axis=1) for pair in zip(a[0::2], a[1::2])])
+                   for a in zip(*poles))
+    margins = cross_margin_matrix(v, h, field)
     counts = []
     breakdown = {k: [] for k in FAILURE_KEYS}
     for gi, n in enumerate(grid):
-        # trajectory pair (gi, rep) walks streams 2*(gi*reps+rep) and 2*(gi*reps+rep)+1
-        streams = [2 * (gi * reps + rep) for rep in range(reps)]
-        poles1 = _walk_poles(measure, walk_indices(measure, n, seed, streams))
-        poles2 = _walk_poles(measure2, walk_indices(measure2, n, seed, [s + 1 for s in streams]))
-        # each tuple's poles: S_n, S_n^{-1}, S'_n, S'_n^{-1}
-        v, h, ratio = (np.concatenate(pair, axis=1) for pair in zip(poles1, poles2))
-        fails = tuple_failure_reasons(ratio, cross_margin_matrix(v, h, field), r_base**n, eps_base**n)
+        fails = tuple_failure_reasons(ratio[gi], margins[gi], r_base**n, eps_base**n)
         counts.append(int(np.any(list(fails.values()), axis=0).sum()))
         for k in FAILURE_KEYS:
             breakdown[k].append(int(fails[k].sum()))
@@ -609,7 +631,7 @@ def tuple_decay(
     if l < 2:
         raise DomainError("tuple size l must be at least 2")
     # walk w of tuple rep runs on stream rep*l + w; its poles are 2w and 2w+1
-    poles = _walk_poles(measure, walk_indices(measure, n, seed, range(reps * l)))
+    (poles,) = _walk_poles([(measure, walk_indices(measure, n, seed, range(reps * l)))])
     v, h, ratio = (a.reshape(reps, 2 * l, *a.shape[2:]) for a in poles)
     fails = tuple_failure_reasons(ratio, cross_margin_matrix(v, h, measure.field), r, eps)
     failures = int(np.any(list(fails.values()), axis=0).sum())

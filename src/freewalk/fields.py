@@ -280,9 +280,6 @@ class Interval:
 
     # Certified comparisons: true only when every pair of contained values
     # satisfies the relation.
-    def certainly_le(self, other) -> bool:
-        return self.hi <= Interval.exact(other).lo
-
     def certainly_lt(self, other) -> bool:
         return self.hi < Interval.exact(other).lo
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -58,16 +59,6 @@ def identity(d: int, field: FieldSpec | None = None) -> np.ndarray:
         for j in range(d):
             m[i, j] = Fraction(1) if i == j else Fraction(0)
     return m
-
-
-def exact_matrix(m: np.ndarray) -> np.ndarray:
-    """Exact Fraction copy of a matrix (float entries convert exactly)."""
-    d0, d1 = m.shape
-    out = np.empty((d0, d1), dtype=object)
-    for i in range(d0):
-        for j in range(d1):
-            out[i, j] = Fraction(m[i, j])
-    return out
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -164,15 +155,9 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     return np.array(b, dtype=object)
 
 
-def det(m: np.ndarray, field: FieldSpec):
-    if field.is_archimedean and m.dtype != object:
-        return float(np.linalg.det(m))
-    return exact_det(m)
-
-
 def is_unimodular(m: np.ndarray, field: FieldSpec) -> bool:
     if field.is_archimedean:
-        return abs(det(m, field) - 1.0) <= UNIMODULAR_TOL
+        return abs((float(np.linalg.det(m)) if m.dtype != object else exact_det(m)) - 1.0) <= UNIMODULAR_TOL
     return exact_det(m) == 1
 
 
@@ -189,6 +174,17 @@ def vector_norm(x: np.ndarray, field: FieldSpec):
     a, den = _int_list(np.asarray(x, dtype=object).flat)
     e = min(_int_valuation(c, p) for c in a)
     return Fraction(0) if e == INFINITE_VALUATION else _p_power(p, _int_valuation(den, p) - e)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The real :func:`vector_norm` of every row of a float array (rows, d), row for row ==.
+
+    Squares by Python's pow, as ``float ** 2`` does (x * x can differ in
+    the last bit), added in coordinate order from 0.0, as ``sum`` does up
+    to Python 3.11.
+    """
+    sq = np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
+    return np.sqrt(sum(sq.T, 0.0))
 
 
 def operator_norm(g: np.ndarray, field: FieldSpec):
@@ -233,12 +229,6 @@ def exterior_square(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def wedge_vector(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coordinates of x ^ y in the lexicographic wedge basis."""
-    d = x.shape[0]
-    return np.array([x[i] * y[j] - x[j] * y[i] for i, j in wedge_pairs(d)], dtype=x.dtype)
-
-
 def _require_nonzero(x: np.ndarray, what: str) -> None:
     if all(v == 0 for v in x):
         raise DomainError(f"{what} must be nonzero")
@@ -253,7 +243,7 @@ def fubini_study(x: np.ndarray, y: np.ndarray, field: FieldSpec):
         (a, a_min), (b, b_min) = _padic_vector(x, p), _padic_vector(y, p)
         w = min(_int_valuation(a[i] * b[j] - a[j] * b[i], p) for i, j in wedge_pairs(len(a)))
         return Fraction(0) if w == INFINITE_VALUATION else _p_power(p, a_min + b_min - w)
-    w = wedge_vector(x, y)
+    w = np.array([x[i] * y[j] - x[j] * y[i] for i, j in wedge_pairs(len(x))], dtype=x.dtype)
     if all(v == 0 for v in w):
         return 0.0
     return vector_norm(w, field) / (vector_norm(x, field) * vector_norm(y, field))
@@ -289,6 +279,16 @@ def normalize_representative(x: np.ndarray, field: FieldSpec) -> np.ndarray:
     lead = next(c for c in a if c)
     scale = field.prime ** (_int_valuation(lead, field.prime) - a_min)
     return np.array([Fraction(c * scale, lead) for c in a], dtype=object)
+
+
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """The real :func:`normalize_representative` of every row of a float array, row for row ==."""
+    if not x.any(axis=1).all():
+        raise DomainError("projective representative must be nonzero")
+    # a (1, d) @ (d, 1) matmul takes the same dot as v @ v; a sum of squares differs in the last bit
+    v = x / np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0])
+    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    return np.where(lead[:, None] < 0, -v, v)
 
 
 def is_isometry(k: np.ndarray, field: FieldSpec) -> bool:

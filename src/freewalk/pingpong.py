@@ -46,13 +46,12 @@ from .linalg import (
     _integer_form,
     _padic_margin,
     _padic_vector,
+    _row_norms,
     adjugate,
     dist_point_hyperplane,
     exact_inv,
     exterior_square,
     normalize_representative,
-    require_unimodular,
-    vector_norm,
     vector_to_strings,
 )
 
@@ -122,9 +121,7 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
             ratio.append([a[1] / a[0], a[d - 1] / a[d - 2]])
             v0, h0, k_inv, u_inv = dec.v, dec.h, dec.k.T, dec.u.T
         else:  # normalize_representative is scale-invariant: adjugates stand in for the inverses
-            if unimodular:
-                require_unimodular(g, field)
-            k, _, u, _, pivots = _smith(g, p)
+            k, _, u, _, pivots = _smith(g, p, unimodular=unimodular)
             vals = [val for *_, val in pivots]
             ratio.append([_p_power(p, vals[0] - vals[1]), _p_power(p, vals[d - 2] - vals[d - 1])])
             v0, h0 = normalize_representative([row[0] for row in k], field), normalize_representative(u[0], field)
@@ -152,24 +149,23 @@ FAIL_UNCERTIFIED = "uncertified-geometry"
 
 
 def cross_margin_matrix(v: np.ndarray, h: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """margins[..., p, q] = delta(v_p, Ker h_q) for poles v, h shaped (..., m, d).
+    """margins[..., p, q] = delta(v_p, Ker h_q) for points v (..., m, d) and covectors h (..., n, d).
 
-    The own-separations lie on the diagonal.  Entry for entry this is
-    :func:`dist_point_hyperplane`: one :func:`vector_norm` per pole vector
-    and h_q . v_p summed in coordinate order.  Over Q_p each margin is
-    one exponent of integer valuations and one exact Fraction.
+    For poles (n = m) the own-separations lie on the diagonal.  Entry for
+    entry this is :func:`dist_point_hyperplane`: the norms of all points
+    and covectors are one stacked :func:`vector_norm` and h_q . v_p is
+    summed in coordinate order.  Over Q_p each margin is one exponent of
+    integer valuations and one exact Fraction.
     """
-    d = v.shape[-1]
+    d, m, n = v.shape[-1], v.shape[-2], h.shape[-2]
     if not field.is_archimedean:
         p = field.prime
-        m = v.shape[-2]
         vs, hs = ([_padic_vector(x, p) for x in a.reshape(-1, d)] for a in (v, h))
-        rows = [[_padic_margin(*x, *hs[i - i % m + j], p) for j in range(m)] for i, x in enumerate(vs)]
-        return np.array(rows, dtype=object).reshape(v.shape[:-1] + (m,))
+        rows = [[_padic_margin(*x, *hs[i // m * n + j], p) for j in range(n)] for i, x in enumerate(vs)]
+        return np.array(rows, dtype=object).reshape(v.shape[:-1] + (n,))
     num = np.abs(sum(h[..., None, :, k] * v[..., :, None, k] for k in range(d)))
-    norm_v, norm_h = (
-        np.array([vector_norm(x, field) for x in a.reshape(-1, d)]).reshape(a.shape[:-1]) for a in (v, h)
-    )
+    norms = _row_norms(np.concatenate([v.reshape(-1, d), h.reshape(-1, d)]))
+    norm_v, norm_h = norms[: v.size // d].reshape(v.shape[:-1]), norms[v.size // d:].reshape(h.shape[:-1])
     return num / (norm_h[..., None, :] * norm_v[..., :, None])
 
 

@@ -19,20 +19,23 @@ M_n = X_1 ... X_n and the reversed product S_n = X_n ... X_1, each as a
 ScaledMatrix so products of any length never overflow.  Every estimator
 walks through one kernel: :func:`walk_indices` stacks the index rows of
 a batch of streams into an array of shape (reps, n), and
-:func:`walk_products` folds a table of increments (atoms, their
-inverses or exterior squares) along every row at once.  Over R the batch
-is one stack of float matrices renormalized by its max-abs entry after
-every step, exactly as :func:`scaled_premultiply` does, so each row is
-bit-identical to the sequential fold.  Every exact product goes through
-:func:`integer_products`, one fold of stacked integer matrices with no
-gcd and no renormalisation: over Q_p each row's numerator N is divided
-by its denominator and by the p-power of its content once, at the end,
-which gives the unit and scale of the exact sequential fold; the exact
-replays (:func:`exact_product` and the direction and KAK-frame
-estimators) use the same fold.  :func:`advance` is the one sequential
-fold: it takes one step of one trajectory, :func:`run_walk` iterates it,
-and the kernel is checked against it.  One trajectory reruns from
-(seed, stream) through the same kernel, with a one-element stream list.
+:func:`walk_products` folds a table of increments (atoms, their inverses
+or exterior squares) along every row at once.  Over R the batch is one
+stack of float matrices renormalized by its max-abs entry after every
+step, exactly as :func:`scaled_premultiply` does, so each row is
+bit-identical to the sequential fold.  An estimator call makes one such
+fold per matrix size (``estimators._fold``): shorter rows are padded at
+the start with an identity increment and left folds run transposed.
+Every exact product goes through :func:`integer_products`, one fold of
+stacked integer matrices with no gcd and no renormalisation: over Q_p
+each row's numerator N is divided by its denominator and by the p-power
+of its content once, at the end, which gives the unit and scale of the
+exact sequential fold; the exact replays (:func:`exact_product` and the
+direction and KAK-frame estimators) use the same fold.  :func:`advance`
+is the one sequential fold: it takes one step of one trajectory,
+:func:`run_walk` iterates it, and the kernel is checked against it.  One
+trajectory reruns from (seed, stream) through the same kernel, with a
+one-element stream list.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .fields import FieldSpec, format_scalar, valuation
 from .linalg import (
     _integer_form,
     as_matrix,
-    exact_matrix,
     flat_matrices,
     identity,
     is_unimodular,
@@ -127,10 +129,9 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
     for a in atoms:
         if a.shape != (d, d):
             raise InvariantViolation("atoms must share one dimension")
-        e = exact_matrix(a)
         if not is_unimodular(a, field):
             raise InvariantViolation("atom determinant is not 1")
-        exact.append(e)
+        exact.append(np.array([[Fraction(x) for x in row] for row in a], dtype=object))
     cum = []
     acc = 0.0
     for p in probs:

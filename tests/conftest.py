@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,3 +57,10 @@ def random_unimodular_int(rng: random.Random, d: int, max_entry: int = 20, steps
                 m = cand
         if any(m[i][j] != (1 if i == j else 0) for i in range(d) for j in range(d)):
             return m
+
+
+def scaled_reconstruct(sm, field):
+    """The matrix a ScaledMatrix represents: exp(scale) * unit over R, p**scale * unit over Q_p."""
+    if field.is_archimedean:
+        return math.exp(sm.scale) * sm.unit
+    return sm.unit * (Fraction(field.prime) ** sm.scale)

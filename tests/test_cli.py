@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -338,6 +339,9 @@ def test_float_prime_and_negative_seed_exit_2(workdir):
 
 
 _BASE_CONFIGS = {
+    "lyapunov": {"n": 20, "reps": 10},
+    "decay": {"grid": [4, 8], "reps": 4, "thresholds": {"r_base": 0.8, "eps_base": 0.7}},
+    "tuple": {"n": 8, "reps": 4, "tuple_size": 3, "rho_hat": 0.9, "thresholds": {"r_base": 0.8, "eps_base": 0.7}},
     "direction": {"grid": [4, 8], "horizon": 16, "reps": 4, "x": ["1", "2"]},
     "invariant": {"n": 10, "reps": 4, "hyperplanes": [["1", "0"], ["0", "1"]], "thresholds": {"t": 0.9}},
     "independence": {
@@ -352,7 +356,13 @@ _VECTOR_PATHS = {
     "invariant": [("hyperplanes", 0), ("hyperplanes", 1)],
     "independence": [("phi1", "reference"), ("phi2", "reference")],
 }
-_OPTIONAL = {"x", "phi1", "phi2"}  # absent, each takes a valid default
+_THRESHOLD_PATHS = {
+    "decay": [("thresholds", "r_base"), ("thresholds", "eps_base")],
+    "tuple": [("thresholds", "r_base"), ("thresholds", "eps_base")],
+    "invariant": [("thresholds", "t")],
+}
+_OPTIONAL = {"x", "phi1", "phi2", "rho_hat"}  # absent, each takes a valid default
+_bad_thresholds = st.sampled_from([0, 0.0, 1, 1.0, 1.5, -0.25, None, "0.5", True, [], {}])
 _SCALARS = st.sampled_from(["1", "-2", "1/3", 0.5, 7])
 _bad_vectors = st.one_of(
     st.lists(_SCALARS, max_size=5).filter(lambda v: len(v) != 2),
@@ -383,10 +393,20 @@ def _broken_configs(draw):
     """A valid config with exactly one field broken: (kind, document)."""
     kind = draw(st.sampled_from(sorted(_BASE_CONFIGS)))
     doc = _base_config(kind)
-    hows = ["value", "delete", "vector", "field", "unknown"] + (["horizon"] if kind == "direction" else [])
+    hows = ["value", "delete", "field", "unknown"] + (["horizon"] if kind == "direction" else [])
+    hows += ["vector"] * (kind in _VECTOR_PATHS) + ["threshold"] * (kind in _THRESHOLD_PATHS)
+    hows += ["order"] * (kind in ("decay", "tuple")) + ["short"] * (kind == "lyapunov")
     how = draw(st.sampled_from(hows))
     if how == "horizon":  # below 2 * max(grid)
         parents, key, value = [], "horizon", draw(st.integers(1, 2 * max(doc["grid"]) - 1))
+    elif how == "threshold":
+        *parents, key = draw(st.sampled_from(_THRESHOLD_PATHS[kind]))
+        value = draw(_bad_thresholds)
+    elif how == "order":  # eps_base >= r_base
+        parents, key = ["thresholds"], "eps_base"
+        value = draw(st.sampled_from([0.8, 0.85, 0.99]))
+    elif how == "short":  # the Lyapunov estimates need n >= 10 and reps >= 10
+        parents, key, value = [], draw(st.sampled_from(["n", "reps"])), draw(st.integers(1, 9))
     elif how == "vector":
         *parents, key = draw(st.sampled_from(_VECTOR_PATHS[kind]))
         value = draw(_bad_vectors)
@@ -576,3 +596,116 @@ def test_console_entry_point(workdir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 2
+
+
+# (name, measure files, kind, config fields): every experiment kind but
+# direction on R (d = 2 and SL_3, whose decay is a d = 3 one), Q_2 and Q_3,
+# and a decay and a tuple run whose second walk uses another measure
+_SWEEP_MEASURES = {
+    "positive.json": corpus.positive_matrices,
+    "slow.json": corpus.slow_contracting,
+    "sanov.json": corpus.sanov,
+    "sl3.json": corpus.sl3_integer,
+    "q2.json": lambda: corpus.padic_contracting(2),
+    "q3.json": lambda: corpus.padic_contracting(3),
+}
+_SWEEP = [
+    ("R-lyapunov", "positive.json", dict(kind="lyapunov", n=40, reps=10)),
+    ("R-decay", "positive.json", dict(kind="decay", measure2="sanov.json", grid=[4, 8, 12, 16], reps=20,
+                                      thresholds={"r_base": 0.95, "eps_base": 0.9})),
+    ("R-tuple", "positive.json", dict(kind="tuple", measure2="slow.json", n=12, reps=6, tuple_size=3,
+                                      grid=[4, 8], thresholds={"r_base": 0.8, "eps_base": 0.7})),
+    ("R-invariant", "positive.json", dict(kind="invariant", n=20, reps=20,
+                                          hyperplanes=[["1", "0"], ["0", "1"], ["1", "-1"]],
+                                          thresholds={"t": 0.97})),
+    ("R-independence", "slow.json", dict(kind="independence", grid=[5, 10], reps=20)),
+    ("SL3-lyapunov", "sl3.json", dict(kind="lyapunov", n=20, reps=10)),
+    ("SL3-decay", "sl3.json", dict(kind="decay", grid=[4, 8, 16], reps=10,
+                                   thresholds={"r_base": 0.95, "eps_base": 0.9})),
+    ("SL3-tuple", "sl3.json", dict(kind="tuple", n=10, reps=4, tuple_size=3, rho_hat=0.9,
+                                   thresholds={"r_base": 0.9, "eps_base": 0.8})),
+    ("SL3-invariant", "sl3.json", dict(kind="invariant", n=20, reps=20,
+                                       hyperplanes=[["1", "0", "0"], ["0", "1", "-1"]], thresholds={"t": 0.9})),
+    ("SL3-independence", "sl3.json", dict(kind="independence", grid=[5, 10], reps=20)),
+    *(
+        entry
+        for q in ("q2", "q3")
+        for entry in (
+            (f"{q}-lyapunov", f"{q}.json", dict(kind="lyapunov", n=20, reps=10)),
+            (f"{q}-decay", f"{q}.json", dict(kind="decay", grid=[4, 8], reps=6,
+                                             thresholds={"r_base": 0.8, "eps_base": 0.7})),
+            (f"{q}-tuple", f"{q}.json", dict(kind="tuple", n=8, reps=4, tuple_size=3, rho_hat=0.9,
+                                             thresholds={"r_base": 0.8, "eps_base": 0.7})),
+            (f"{q}-invariant", f"{q}.json", dict(kind="invariant", n=10, reps=10,
+                                                 hyperplanes=[["0", "1"], ["1", "-1"]], thresholds={"t": 0.9})),
+            (f"{q}-independence", f"{q}.json", dict(kind="independence", grid=[5, 10], reps=10)),
+        )
+    ),
+]
+
+
+def _sweep_digests(root) -> dict:
+    """sha256 of every CSV and JSON file the sweep writes, by "<name>/<file>"."""
+    for name, make in _SWEEP_MEASURES.items():
+        (root / name).write_text(dumps_json(make().to_json_dict()))
+    digests = {}
+    for name, measure, fields in _SWEEP:
+        kind = fields["kind"]
+        (root / "sweep.json").write_text(json.dumps(
+            {"schema": "freewalk/config/v1", "measure": measure, "seed": 7, **fields}))
+        with redirect_stderr(io.StringIO()):
+            assert main([kind, str(root / "sweep.json"), "--out", str(root / name)]) == 0
+        for ext in ("csv", "json"):
+            data = (root / name / f"{kind}.{ext}").read_bytes()
+            digests[f"{name}/{kind}.{ext}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+# recorded before the float estimators folded all their walks at once and
+# scored them through stacked geometry; the outputs must not move
+_SWEEP_DIGESTS = {
+    "R-lyapunov/lyapunov.csv": "2565da576f2987e8ec4159bc8cde81423b95469c459b70d5f99cf4235bc6bbe8",
+    "R-lyapunov/lyapunov.json": "e94d9088cd0caae49d1b17957f453f8982ee3347ccc98bb7fd492ad4ef174e17",
+    "R-decay/decay.csv": "0f761b41d1c5e0f2304a928a11be2b71519e5126e63bd5fa6431d46f0ae55b81",
+    "R-decay/decay.json": "14a04afbd2ac26f1cdb162bb32f1d5ec98299defe49214f2410b4d3784a6e9e7",
+    "R-tuple/tuple.csv": "51c4e0a6af3f916e19667089db2394c51899ee181f83786e3bb19d847dfcafe6",
+    "R-tuple/tuple.json": "fccfd71a93944c5e9492135496fc9c34bcc422e47da356db31b54b2c55b832ee",
+    "R-invariant/invariant.csv": "3266487cda4498a90bcbc41a826cdb613d6506be56589e029cfb93533e931a8f",
+    "R-invariant/invariant.json": "d40aae53626e162dc21bc9c906bdcff096b953dd85d26856804af149bc0da194",
+    "R-independence/independence.csv": "434dd759c7ec9c208ceca5778d6b063702481e60d7d51899200b702316cc0b88",
+    "R-independence/independence.json": "d1d2d2fb6475c41d6e2edb058930cc276c4c2dc23011c8f2ce1ddcec9767d9bb",
+    "SL3-lyapunov/lyapunov.csv": "9d423b835b39978ba14188ed8b39d1237fddb9662789e48588aed4e38fe98a4e",
+    "SL3-lyapunov/lyapunov.json": "faa020508e168b8f926c4d0c2129968a27ef565eaf406874290b1b9f57e47ca4",
+    "SL3-decay/decay.csv": "e96e57712d6fe458b6a00f05ecaedf27480bb3b592ad302f9475014f02380e4e",
+    "SL3-decay/decay.json": "3cb91ae17b61c7569f98c3c7915c677dbcc80e82787592a3716932d2a00bcc50",
+    "SL3-tuple/tuple.csv": "28667d3a8f403f144b27482fd95678b8cd2cefbf23ca0e701bf5fc7a9e6c28e1",
+    "SL3-tuple/tuple.json": "f0d041686d10e44cc519c9492b38f83fb252e455ce3c98a58115cb4ba35665ac",
+    "SL3-invariant/invariant.csv": "c0cb456dd0e76e972286c88feeab26982509b2ac6e04ec5ec438f210fb6bd9b3",
+    "SL3-invariant/invariant.json": "06f2e1ff3f3e5793ef259e9dfa53816b1f98887e7bb68353ae2710c3fd84d79a",
+    "SL3-independence/independence.csv": "24199367c313296b23194be67877da6b6251fb35950adc04c05331f0c6c11eb4",
+    "SL3-independence/independence.json": "42b61cc7b5006105a161a025001361a0edfef1621101f39d912a608d94e55edb",
+    "q2-lyapunov/lyapunov.csv": "f5a996b1e5962eb3e9e813f2496b79bd140342cd3dd5731dbc11059eccca368b",
+    "q2-lyapunov/lyapunov.json": "cf1a65210c3d956a29f222d45b0c60fb4348d2349db523842be22bae6a10c406",
+    "q2-decay/decay.csv": "752a474516866becc3e5622a74530fbbda1111a9f24ecd30336e5972dcdde20a",
+    "q2-decay/decay.json": "6d6a73f752a1e930014d92cdd30267753a05ac8d425be9eafb92900dc271bd76",
+    "q2-tuple/tuple.csv": "ff5dcef16de1b7b0ca70477672a01872b1970425bb736cbc5056551d9cecc9ee",
+    "q2-tuple/tuple.json": "7935e7b582efe3dea0c129d7b7ea972e3fc8b90b32146c1e6400c8fc80d85d2a",
+    "q2-invariant/invariant.csv": "4e9e2b66030bdc7969b38099031d2fe8246e12e4549fa7ac3c6bb235d6a3f4b7",
+    "q2-invariant/invariant.json": "d4f56d0841a14466de844545078e31315dd743b0f1cba4604a5fc4329ca27109",
+    "q2-independence/independence.csv": "a9fb5c2cf6da415532e7b7f4d612e8849d23673661b9c6f953ea3626f83eef14",
+    "q2-independence/independence.json": "d7a9f7a5cb5c35405bd4038cf988875cacb42b69220b35928d6b9be8933b09fa",
+    "q3-lyapunov/lyapunov.csv": "532e11cd8848d978df28c8fe8177c197d3152bcdb747432a3a0ee4977ff4566b",
+    "q3-lyapunov/lyapunov.json": "58d574955c69b37c7d92a9850e3b20c283c5c56b07627721951455d8268e6d4c",
+    "q3-decay/decay.csv": "bfb6b50e5dd5d82274a24b430b33d6b30d2237242ffa7f116e58130a5cbd213f",
+    "q3-decay/decay.json": "8642882a3d373736c2c0b2ca557b625e4c6f51e288b9837b830383e7992a2c86",
+    "q3-tuple/tuple.csv": "ff5dcef16de1b7b0ca70477672a01872b1970425bb736cbc5056551d9cecc9ee",
+    "q3-tuple/tuple.json": "7f7732c18798bc415e6a2f26a95f25e6879e3388f622654f077f165bfe16fdaa",
+    "q3-invariant/invariant.csv": "185533a3ba4f344baea48c338f55b37877e51c07e8b7171f307346be7ccb9854",
+    "q3-invariant/invariant.json": "874005b1ddafd2ac89b8d407ae0df6ddbdf6655b3b8fc3486dab2ceb3fd3ecab",
+    "q3-independence/independence.csv": "ab76479904570a542411672716ff18f6045ac139a2637c5b2a8c5acee59ef388",
+    "q3-independence/independence.json": "d850034573cfd4df4dbe6a95e1f78d5eefce717a7953bf37efda1a99f0efb3e1",
+}
+
+
+def test_experiment_outputs_match_recorded_digests(tmp_path):
+    assert _sweep_digests(tmp_path) == _SWEEP_DIGESTS

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from freewalk import (
+    DomainError,
+    FieldSpec,
     InvariantViolation,
     abs_value,
     as_matrix,
@@ -18,14 +20,13 @@ from freewalk import (
 from freewalk.decompositions import (
     scaled_log_norm,
     scaled_premultiply,
-    scaled_reconstruct,
 )
 from freewalk.fields import valuation
 from freewalk.linalg import exterior_square, is_isometry
 from freewalk import corpus
 from freewalk.walks import advance, new_walk_state
 
-from conftest import random_unimodular_int
+from conftest import random_unimodular_int, scaled_reconstruct
 
 F = Fraction
 
@@ -83,6 +84,50 @@ def test_kak_rejects_non_unimodular(real_field, q2):
         kak(as_matrix([[2, 0], [0, 2]], real_field), real_field)
     with pytest.raises(InvariantViolation):
         kak(as_matrix([[2, 0], [0, 2]], q2), q2)
+
+
+def test_padic_determinant_check_from_smith_pivots():
+    # kak, iwasawa and pole_pair over Q_p check det g = 1 inside the Smith
+    # elimination; det != 1 and singular g raise as the separate check did
+    from freewalk.decompositions import _kak_padic
+    from freewalk.linalg import exact_det
+    from freewalk.pingpong import pole_pair
+
+    def checks(g, field):
+        yield lambda: kak(g, field)
+        yield lambda: iwasawa(g, field)
+        yield lambda: pole_pair([g], field)
+
+    rng = random.Random(12)
+    swaps = {2: [[0, 1], [-1, 0]], 3: [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}
+    for p in (2, 3):
+        field = FieldSpec.padic(p)
+        bad = [[[p, 0], [0, 1]], [[0, 1], [1, 0]], [[F(1, p), 1], [0, 1]], [[-1, 0], [0, -1 + p]],
+               [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[p, 1, 0], [0, 1, 0], [p, 1, 0]]]
+        for rows in bad:
+            g = as_matrix(rows, field)
+            for call in checks(g, field):
+                with pytest.raises(InvariantViolation, match="matrix determinant is not 1"):
+                    call()
+        singular = as_matrix([[1, 2], [2, 4]], field)
+        with pytest.raises(DomainError, match="singular"):
+            kak(singular, field, unimodular=False)
+        # det 1 with row and column swaps, denominators and p-powers; and its negation
+        for d in (2, 3):
+            for _ in range(20):
+                g = as_matrix(random_unimodular_int(rng, d), field) @ as_matrix(swaps[d], field)
+                diag = [F(p) ** rng.randint(-3, 3) for _ in range(d - 1)]
+                g = g @ as_matrix([[diag[i] if i == j else 0 for j in range(d)] for i in range(d - 1)]
+                                  + [[0] * (d - 1) + [1 / np.prod(diag)]], field)
+                assert exact_det(g) == 1
+                for call in checks(g, field):
+                    call()
+                flip = g.copy()
+                flip[0] = -flip[0]
+                for call in checks(flip, field):
+                    with pytest.raises(InvariantViolation):
+                        call()
+                assert _kak_padic(flip, field).reconstruct(field).tolist() == flip.tolist()
 
 
 def test_kak_random_reconstruction(real_field, q2, q3):

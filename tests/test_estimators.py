@@ -428,7 +428,7 @@ def test_walk_poles_match_exact_replay_sl3(real_field):
     # S_n^{-1} must still agree with those of the exactly replayed inverse
     m = corpus.sl3_integer()
     idx = walk_indices(m, 80, seed=11, streams=range(4))
-    vs, hs, ratios = _walk_poles(m, idx)
+    ((vs, hs, ratios),) = _walk_poles([(m, idx)])
     assert vs.shape == hs.shape == (4, 2, 3) and ratios.shape == (4, 2)
     for row, v_row, h_row in zip(idx.tolist(), vs, hs):
         s = exact_product(m, row, order="right")

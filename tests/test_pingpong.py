@@ -24,7 +24,7 @@ from freewalk import (
 from freewalk import corpus
 from freewalk.fields import Interval
 from freewalk.decompositions import kak
-from freewalk.linalg import _integer_form, exact_inv, exact_matrix, exterior_square, normalize_representative
+from freewalk.linalg import _integer_form, exact_inv, exterior_square, normalize_representative
 from freewalk.pingpong import (
     _certified_failures_real,
     _certified_pole_real,
@@ -37,6 +37,11 @@ from freewalk.report import dumps_json
 from freewalk.walks import exact_product, run_walk
 
 from conftest import random_unimodular_int
+
+
+def exact_matrix(m) -> np.ndarray:
+    """Exact Fraction copy of a matrix (float entries convert exactly)."""
+    return np.array([[Fraction(x) for x in row] for row in m], dtype=object)
 
 F = Fraction
 

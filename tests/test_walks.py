@@ -21,7 +21,6 @@ from freewalk.decompositions import (
     scaled_log_norm,
     scaled_multiply,
     scaled_premultiply,
-    scaled_reconstruct,
 )
 from freewalk.errors import ConfigError, UsageError
 from freewalk.linalg import _integer_form, exact_inv, identity
@@ -35,6 +34,8 @@ from freewalk.walks import (
     walk_indices,
     walk_products,
 )
+
+from conftest import scaled_reconstruct
 
 F = Fraction
 
