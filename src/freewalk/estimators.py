@@ -41,6 +41,7 @@ from .fields import FieldSpec, abs_value
 from .linalg import (
     _integer_form,
     _require_nonzero,
+    _row_norms,
     as_vector,
     dist_point_hyperplane,
     fubini_study,
@@ -182,7 +183,8 @@ def _fold(jobs, field: FieldSpec) -> list:
         group = [j for j, t in enumerate(tables) if t.shape[1] == m]
         n = max(jobs[j][1].shape[1] for j in group)
         offsets = np.cumsum([1] + [len(tables[j]) for j in group])
-        idx = [np.pad(jobs[j][1] + base, ((0, 0), (n - jobs[j][1].shape[1], 0))) for j, base in zip(group, offsets)]
+        idx = [np.concatenate([np.zeros((len(a), n - a.shape[1]), a.dtype), a + base], axis=1)
+               for a, base in zip((jobs[j][1] for j in group), offsets)]
         prods = iter(walk_products(np.concatenate([np.eye(m)[None]] + [tables[j] for j in group]),
                                    np.concatenate(idx), field))
         for j in group:
@@ -411,6 +413,21 @@ class HolderTestFunction:
             return 1.0 - float(fubini_study(x, ref, self.field)) ** self.exponent
         raise DomainError(f"unknown Holder catalog kind {self.kind!r}")
 
+    def _evaluate_rows(self, xs) -> list:
+        """:meth:`evaluate` of each row of xs, == row for row; a float array (rows, d) in one pass."""
+        if not self.field.is_archimedean or self.kind not in HOLDER_KINDS:
+            return [self.evaluate(x) for x in xs]
+        ref = as_vector(self.reference, self.field)
+        if self.kind == "dist_to_hyperplane":
+            _require_nonzero(ref, "hyperplane covector")
+            dist = cross_margin_matrix(xs[None], ref[None, None], self.field)[0, :, 0]
+        else:  # fubini_study(x, ref): the wedge in its operand order, normed as vector_norm does
+            _require_nonzero(ref, "projective representative")
+            w = np.stack([xs[:, i] * ref[j] - xs[:, j] * ref[i] for i, j in wedge_pairs(len(ref))], axis=1)
+            dist = np.where(w.any(axis=1), _row_norms(w) / (_row_norms(xs) * _row_norms(ref[None])[0]), 0.0)
+        vals = [x ** self.exponent for x in dist.tolist()]
+        return [1.0 - x for x in vals] if self.kind == "one_minus_dist_to_point" else vals
+
 
 def holder_function(kind: str, reference, field: FieldSpec, exponent: float = 1.0) -> HolderTestFunction:
     if kind not in HOLDER_KINDS:
@@ -450,7 +467,7 @@ def independence_test(
     field = measure.field
     s = walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field)
     vs, hs = frames([x.unit for x in s], field)
-    rows = [(phi1.evaluate(v), phi2.evaluate(h)) for v, h in zip(vs, hs)]
+    rows = list(zip(phi1._evaluate_rows(vs), phi2._evaluate_rows(hs)))
     m1 = sum(r[0] for r in rows) / reps
     m2 = sum(r[1] for r in rows) / reps
     mj = sum(r[0] * r[1] for r in rows) / reps

@@ -291,17 +291,6 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return np.where(lead[:, None] < 0, -v, v)
 
 
-def is_isometry(k: np.ndarray, field: FieldSpec) -> bool:
-    """Whether k preserves the canonical norm.
-
-    Archimedean: orthogonal.  Nonarchimedean: entries in the valuation ring
-    and unit determinant (the full isometry group of the max norm).
-    """
-    if field.is_archimedean:
-        return bool(np.max(np.abs(k.T @ k - np.eye(k.shape[0]))) <= UNIMODULAR_TOL)
-    return operator_norm(k, field) <= 1 and abs_value(exact_det(k), field) == 1
-
-
 # ---------------------------------------------------------------------------
 # Serialization: row-major scalar strings plus a header
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ indices give statistically independent, individually reproducible
 streams, so trajectory ``i`` of an experiment can be regenerated in
 isolation from ``(seed, i)``.  Sampling one increment consumes exactly
 one uniform draw; n increments are drawn with one ``random(n)`` call,
-which yields the same uniforms as n single draws.
+which yields the same uniforms as n single draws.  The walks draw them
+from one generator per thread, reset to where :func:`make_stream` starts
+and built on first use (importing freewalk skips ``numpy.random``).
 
 Walk kernel
 -----------
@@ -23,9 +25,11 @@ a batch of streams into an array of shape (reps, n), and
 or exterior squares) along every row at once.  Over R the batch is one
 stack of float matrices renormalized by its max-abs entry after every
 step, exactly as :func:`scaled_premultiply` does, so each row is
-bit-identical to the sequential fold.  An estimator call makes one such
-fold per matrix size (``estimators._fold``): shorter rows are padded at
-the start with an identity increment and left folds run transposed.
+bit-identical to the sequential fold; with 1x1 increments (wedges at
+d = 2) the unit stays exactly +-1, so the fold takes no steps.  An
+estimator call makes one such fold per matrix size (``estimators._fold``):
+shorter rows are padded at the start with an identity increment and left
+folds run transposed.
 Every exact product goes through :func:`integer_products`, one fold of
 stacked integer matrices with no gcd and no renormalisation: over Q_p
 each row's numerator N is divided by its denominator and by the p-power
@@ -43,9 +47,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -61,19 +68,34 @@ from .linalg import (
     _integer_form,
     as_matrix,
     flat_matrices,
-    identity,
     is_unimodular,
 )
 
 GENERATOR_NAME = "philox4x64"
 
 _MASK64 = 2**64
+_local = threading.local()  # each thread's reseeded generator, see _reseeded
 
 
 def make_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent, reproducible stream `stream` of master seed `seed`."""
     key = np.array([seed % _MASK64, stream % _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _reseeded(state: dict) -> np.random.Generator:
+    """This thread's private generator, built on first use, set to a Philox state."""
+    if not hasattr(_local, "rng"):
+        _local.rng = np.random.Generator(np.random.Philox(key=0))
+    _local.rng.bit_generator.state = state
+    return _local.rng
+
+
+def _start_state(seed: int, stream: int) -> dict:
+    """The state make_stream(seed, stream) starts from: counter 0, that key, an empty buffer."""
+    key, zero = np.array([seed % _MASK64, stream % _MASK64], dtype=np.uint64), np.zeros(4, dtype=np.uint64)
+    return {"bit_generator": "Philox", "state": {"counter": zero, "key": key}, "buffer": zero, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
 
 MEASURE_SCHEMA = "freewalk/measure/v1"
@@ -186,14 +208,13 @@ class WalkState:
 
 
 def new_walk_state(measure: WalkMeasure, seed: int, stream: int = 0) -> WalkState:
-    rng = make_stream(seed, stream)
     ident = scaled_identity(measure.d, measure.field)
     return WalkState(
         step=0,
         left_product=ident,
         right_product=ident,
         increments=(),
-        rng_state=rng.bit_generator.state,
+        rng_state=_start_state(seed, stream),
     )
 
 
@@ -201,15 +222,9 @@ def _sample_index(measure: WalkMeasure, u: float) -> int:
     return min(bisect_right(measure.cumulative, u), len(measure.cumulative) - 1)
 
 
-def _restore_stream(rng_state: dict) -> np.random.Generator:
-    rng = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
-    rng.bit_generator.state = rng_state
-    return rng
-
-
 def advance(state: WalkState, measure: WalkMeasure) -> WalkState:
     """One step: the same increment extends both walk orders."""
-    rng = _restore_stream(state.rng_state)
+    rng = _reseeded(state.rng_state)
     idx = _sample_index(measure, rng.random())
     x = measure.atoms[idx]
     field = measure.field
@@ -233,7 +248,7 @@ def run_walk(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> WalkSt
 def sample_increment_indices(measure: WalkMeasure, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """The first n atom indices of a stream: :func:`_sample_index` of one uniform each."""
     cum = measure.cumulative
-    u = make_stream(seed, stream).random(n)
+    u = _reseeded(_start_state(seed, stream)).random(n)
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
@@ -255,23 +270,26 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
         raise UsageError(f"order must be 'left' or 'right', not {order!r}")
     if not field.is_archimedean:
         return _padic_walk_products(increments, idx, field.prime, order)
-    left = order == "left"
     table = np.asarray(increments, dtype=float)
-    reps, n = idx.shape
-    m = table.shape[1]
-    prod = np.broadcast_to(np.eye(m), (reps, m, m)).copy()
-    maxima = np.empty((n, reps))
-    for t, col in enumerate(np.ascontiguousarray(idx.T)):
-        x = table[col]
-        prod = prod @ x if left else x @ prod
-        top = np.abs(prod).reshape(reps, m * m).max(axis=1)
-        prod /= top[:, None, None]
-        maxima[t] = top
+    (reps, n), m, left = idx.shape, table.shape[1], order == "left"
+    if m == 1 and np.isfinite(table).all():
+        # the running unit stays exactly +-1: each step's max-abs is |x_t| (so one log per entry), the unit their sign
+        tops, at = np.abs(table[:, 0, 0]), idx.T
+        maxima, prod = tops[at], np.where((table[at, 0, 0] < 0).sum(axis=0) % 2, -1.0, 1.0).reshape(reps, 1, 1)
+    else:
+        prod = np.broadcast_to(np.eye(m), (reps, m, m)).copy()
+        step, mag, maxima = np.empty((reps, m, m)), np.empty((m * m, reps)), np.empty((n, reps))
+        for t, col in enumerate(np.ascontiguousarray(idx.T)):
+            np.matmul(prod, table[col], out=step) if left else np.matmul(table[col], prod, out=step)
+            # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
+            np.abs(step.reshape(reps, m * m).T, out=mag)
+            top = np.maximum.reduce(mag, axis=0, out=maxima[t])
+            np.divide(step, top.reshape(reps, 1, 1), out=prod)
+        tops, at = maxima.ravel(), slice(None)
     if not (maxima > 0).all():
         raise DomainError("cannot scale the zero matrix")
-    # math.log, not np.log: the two can differ in the last bit, and the
-    # scales must match the sequential fold exactly
-    logs = np.fromiter(map(math.log, maxima.ravel().tolist()), float, n * reps)
+    # math.log, not np.log (the two can differ in the last bit): the scales must match the sequential fold
+    logs = np.fromiter(map(math.log, np.where(tops > 0, tops, 1.0).tolist()), float, tops.size)[at]
     scales = np.add.accumulate(logs.reshape(n, reps), axis=0)[-1] if n else np.zeros(reps)
     return [ScaledMatrix(prod[r], float(scales[r])) for r in range(reps)]
 
@@ -340,19 +358,17 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
     return prod[0] * Fraction(1, math.prod(forms[i][1] for i in idx[0].tolist()))
 
 
-def characteristic_polynomial(m: np.ndarray) -> list:
-    """Exact char poly coefficients [c_0, ..., c_d] (monic), Faddeev-LeVerrier."""
-    d = m.shape[0]
-    a = np.array([[Fraction(x) for x in row] for row in m], dtype=object)
-    ident = identity(d)
-    coeffs = [Fraction(1)]  # c_d
-    mk = a.copy()
+def characteristic_polynomial(a, den: int = 1) -> list:
+    """Exact char poly coefficients [c_0, ..., c_d] (monic) of a / den, a an integer matrix:
+    Faddeev-LeVerrier on Python ints (each division by k is exact), c_k(a / den) = c_k(a) / den**(d - k)."""
+    a = np.array([[operator.index(x) for x in row] for row in np.asarray(a, dtype=object).tolist()], dtype=object)
+    d = len(a)
+    coeffs, mk = [1], a  # c_d, then c_{d-1}, ..., c_0
     for k in range(1, d + 1):
-        ck = -sum(mk[i, i] for i in range(d)) / k
-        coeffs.append(ck)
+        coeffs.append(-mk.trace() // k)
         if k < d:
-            mk = a @ (mk + ck * ident)
-    return list(reversed(coeffs))  # [c_0, ..., c_d = 1]
+            mk = a @ (mk + coeffs[-1] * np.eye(d, dtype=object))
+    return [Fraction(c, den ** (d - k)) for k, c in enumerate(reversed(coeffs))]
 
 
 def _unique_max_modulus_root(coeffs, field: FieldSpec) -> bool:
@@ -395,10 +411,13 @@ def find_proximal_element(measure: WalkMeasure, seed: int = 0):
     {"length", "word"} or None.
     """
     rng = make_stream(seed, 0)
+    forms = [_integer_form(a) for a in measure.exact_atoms]
     for _ in range(PROXIMAL_TRIES):
         length = int(rng.integers(1, PROXIMAL_MAX_LEN + 1))
         word = [_sample_index(measure, rng.random()) for _ in range(length)]
-        prod = exact_product(measure, word, order="right")
-        if _unique_max_modulus_root(characteristic_polynomial(prod), measure.field):
+        # X_n ... X_1 = A_n ... A_1 / (D_1 ... D_n)
+        num = reduce(lambda acc, i: forms[i][0] @ acc, word[1:], forms[word[0]][0])
+        coeffs = characteristic_polynomial(num, math.prod(forms[i][1] for i in word))
+        if _unique_max_modulus_root(coeffs, measure.field):
             return {"length": length, "word": word}
     return None

@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from freewalk import FieldSpec
 from freewalk import corpus
+from freewalk.fields import abs_value
+from freewalk.linalg import UNIMODULAR_TOL, exact_det, operator_norm
 
 REAL = FieldSpec.real()
 
@@ -64,3 +67,14 @@ def scaled_reconstruct(sm, field):
     if field.is_archimedean:
         return math.exp(sm.scale) * sm.unit
     return sm.unit * (Fraction(field.prime) ** sm.scale)
+
+
+def is_isometry(k, field) -> bool:
+    """Whether k preserves the canonical norm.
+
+    Archimedean: orthogonal.  Nonarchimedean: entries in the valuation ring
+    and unit determinant (the full isometry group of the max norm).
+    """
+    if field.is_archimedean:
+        return bool(np.max(np.abs(k.T @ k - np.eye(k.shape[0]))) <= UNIMODULAR_TOL)
+    return operator_norm(k, field) <= 1 and abs_value(exact_det(k), field) == 1

@@ -19,12 +19,12 @@ import freewalk as fw
 from freewalk import corpus
 from freewalk.cli import main as cli_main
 from freewalk.estimators import Z95
-from freewalk.linalg import exact_inv, is_isometry
+from freewalk.linalg import exact_inv
 from freewalk.pingpong import pingpong_certificate
 from freewalk.report import dumps_json
 from freewalk.walks import exact_product, run_walk
 
-from conftest import random_unimodular_int
+from conftest import is_isometry, random_unimodular_int
 
 F = Fraction
 SEED = 20240601

@@ -22,11 +22,11 @@ from freewalk.decompositions import (
     scaled_premultiply,
 )
 from freewalk.fields import valuation
-from freewalk.linalg import exterior_square, is_isometry
+from freewalk.linalg import exterior_square
 from freewalk import corpus
 from freewalk.walks import advance, new_walk_state
 
-from conftest import random_unimodular_int, scaled_reconstruct
+from conftest import is_isometry, random_unimodular_int, scaled_reconstruct
 
 F = Fraction
 

@@ -20,14 +20,13 @@ from freewalk.linalg import (
     adjugate,
     exact_det,
     exact_inv,
-    is_isometry,
     matrix_from_json_dict,
     matrix_to_json_dict,
     normalize_representative,
     wedge_pairs,
 )
 
-from conftest import random_unimodular_int
+from conftest import is_isometry, random_unimodular_int
 
 F = Fraction
 

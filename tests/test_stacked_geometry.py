@@ -155,3 +155,38 @@ def test_invariant_margins_equal_dist_point_hyperplane_loop(field):
     counts = [sum(row[i] <= t**n for row in loop) for i in range(len(covs))]
     assert res.fractions == tuple(c / reps for c in counts)
     assert 0 < sum(counts) < reps * len(covs)
+
+
+def test_fold_of_one_by_one_jobs_equals_sequential_fold():
+    # 1x1 tables of non-unit, negative entries over e**+-30, padded at the start by the identity
+    rng = np.random.default_rng(61)
+    tables = [rng.choice([-1.0, 1.0], (5, 1, 1)) * np.exp(rng.uniform(-30, 30, (5, 1, 1))) for _ in range(3)]
+    jobs = [(tables[0], rng.integers(0, 5, (6, 3)), "right"), (tables[1], rng.integers(0, 5, (4, 50)), "left"),
+            (tables[2], rng.integers(0, 5, (5, 17)), "left"), (tables[0], rng.integers(0, 5, (2, 0)), "right")]
+    got = estimators._fold(jobs, R)
+    for (table, idx, order), products in zip(jobs, got):
+        want = []
+        for row in idx.tolist():
+            acc = decompositions.scaled_identity(1, R)
+            for i in row:
+                acc = (decompositions.scaled_multiply(acc, table[i], R) if order == "left"
+                       else decompositions.scaled_premultiply(table[i], acc, R))
+            want.append(acc)
+        _same_products(products, want)
+        _same_products(products, walk_products(table, idx, R, order=order))
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_holder_rows_equal_evaluate(d):
+    rng = np.random.default_rng(70 + d)
+    xs = _random_rows(rng, 4000, d)
+    refs = [rng.standard_normal(d) * math.exp(rng.uniform(-30, 30)), np.eye(d)[0], -np.eye(d)[d - 1]]
+    xs[3::50] = refs[1] * rng.uniform(-5, 5)  # parallel to a reference: a zero wedge
+    for kind in estimators.HOLDER_KINDS:
+        for ref, exponent in zip(refs, (1.0, 0.5, 0.25)):
+            phi = estimators.holder_function(kind, ref.tolist(), R, exponent)
+            got = phi._evaluate_rows(xs)
+            assert all(type(x) is float for x in got)
+            assert got == [phi.evaluate(x) for x in xs]
+        with pytest.raises(DomainError):
+            estimators.holder_function(kind, [0.0] * d, R)._evaluate_rows(xs)

@@ -1,6 +1,12 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from freewalk import (
     new_walk_state,
     run_walk,
 )
-from freewalk import corpus
+from freewalk import corpus, walks
 from freewalk.decompositions import (
     exterior_square_atoms,
     scaled_identity,
@@ -22,11 +28,12 @@ from freewalk.decompositions import (
     scaled_multiply,
     scaled_premultiply,
 )
-from freewalk.errors import ConfigError, UsageError
+from freewalk.errors import ConfigError, DomainError, UsageError
 from freewalk.linalg import _integer_form, exact_inv, identity
 from freewalk.walks import (
     _sample_index,
     exact_product,
+    find_proximal_element,
     integer_products,
     load_measure,
     measure_from_json_dict,
@@ -227,9 +234,10 @@ def _fold(increments, row, field, left):
 
 
 def test_stacked_products_match_sequential_fold(real_field):
-    for m in (corpus.positive_matrices(), corpus.sanov(), corpus.sl3_integer()):
+    for m in (corpus.positive_matrices(), corpus.sanov(), corpus.slow_contracting(), corpus.sl3_integer()):
         inverses = tuple(np.linalg.inv(a) for a in m.atoms)
-        tables = (m.atoms, inverses, exterior_square_atoms(m.atoms))
+        wedges = exterior_square_atoms(m.atoms)  # 1x1 at d = 2
+        tables = (m.atoms, inverses, wedges, exterior_square_atoms(inverses), tuple(-w for w in wedges))
         idx = walk_indices(m, 150, 3, range(6))
         for table in tables:
             for order in ("left", "right"):
@@ -338,3 +346,162 @@ def test_integer_products_match_fraction_fold():
                     assert (got == want * math.prod(forms[i][1] for i in row[:t])).all()
     with pytest.raises(UsageError):
         integer_products([a for a, _ in forms], idx, "left", [n + 1])
+
+
+# ---------------------------------------------------------------------------
+# Streams through the reseeded per-thread generator
+# ---------------------------------------------------------------------------
+
+_SEEDS = (0, 1, 2**64 + 5)
+_STREAMS = (0, 1, 7, 2**40 + 3, 2**63, 2**64 - 1, 2**64 + 9, 3 * 2**64 + 2)
+_LENGTHS = (0, 1, 3, 4, 5, 40, 201)
+
+
+def _indices_from(rng, measure, n):
+    return np.minimum(np.searchsorted(measure.cumulative, rng.random(n), side="right"), len(measure.cumulative) - 1)
+
+
+def test_reseeded_uniforms_equal_make_stream():
+    m = corpus.sanov()
+    for seed in _SEEDS:
+        for stream in _STREAMS:
+            for n in _LENGTHS:
+                want = make_stream(seed, stream).random(n)
+                assert np.array_equal(walks._reseeded(walks._start_state(seed, stream)).random(n), want)
+                assert np.array_equal(sample_increment_indices(m, n, seed, stream),
+                                      _indices_from(make_stream(seed, stream), m, n))
+
+
+def test_reseeded_streams_interleaved_with_make_stream_advance_and_probe():
+    m = corpus.positive_matrices()
+    open_stream = make_stream(5, 3)
+    head = open_stream.random(7)
+    state = new_walk_state(m, 5, 3)
+    for stream in _STREAMS:
+        a = sample_increment_indices(m, 40, 5, stream)
+        state = advance(state, m)
+        b = sample_increment_indices(m, 5, 5, stream)
+        assert find_proximal_element(m, seed=stream % 11) is not None
+        c = sample_increment_indices(m, 201, 5, stream)
+        want = _indices_from(make_stream(5, stream), m, 201)
+        assert np.array_equal(a, want[:40]) and np.array_equal(b, want[:5]) and np.array_equal(c, want)
+    # neither the open generator nor the trajectory sees the reseeded draws
+    fresh = make_stream(5, 3)
+    assert np.array_equal(head, fresh.random(7))
+    assert np.array_equal(open_stream.random(30), fresh.random(30))
+    assert state.increments == run_walk(m, len(_STREAMS), 5, 3).increments
+    assert list(state.increments) == sample_increment_indices(m, len(_STREAMS), 5, 3).tolist()
+
+
+def test_reseeded_streams_from_two_threads():
+    m = corpus.positive_matrices()
+    streams = range(0, 400, 3)
+    want = {s: _indices_from(make_stream(9, s), m, 40) for s in streams}
+    start = threading.Barrier(2)
+    found, generators = [None, None], [None, None]
+
+    def work(slot):
+        start.wait()
+        found[slot] = [(s, sample_increment_indices(m, 40, 9, s)) for _ in range(3) for s in streams]
+        generators[slot] = walks._reseeded(walks._start_state(9, 0))
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for rows in found:
+        assert len(rows) == 3 * len(streams)
+        assert all(np.array_equal(got, want[s]) for s, got in rows)
+    # one generator per thread, built once and reused
+    mine = walks._reseeded(walks._start_state(9, 0))
+    assert mine is walks._reseeded(walks._start_state(1, 2))
+    assert len({id(mine), *map(id, generators)}) == 3
+
+
+def test_import_does_not_import_numpy_random():
+    # the reseeded generator is built on first use, not at import
+    code = "import sys, freewalk, freewalk.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(walks.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# The 1x1 closed form and the buffered step against the sequential fold
+# ---------------------------------------------------------------------------
+
+
+def _random_table(rng, count, m):
+    """Gaussian m x m increments scaled by e**U(-30, 30): non-unit, some negative determinants."""
+    return rng.standard_normal((count, m, m)) * np.exp(rng.uniform(-30, 30, (count, 1, 1)))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_kernel_equals_sequential_fold(real_field, m):
+    rng = np.random.default_rng(40 + m)
+    for n, reps in ((0, 3), (1, 4), (7, 1), (40, 9), (200, 5)):
+        table = _random_table(rng, 6, m)
+        idx = rng.integers(0, 6, (reps, n))
+        for order in ("left", "right"):
+            got = walk_products(table, idx, real_field, order)
+            assert len(got) == reps
+            for row, g in zip(idx.tolist(), got):
+                want = _fold(table, row, real_field, order == "left")
+                assert np.array_equal(g.unit, want.unit) and g.scale == want.scale
+
+
+def test_one_by_one_walks_with_a_zero_entry(real_field):
+    table = np.array([[[2.0]], [[0.0]], [[-3.0]]])
+    with pytest.raises(DomainError):
+        walk_products(table, np.array([[0, 2, 1, 0]]), real_field)
+    # an unused zero entry is never taken
+    (got,) = walk_products(table, np.array([[0, 2, 2]]), real_field)
+    want = _fold(table, [0, 2, 2], real_field, False)
+    assert got.unit[0, 0] == 1.0 and np.array_equal(got.unit, want.unit) and got.scale == want.scale
+
+
+# ---------------------------------------------------------------------------
+# The proximal probe on integer forms
+# ---------------------------------------------------------------------------
+
+
+def _fraction_charpoly(m):
+    """Faddeev-LeVerrier on Fractions: the reference the integer form must equal."""
+    d = len(m)
+    a = np.array([[F(x) for x in row] for row in m], dtype=object)
+    coeffs, mk = [F(1)], a.copy()
+    for k in range(1, d + 1):
+        coeffs.append(-sum(mk[i, i] for i in range(d)) / k)
+        if k < d:
+            mk = a @ (mk + coeffs[-1] * identity(d))
+    return coeffs[::-1]
+
+
+def test_characteristic_polynomial_of_scaled_integer_matrix():
+    from freewalk.walks import characteristic_polynomial
+
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 4):
+        for _ in range(40):
+            a = [[int(x) for x in row] for row in rng.integers(-2**40, 2**40, (d, d))]
+            den = int(rng.integers(1, 10**6))
+            got = characteristic_polynomial(np.array(a, dtype=object), den)
+            assert got == _fraction_charpoly([[F(x, den) for x in row] for row in a])
+            assert all(type(c) is Fraction for c in got) and got[-1] == 1
+    with pytest.raises(TypeError):
+        characteristic_polynomial(np.array([[F(1, 2), 0], [0, 2]], dtype=object))
+
+
+def test_proximal_probe_results_unchanged(real_field):
+    # sha256 of every result, recorded with the Fraction Faddeev-LeVerrier probe on exact_product
+    generic = make_measure([[[2, 1, 0], [3, 2, 1], [0, 0, 1]], [[1, 0, 0], [4, 1, 0], [1, 2, 1]],
+                            [[1, 3, 0], [0, 1, 0], [0, 2, 1]]], [F(1, 2), F(1, 4), F(1, 4)], real_field)
+    measures = [corpus.positive_matrices(), corpus.sanov(), corpus.diagonal_point_mass(),
+                corpus.rotation_point_mass(), corpus.slow_contracting(), corpus.sl3_integer(),
+                corpus.padic_contracting(2), corpus.padic_contracting(3),
+                corpus.padic_isometry_point_mass(3), corpus.padic_diagonal_point_mass(3),
+                generic] + _padic_kernel_measures()
+    results = [find_proximal_element(m, seed=s) for m in measures for s in range(30)]
+    assert sum(r is None for r in results) == 64
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == "df6e75186e9160c90f4188ec2dc18faee4601a0a639c14607b217270c937047e"
