@@ -30,7 +30,6 @@ from .errors import DomainError, InvariantViolation
 from .fields import FieldSpec, _int_valuation, _p_power, valuation
 from .linalg import (
     _integer_form,
-    _normalize_rows,
     exterior_square,
     identity,
     normalize_representative,
@@ -86,30 +85,16 @@ def kak(g: np.ndarray, field: FieldSpec, unimodular: bool = True) -> KakDecompos
     """Cartan decomposition of a determinant-1 matrix.
 
     With unimodular=False the determinant is not checked, so g may be any
-    invertible matrix with positive determinant, such as the unit part of
-    a scaled product; k, u and the frames (v, h) are scale-invariant.
+    invertible matrix with positive determinant; k, u and the frames
+    (v, h) are scale-invariant.  This is the single-matrix API (and the
+    CLI ``kak`` command); stacks of frames and poles come from
+    :func:`freewalk.pingpong.pole_pair`.
     """
     if not field.is_archimedean:
         return _kak_padic(g, field, unimodular)
     if unimodular:
         require_unimodular(g, field)
     return _kak_real(np.asarray(g, dtype=float))
-
-
-def frames(units, field: FieldSpec) -> tuple:
-    """KAK frames (v, h) of every matrix of a stack.
-
-    v is the attracting point k.e1 and h the repelling covector u^{-1}.e1*
-    of g = k a u, both normalized projective representatives; they do not
-    depend on the scale of g.  Archimedean stacks take one stacked SVD and
-    one stacked normalisation (two (m, d) arrays), nonarchimedean ones the
-    exact Smith form of each matrix (two lists).
-    """
-    if not field.is_archimedean:
-        decs = [_kak_padic(g, field) for g in units]
-        return [dec.v for dec in decs], [dec.h for dec in decs]
-    k, _, u = np.linalg.svd(np.asarray(units, dtype=float))
-    return _normalize_rows(k[:, :, 0]), _normalize_rows(u[:, 0, :])
 
 
 def _kak_real(g: np.ndarray) -> KakDecomposition:

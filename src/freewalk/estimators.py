@@ -9,7 +9,8 @@ grid point and measure) in one :func:`walk_products` call per matrix
 size (:func:`_fold`: shorter rows padded at the start with the identity,
 left folds as transposed right folds); the exact replays fold integer
 stacks with :func:`integer_products`.  The whole stack is then scored
-by stacked calls: :func:`frames`, :func:`log_norms`, and
+by stacked calls: :func:`pole_pair` (the KAK frames of both fields, one
+SVD of the stack over R), :func:`log_norms`, and
 :func:`cross_margin_matrix` with :func:`tuple_failure_reasons` on pole
 arrays v, h (reps, 2, d) and ratios (reps, 2).
 
@@ -29,15 +30,9 @@ from itertools import islice
 
 import numpy as np
 
-from .decompositions import (
-    ScaledMatrix,
-    exterior_square_atoms,
-    frames,
-    log_norms,
-    scaled_log_vector_norm,
-)
+from .decompositions import ScaledMatrix, exterior_square_atoms, log_norms, scaled_log_vector_norm
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, abs_value
+from .fields import FieldSpec
 from .linalg import (
     _integer_form,
     _require_nonzero,
@@ -299,10 +294,30 @@ def _exact_delta(x, y, field: FieldSpec) -> float:
         den = sum(c * c for c in x) * sum(c * c for c in y)
         delta_sq = Fraction(num, den)
     else:
-        num = max(abs_value(c, field) for c in w)
-        den = max(abs_value(c, field) for c in x) * max(abs_value(c, field) for c in y)
-        delta_sq = (num / den) ** 2
+        delta_sq = fubini_study(x, y, field) ** 2
     return math.exp(0.5 * (math.log(delta_sq.numerator) - math.log(delta_sq.denominator)))
+
+
+def _replay_convergence(measure: WalkMeasure, grid, horizon: int, reps: int, seed: int, sides) -> list:
+    """Mean delta between each grid checkpoint's direction and the horizon's, one curve per side.
+
+    sides holds (order, directions) pairs: directions maps the integer
+    products at one checkpoint of the left or right exact replay to one
+    integer direction row per trajectory.  Directions are projective, so
+    the replay runs on the atoms' integer numerators.  Every side shares
+    one :func:`walk_indices` draw.
+    """
+    grid = sorted(grid)
+    if horizon < 2 * max(grid):
+        raise UsageError("horizon too small: need horizon >= 2 * max(grid)")
+    atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
+    idx = walk_indices(measure, horizon, seed, range(reps))
+    curves = []
+    for order, directions in sides:
+        *dirs, limit = (directions(m) for m in integer_products(atoms, idx, order, [*grid, horizon]))
+        cols = [[_exact_delta(u, w, measure.field) for u, w in zip(at_n, limit)] for at_n in dirs]
+        curves.append(_decay("mean", grid, [_mean_point(c) for c in cols], reps, extra={"horizon": horizon}))
+    return curves
 
 
 def direction_convergence(
@@ -319,17 +334,9 @@ def direction_convergence(
     must dominate the grid (N >= 2 max grid).  Products are replayed in
     exact arithmetic so the curve stays meaningful below float precision.
     """
-    grid = sorted(grid)
-    if horizon < 2 * max(grid):
-        raise UsageError("horizon too small: need horizon >= 2 * max(grid)")
-    field = measure.field
-    # directions are projective: replay integer numerators, drop denominators
     x_int, _ = _integer_form(x)
-    atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
-    idx = walk_indices(measure, horizon, seed, range(reps))
-    *dirs, limit = (m @ x_int for m in integer_products(atoms, idx, "left", [*grid, horizon]))
-    cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, limit)] for at_n in dirs]
-    return _decay("mean", grid, [_mean_point(c) for c in cols], reps, extra={"horizon": horizon})
+    (curve,) = _replay_convergence(measure, grid, horizon, reps, seed, [("left", lambda m: m @ x_int)])
+    return curve
 
 
 @dataclass(frozen=True)
@@ -358,27 +365,13 @@ def kak_convergence(
     seed: int,
 ) -> KakFrameConvergence:
     """Decay of the KAK frame directions of M_n (k-part) and S_n (u-part)."""
-    grid = sorted(grid)
-    if horizon < 2 * max(grid):
-        raise UsageError("horizon too small: need horizon >= 2 * max(grid)")
-    field = measure.field
     z = np.array([3**j for j in range(measure.d)], dtype=object)
-    # the power-step directions are projective: replay integer numerators
-    atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
-    idx = walk_indices(measure, horizon, seed, range(reps))
-    cps = [*grid, horizon]
     # k-part: top left direction of M_n; u-part: top right direction of S_n
-    *vs, v_lim = (_top_left_directions(m, z) for m in integer_products(atoms, idx, "left", cps))
-    *hs, h_lim = (
-        _top_left_directions(s.swapaxes(1, 2), z) for s in integer_products(atoms, idx, "right", cps)
-    )
-    k_cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, v_lim)] for at_n in vs]
-    u_cols = [[_exact_delta(u, w, field) for u, w in zip(at_n, h_lim)] for at_n in hs]
-    extra = {"horizon": horizon}
-    return KakFrameConvergence(
-        k_curve=_decay("mean", grid, [_mean_point(c) for c in k_cols], reps, extra=extra),
-        u_curve=_decay("mean", grid, [_mean_point(c) for c in u_cols], reps, extra=extra),
-    )
+    k_curve, u_curve = _replay_convergence(measure, grid, horizon, reps, seed, [
+        ("left", lambda m: _top_left_directions(m, z)),
+        ("right", lambda s: _top_left_directions(s.swapaxes(1, 2), z)),
+    ])
+    return KakFrameConvergence(k_curve=k_curve, u_curve=u_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +459,8 @@ def independence_test(
     """Empirical covariance gap of phi1(K_n e1) and phi2(U_n^{-1} e1*) along S_n."""
     field = measure.field
     s = walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field)
-    vs, hs = frames([x.unit for x in s], field)
-    rows = list(zip(phi1._evaluate_rows(vs), phi2._evaluate_rows(hs)))
+    v, h, _ = pole_pair([x.unit for x in s], field, unimodular=False)
+    rows = list(zip(phi1._evaluate_rows(v[:, 0]), phi2._evaluate_rows(h[:, 0])))
     m1 = sum(r[0] for r in rows) / reps
     m2 = sum(r[1] for r in rows) / reps
     mj = sum(r[0] * r[1] for r in rows) / reps
@@ -542,9 +535,10 @@ def _walk_poles(batches) -> list:
     X_n^{-1}, not the bottom singular vectors of S_n, which its float unit
     cannot resolve once a_1/a_d passes float precision (d >= 3), and the
     ratios ||wedge(g)|| / ||g||**2 come from scaled log products, accurate
-    far below float precision.  All batches share one :func:`_fold` and one
-    stacked frame and log-norm call.  Over Q_p each batch is exact:
-    :func:`pole_pair` of the integer products of the atoms' numerators.
+    far below float precision.  All batches share one :func:`_fold`, one
+    :func:`pole_pair` and one stacked log-norm call.  Over Q_p each batch
+    is exact: :func:`pole_pair` of the integer products of the atoms'
+    numerators.
     """
     field = batches[0][0].field
     if not field.is_archimedean:
@@ -557,7 +551,9 @@ def _walk_poles(batches) -> list:
         jobs += [(measure.atoms, idx, "right"), (inv, idx, "left")]
     folds = _fold(jobs + [(exterior_square_atoms(inc), idx, order) for inc, idx, order in jobs], field)
     prods, wedges = ([x for fold in half for x in fold] for half in (folds[: len(jobs)], folds[len(jobs):]))
-    vs, hs = frames([x.unit for x in prods], field)
+    # index 0 only: the S_n^{-1} poles come from the inverse fold, the ratios from the wedge log norms
+    v, h, _ = pole_pair([x.unit for x in prods], field, unimodular=False)
+    vs, hs = v[:, 0], h[:, 0]
     ratios = np.array([math.exp(w - 2 * s) for w, s in zip(log_norms(wedges, field), log_norms(prods, field))])
     # batch b owns parts 2b (S_n of each index row) and 2b + 1 (S_n^{-1})
     cuts = np.cumsum([len(idx) for _, idx in batches for _ in (0, 1)])[:-1]

@@ -8,7 +8,8 @@ definition of eps-contraction, which is strictly weaker to check and
 never needed here.
 
 Poles are arrays from decomposition to score: :func:`pole_pair` gives
-v, h (m, 2, d) and ratios (m, 2) for a stack of m matrices,
+v, h (m, 2, d) and ratios (m, 2) for a stack of m matrices (index 0
+holds the KAK frames, which the walk estimators read),
 :func:`cross_margin_matrix` every delta(v_p, Ker h_q) of a stack of
 tuples, own-separations on its diagonal, and :func:`tuple_failure_reasons`
 is the one place that compares them, and the ratios, with the
@@ -44,6 +45,7 @@ from .errors import DomainError, UsageError
 from .fields import FieldSpec, Interval, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value
 from .linalg import (
     _integer_form,
+    _normalize_rows,
     _padic_margin,
     _padic_vector,
     _row_norms,
@@ -52,6 +54,7 @@ from .linalg import (
     exact_inv,
     exterior_square,
     normalize_representative,
+    require_unimodular,
     vector_to_strings,
 )
 
@@ -95,39 +98,45 @@ def is_eps_contracting(g: np.ndarray, eps: float, field: FieldSpec):
 
 
 def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
-    """Poles of g and g^{-1} for each matrix g of a stack, one decomposition each.
+    """Poles of g and g^{-1} for each matrix g of a stack: the KAK-frames primitive of both fields.
 
     Returns v, h of shape (m, 2, d) and ratios |a_2/a_1| of shape (m, 2);
     index 0 is g and index 1 is g^{-1}.  If g = K A U then
     g^{-1} = (U^{-1} J)(J A^{-1} J)(J K^{-1}) with J the index reversal,
     so the attracting point of g^{-1} is the class of U^{-1} e_d and its
-    repelling covector the last row of K^{-1}; over Q_p the integer
+    repelling covector the last row of K^{-1}, and |a_i / a_j| is read
+    off A.  This avoids inverting g and matches the reversed-reciprocal
+    a-part identity.  Over R the whole stack takes one SVD: K^{-1} = K^T
+    and U^{-1} = U^T, so the four frames are rows and columns of K and U,
+    normalised as one stack each (scale- and sign-invariant, so with
+    unimodular=False any invertible g will do).  Over Q_p the integer
     adjugates of U and K span the same classes, taken from the integer
     Smith form before its units are folded in, and |a_i / a_j| is
-    p**(v_i - v_j) of the pivot valuations.  This avoids inverting g
-    and matches the reversed-reciprocal a-part identity.  It suits
-    matrices of moderate condition number; for long products, whose unit
-    part cannot resolve U^{-1} e_d in floats once a_1/a_d passes 1e16
-    (d >= 3), the walk estimators decompose the product of the inverses
-    instead.
+    p**(v_i - v_j) of the pivot valuations.  It suits matrices of
+    moderate condition number; for long products, whose unit part cannot
+    resolve U^{-1} e_d in floats once a_1/a_d passes 1e16 (d >= 3), the
+    walk estimators take only index 0 and decompose the product of the
+    inverses instead.
     """
+    if field.is_archimedean and len(gs):  # an empty stack, which svd rejects, gets the loop's empty arrays
+        if unimodular:
+            for g in gs:
+                require_unimodular(g, field)
+        k, s, u = np.linalg.svd(np.asarray(gs, dtype=float))
+        v = np.stack([_normalize_rows(k[:, :, 0]), _normalize_rows(u[:, -1, :])], axis=1)
+        h = np.stack([_normalize_rows(u[:, 0, :]), _normalize_rows(k[:, :, -1])], axis=1)
+        return v, h, np.stack([s[:, 1] / s[:, 0], s[:, -1] / s[:, -2]], axis=1)
     v, h, ratio = [], [], []
     p = field.prime
-    for g in gs:
+    for g in gs:  # normalize_representative is scale-invariant: adjugates stand in for the inverses
         d = g.shape[0]
-        if field.is_archimedean:
-            dec = kak(g, field, unimodular=unimodular)
-            a = dec.a
-            ratio.append([a[1] / a[0], a[d - 1] / a[d - 2]])
-            v0, h0, k_inv, u_inv = dec.v, dec.h, dec.k.T, dec.u.T
-        else:  # normalize_representative is scale-invariant: adjugates stand in for the inverses
-            k, _, u, _, pivots = _smith(g, p, unimodular=unimodular)
-            vals = [val for *_, val in pivots]
-            ratio.append([_p_power(p, vals[0] - vals[1]), _p_power(p, vals[d - 2] - vals[d - 1])])
-            v0, h0 = normalize_representative([row[0] for row in k], field), normalize_representative(u[0], field)
-            k_inv, u_inv = adjugate(k), adjugate(u)
-        v.append([v0, normalize_representative(u_inv[:, d - 1], field)])
-        h.append([h0, normalize_representative(k_inv[d - 1, :], field)])
+        k, _, u, _, pivots = _smith(g, p, unimodular=unimodular)
+        vals = [val for *_, val in pivots]
+        ratio.append([_p_power(p, vals[0] - vals[1]), _p_power(p, vals[d - 2] - vals[d - 1])])
+        k_inv, u_inv = adjugate(k), adjugate(u)
+        v.append([normalize_representative([row[0] for row in k], field),
+                  normalize_representative(u_inv[:, d - 1], field)])
+        h.append([normalize_representative(u[0], field), normalize_representative(k_inv[d - 1, :], field)])
     return np.array(v), np.array(h), np.array(ratio)
 
 
@@ -480,18 +489,6 @@ def _mul_rows(a, b, d):
     )
 
 
-def _inv_rows(rows, d):
-    inv = exact_inv(np.array([[Fraction(x) for x in row] for row in rows], dtype=object))
-    out = []
-    for i in range(d):
-        r = []
-        for j in range(d):
-            q = Fraction(inv[i, j])
-            r.append(q.numerator if q.denominator == 1 else q)
-        out.append(tuple(r))
-    return tuple(out)
-
-
 def _words_checked(nsym: int, max_len: int, relation) -> int:
     """Reduced words up to and including relation in (length, lex) order.
 
@@ -530,7 +527,7 @@ def free_word_oracle(gs, max_len: int) -> OracleVerdict:
     symbols = []
     for rows in base:
         symbols.append(rows)
-        symbols.append(_inv_rows(rows, d))
+        symbols.append(_exact_rows(exact_inv(np.array(rows, dtype=object))))
     nsym = len(symbols)
 
     # levels[j]: every reduced word of length j, in lex order, with its product

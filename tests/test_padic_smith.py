@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from freewalk import FieldSpec, as_matrix, as_vector, dist_point_hyperplane, fubini_study, iwasawa, kak
-from freewalk.decompositions import _iwasawa_padic, frames
+from freewalk.decompositions import _iwasawa_padic
+from freewalk.estimators import _exact_delta
 from freewalk.fields import abs_value
 from freewalk.linalg import adjugate, exact_det, normalize_representative, vector_norm
 from freewalk.pingpong import cross_margin_matrix, pole_pair
@@ -262,9 +263,9 @@ def test_kak_matches_fraction_reference(d):
         k, a, u, v, h = _ref_kak(g, p)
         for got, want in ((dec.k, k), (dec.a, a), (dec.u, u), (dec.v, v), (dec.h, h)):
             _same(got, want)
-        fv, fh = frames([g], field)
-        _same(fv[0], v)
-        _same(fh[0], h)
+        pv, ph, _ = pole_pair([g], field, unimodular=False)
+        _same(pv[0, 0], v)
+        _same(ph[0, 0], h)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
@@ -335,6 +336,25 @@ def test_scalar_metrics_match_fraction_reference(p):
         _same([fubini_study(xv, 3 * xv, field)], [F(0)])
         _same(normalize_representative(xv, field), _ref_normalize(x, p))
     _same([vector_norm(as_vector([0, 0], field), field)], [F(0)])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_exact_delta_matches_fraction_reference(p):
+    # exact replay scores integer direction rows; delta**2 keeps its relative precision far below 1e-16
+    field = FieldSpec.padic(p)
+    rng = random.Random(5050 + p)
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        x = [rng.randint(-(10**30), 10**30) * p ** rng.randint(0, 40) for _ in range(d)]
+        y = [rng.randint(-9, 9) for _ in range(d)]
+        if rng.random() < 0.5:  # nearly parallel to x
+            y = [c * p ** rng.randint(20, 60) + e for c, e in zip(x, y)]
+        if not any(x) or not any(y):
+            continue
+        sq = _ref_fubini_study(x, y, p) ** 2
+        want = 0.0 if sq == 0 else math.exp(0.5 * (math.log(sq.numerator) - math.log(sq.denominator)))
+        assert _exact_delta(np.array(x, dtype=object), np.array(y, dtype=object), field) == want
+    assert _exact_delta([p, 1], [2 * p, 2], field) == 0.0
 
 
 def test_exact_det_matches_reference_elimination():

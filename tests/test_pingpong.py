@@ -21,7 +21,7 @@ from freewalk import (
     is_very_proximal,
     pingpong_certificate,
 )
-from freewalk import corpus
+from freewalk import corpus, pingpong
 from freewalk.fields import Interval
 from freewalk.decompositions import kak
 from freewalk.linalg import _integer_form, exact_inv, exterior_square, normalize_representative
@@ -33,6 +33,7 @@ from freewalk.pingpong import (
     pole_pair,
     tuple_failure_reasons,
 )
+from freewalk.errors import InvariantViolation
 from freewalk.report import dumps_json
 from freewalk.walks import exact_product, run_walk
 
@@ -198,6 +199,90 @@ def test_pole_pair_matches_direct_inverse(real_field, q3):
         # |9|_3 = 1/9, so the p-adically attracting direction of g^{-1} is k e1
         eigen = k @ as_vector([1, 0], q3)
         assert fubini_study(vq[i, 1], eigen, q3) <= F(1, 81)
+
+
+def _per_matrix_pole_pair(gs, field, unimodular):
+    """The R pole loop pole_pair replaced: one kak per matrix, then per-row normalisations."""
+    v, h, ratio = [], [], []
+    for g in gs:
+        d = g.shape[0]
+        dec = kak(g, field, unimodular=unimodular)
+        ratio.append([dec.a[1] / dec.a[0], dec.a[d - 1] / dec.a[d - 2]])
+        v.append([dec.v, normalize_representative(dec.u.T[:, d - 1], field)])
+        h.append([dec.h, normalize_representative(dec.k.T[d - 1, :], field)])
+    return np.array(v), np.array(h), np.array(ratio)
+
+
+def _assert_same_outcome(f, gs, field, unimodular):
+    """pole_pair and the per-matrix loop both raise the same InvariantViolation, or agree ==."""
+    out = []
+    for call in (f, _per_matrix_pole_pair):
+        try:
+            out.append(call(gs, field, unimodular))
+        except InvariantViolation as exc:
+            out.append(str(exc))
+    got, want = out
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want == "matrix determinant is not 1"
+        return False
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == float and a.shape == b.shape
+        assert np.array_equal(a, b)
+    return True
+
+
+def _sanov_words(rng, count, length=14):
+    """Reduced Sanov words of the given length as integer object matrices, entries up to about 3e4."""
+    gens = [np.array(m, dtype=object) for m in ([[1, 2], [0, 1]], [[1, 0], [2, 1]],
+                                                [[1, -2], [0, 1]], [[1, 0], [-2, 1]])]
+    words = []
+    for _ in range(count):
+        m, prev = np.eye(2, dtype=int).astype(object), None
+        for _ in range(length):
+            prev = rng.choice([s for s in range(4) if prev is None or s != (prev + 2) % 4])
+            m = m @ gens[prev]
+        words.append(m)
+    return words
+
+
+def test_real_pole_pair_equals_per_matrix_kak_loop(real_field, monkeypatch):
+    rng = random.Random(77)
+    stacks = [[np.array(random_unimodular_int(rng, d, steps=4 * d), dtype=object) for _ in range(30)]
+              for d in (2, 3, 4)]
+    stacks.append(_sanov_words(rng, 30))
+    assert max(abs(x) for g in stacks[-1] for x in g.flat) >= 10**4
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a[0].shape) or svd(*a, **k))
+    for name in ("kak", "normalize_representative"):  # the per-matrix path is gone from pole_pair over R
+        monkeypatch.setattr(pingpong, name, lambda *a, **k: pytest.fail("pole_pair over R went per matrix"))
+    for exact in stacks:
+        # scaled, row-swapped and negated matrices: det != 1, which only unimodular=False admits
+        loose = [g * (i % 3 + 1) for i, g in enumerate(exact)] + [g[::-1] for g in exact[:5]]
+        loose += [-g for g in exact[:5]]
+        for gs in (exact, loose):
+            for stack in (gs, [g.astype(float) for g in gs]):
+                svds.clear()
+                assert _assert_same_outcome(pole_pair, stack, real_field, False)
+                assert svds[0] == (len(stack),) + stack[0].shape  # one SVD of the whole stack
+                passed = _assert_same_outcome(pole_pair, stack, real_field, True)
+                if stack is gs or gs is loose:  # the float check of large exact entries may go either way
+                    assert passed == (gs is exact)
+    # Sanov words with entries near 1e4: the exact determinant check passes every one, and the
+    # float one fails some, for pole_pair as for the loop
+    floats = [_assert_same_outcome(pole_pair, [g.astype(float)], real_field, True) for g in stacks[-1]]
+    assert not all(floats)
+
+
+def test_pole_pair_rejects_det_not_one_and_takes_empty_stacks(real_field, q3):
+    rng = random.Random(78)
+    for field in (real_field, q3):
+        g = as_matrix(random_unimodular_int(rng, 3), field)
+        with pytest.raises(InvariantViolation, match="matrix determinant is not 1"):
+            pole_pair([g, 2 * g], field)
+        pole_pair([g, 2 * g], field, unimodular=False)
+        empty = pole_pair([], field)
+        assert len(empty) == 3 and all(isinstance(a, np.ndarray) and a.size == 0 for a in empty)
 
 
 def test_padic_inverse_poles_match_exact_inv():
