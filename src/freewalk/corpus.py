@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .fields import FieldSpec
 from .walks import WalkMeasure, make_measure
 
@@ -56,17 +58,10 @@ def slow_contracting() -> WalkMeasure:
     decay-in-n effects visible above Monte Carlo noise at desk scale
     (the positive-matrices measure decorrelates within a handful of steps).
     """
-    r1 = [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]
-    r2 = [[F(5, 13), F(-12, 13)], [F(12, 13), F(5, 13)]]
-
-    def mul(a, b):
-        return [
-            [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-        ]
-
+    r1 = np.array([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]], dtype=object)
+    r2 = np.array([[F(5, 13), F(-12, 13)], [F(12, 13), F(5, 13)]], dtype=object)
     return make_measure(
-        [mul(r1, [[F(9, 8), 0], [0, F(8, 9)]]), mul(r2, [[F(13, 12), 0], [0, F(12, 13)]])],
+        [r1 * np.array([F(9, 8), F(8, 9)], dtype=object), r2 * np.array([F(13, 12), F(12, 13)], dtype=object)],
         [F(1, 2), F(1, 2)],
         FieldSpec.real(),
     )

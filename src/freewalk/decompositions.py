@@ -39,19 +39,8 @@ from .linalg import (
 )
 
 
-class _DiagonalPart:
-    """The a-part diag(a_1, ..., a_d) shared by both decompositions."""
-
-    def a_matrix(self, field: FieldSpec) -> np.ndarray:
-        d = len(self.a)
-        m = identity(d, field)
-        for i in range(d):
-            m[i, i] = self.a[i] if not field.is_archimedean else float(self.a[i])
-        return m
-
-
 @dataclass(frozen=True)
-class KakDecomposition(_DiagonalPart):
+class KakDecomposition:
     """g = k . diag(a) . u with |a_1| >= ... >= |a_d|.
 
     v is the attracting point k.e1 and h the repelling-hyperplane covector
@@ -66,11 +55,11 @@ class KakDecomposition(_DiagonalPart):
     h: np.ndarray
 
     def reconstruct(self, field: FieldSpec) -> np.ndarray:
-        return self.k @ self.a_matrix(field) @ self.u
+        return (self.k * np.array(self.a, dtype=float if field.is_archimedean else object)) @ self.u
 
 
 @dataclass(frozen=True)
-class IwasawaDecomposition(_DiagonalPart):
+class IwasawaDecomposition:
     """g = k . diag(a) . n with n upper unitriangular."""
 
     k: np.ndarray
@@ -78,22 +67,20 @@ class IwasawaDecomposition(_DiagonalPart):
     n: np.ndarray
 
     def reconstruct(self, field: FieldSpec) -> np.ndarray:
-        return self.k @ self.a_matrix(field) @ self.n
+        return (self.k * np.array(self.a, dtype=float if field.is_archimedean else object)) @ self.n
 
 
-def kak(g: np.ndarray, field: FieldSpec, unimodular: bool = True) -> KakDecomposition:
+def kak(g: np.ndarray, field: FieldSpec) -> KakDecomposition:
     """Cartan decomposition of a determinant-1 matrix.
 
-    With unimodular=False the determinant is not checked, so g may be any
-    invertible matrix with positive determinant; k, u and the frames
-    (v, h) are scale-invariant.  This is the single-matrix API (and the
-    CLI ``kak`` command); stacks of frames and poles come from
-    :func:`freewalk.pingpong.pole_pair`.
+    The determinant is always checked: InvariantViolation unless det g = 1.
+    This is the single-matrix API (and the CLI ``kak`` command); stacks of
+    frames and poles of any invertible matrices, unchecked, come from
+    :func:`freewalk.pingpong.pole_pair` with unimodular=False.
     """
     if not field.is_archimedean:
-        return _kak_padic(g, field, unimodular)
-    if unimodular:
-        require_unimodular(g, field)
+        return _kak_padic(g, field, unimodular=True)
+    require_unimodular(g, field)
     return _kak_real(np.asarray(g, dtype=float))
 
 
@@ -257,18 +244,22 @@ def scaled_identity(d: int, field: FieldSpec) -> ScaledMatrix:
 
 
 def _normalize_scaled(raw: np.ndarray, field: FieldSpec) -> ScaledMatrix:
+    """raw over its largest |entry| (R), or :func:`_padic_scaled` of its exact integer form (Q_p)."""
     if field.is_archimedean:
         m = float(np.max(np.abs(raw)))
         if m == 0.0:
             raise DomainError("cannot scale the zero matrix")
         return ScaledMatrix(raw / m, math.log(m))
-    p = field.prime
-    vals = [valuation(x, p) for x in raw.flat if x != 0]
-    if not vals:
+    return _padic_scaled(*_integer_form(raw), field.prime)
+
+
+def _padic_scaled(num: np.ndarray, den: int, p: int) -> ScaledMatrix:
+    """num / den over Q_p (num an int array, den > 0): scale v = v_p(gcd(num)) - v_p(den), unit num / den / p**v."""
+    content = math.gcd(*num.flat)
+    if content == 0:
         raise DomainError("cannot scale the zero matrix")
-    v = min(vals)
-    factor = Fraction(p) ** (-v)
-    return ScaledMatrix(raw * factor, v)
+    v = valuation(content, p) - valuation(den, p)
+    return ScaledMatrix(num * (Fraction(p) ** -v / den), v)
 
 
 def scaled_multiply(acc: ScaledMatrix, g: np.ndarray, field: FieldSpec) -> ScaledMatrix:

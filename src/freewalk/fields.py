@@ -142,10 +142,12 @@ def abs_value(x: Scalar, field: FieldSpec):
 def parse_scalar(text, field: FieldSpec) -> Scalar:
     """Parse a serialized scalar ("num/den", integer or decimal literal).
 
-    An archimedean scalar must be finite: inf, nan and a zero denominator
-    raise ConfigError, as no measure, matrix or generator document may
-    carry them.
+    A bool, or a value that is not a str, int or float, raises ConfigError,
+    and so do inf, nan and a zero denominator over R: no measure, matrix
+    or generator document may carry them.
     """
+    if isinstance(text, bool) or not isinstance(text, (str, int, float)):
+        raise ConfigError(f"scalar {text!r} is not a string or a number")
     if field.is_archimedean:
         try:
             x = float(Fraction(text)) if isinstance(text, str) and "/" in text else float(text)

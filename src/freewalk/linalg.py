@@ -320,8 +320,8 @@ def flat_matrices(doc: dict, key: str, single: bool = False) -> tuple[FieldSpec,
             raise ConfigError(f"d must be an integer >= 2, got {d!r}")
         mats = []
         for flat in [doc[key]] if single else doc[key]:
-            if len(flat) != d * d:
-                raise ConfigError(f"{key}: a {d}x{d} matrix needs {d * d} entries, got {len(flat)}")
+            if not isinstance(flat, list) or len(flat) != d * d:
+                raise ConfigError(f"{key}: a {d}x{d} matrix is a list of {d * d} entries, got {flat!r}")
             rows = [[parse_scalar(flat[i * d + j], field) for j in range(d)] for i in range(d)]
             mats.append(as_matrix(rows, field))
     except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:

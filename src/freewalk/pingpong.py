@@ -12,10 +12,10 @@ v, h (m, 2, d) and ratios (m, 2) for a stack of m matrices (index 0
 holds the KAK frames, which the walk estimators read),
 :func:`cross_margin_matrix` every delta(v_p, Ker h_q) of a stack of
 tuples, own-separations on its diagonal, and :func:`tuple_failure_reasons`
-is the one place that compares them, and the ratios, with the
-thresholds.  The decay and tuple estimators, :func:`pingpong_certificate`
-and :func:`is_very_proximal` all score through these functions;
-:class:`ContractionData` is the single-matrix API only.
+compares them, and the ratios, with the thresholds; the decay and tuple
+estimators, :func:`pingpong_certificate` and :func:`is_very_proximal` all
+score through these.  Thresholds are also compared by :func:`is_eps_contracting`
+(the single-matrix API) and :func:`_certified_failures_real` (on endpoints).
 
 Three evaluation modes:
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .decompositions import _smith, kak
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, Interval, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value
+from .fields import FieldSpec, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value, format_scalar
 from .linalg import (
     _integer_form,
     _normalize_rows,
@@ -214,8 +214,6 @@ class ProximalityCertificate:
 
     def to_json_dict(self, field: FieldSpec) -> dict:
         d = self.generators[0].shape[0]
-        from .fields import format_scalar
-
         gen_docs = [
             [format_scalar(g[i, j], field) for i in range(d) for j in range(d)]
             for g in self.generators
@@ -299,10 +297,10 @@ class _CertifiedPole:
     sin_h: float
 
 
-_SQRT2 = Interval.exact(2).sqrt()
-# Lower endpoint of the Interval product sqrt(2) * (sin_v + sin_h): the
-# same for every pair of sin bounds whose lower endpoints are 0.0.
-_CORRECTION_LO = (_SQRT2 * (Interval(0.0, 0.0) + Interval(0.0, 0.0))).lo
+_SQRT2 = _sqrt(2.0, 2.0)
+# Lower endpoint of the outward-rounded product sqrt(2) * (sin_v + sin_h):
+# the same for every pair of sin bounds whose lower endpoints are 0.0.
+_CORRECTION_LO = _down(_SQRT2[1] * _down(0.0))
 
 
 def _dot(a, b):
@@ -387,7 +385,7 @@ def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> tuple[float, 
     dot = _dot(q.h, p.v)
     num = _sqrt(*_enclose(dot * dot, scale_sq))
     lo, hi = _div(*num, *_sqrt(*_enclose(p.vv * q.hh, scale_sq)))
-    correction_hi = _up(_SQRT2.hi * _up(p.sin_v + q.sin_h))
+    correction_hi = _up(_SQRT2[1] * _up(p.sin_v + q.sin_h))
     return _down(lo - correction_hi), _up(hi - _CORRECTION_LO)
 
 
@@ -399,7 +397,7 @@ def _certified_failures_real(gs, r: float, eps: float) -> set[str]:
     compared with r, as certainly_gt / certainly_ge would.
     """
     eps4 = Fraction(eps) ** 4
-    r_hi = Interval.exact(r).hi
+    r_hi = _enclose(*Fraction(r).as_integer_ratio())[1]
     poles: list[Optional[_CertifiedPole]] = []
     for g in gs:
         a, den = _integer_form(g)

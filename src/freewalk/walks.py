@@ -58,6 +58,7 @@ import numpy as np
 
 from .decompositions import (
     ScaledMatrix,
+    _padic_scaled,
     scaled_identity,
     scaled_multiply,
     scaled_premultiply,
@@ -173,9 +174,12 @@ def measure_from_json_dict(doc: dict) -> WalkMeasure:
     field, atoms = flat_matrices(doc, "atoms")
     if doc.get("schema", MEASURE_SCHEMA) != MEASURE_SCHEMA:
         raise ConfigError(f"measure schema must be {MEASURE_SCHEMA!r}, got {doc['schema']!r}")
+    probs = doc.get("probs")
+    if not isinstance(probs, list) or any(isinstance(p, bool) or not isinstance(p, (str, int, float)) for p in probs):
+        raise ConfigError(f"probs must be a list of strings or numbers, got {probs!r}")
     try:
-        probs = [Fraction(p) for p in doc["probs"]]
-    except (KeyError, ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        probs = [Fraction(p) for p in probs]
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed measure document: {exc}") from exc
     return make_measure(atoms, probs, field)
 
@@ -330,20 +334,11 @@ def _padic_walk_products(increments, idx: np.ndarray, p: int, order: str) -> lis
     """The Q_p branch of :func:`walk_products`.
 
     With X_t = A_t / D_t (A_t the integer numerators, D_t > 0) a row's
-    product is N / prod(D); its scale is v = min v_p(entry of N) -
-    v_p(prod(D)) and its unit N / prod(D) * p**(-v).
+    product is N / prod(D), scaled by :func:`_padic_scaled`.
     """
     forms = [_integer_form(x) for x in increments]
     (prod,) = integer_products([a for a, _ in forms], idx, order, [idx.shape[1]])
-    out = []
-    for row, num in zip(idx.tolist(), prod):
-        content = math.gcd(*num.flat)
-        if content == 0:
-            raise DomainError("cannot scale the zero matrix")
-        den = math.prod(forms[i][1] for i in row)
-        v = valuation(content, p) - valuation(den, p)
-        out.append(ScaledMatrix(num * (Fraction(p) ** -v / den), v))
-    return out
+    return [_padic_scaled(num, math.prod(forms[i][1] for i in row), p) for row, num in zip(idx.tolist(), prod)]
 
 
 def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.ndarray:

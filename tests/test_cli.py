@@ -481,7 +481,7 @@ _bad_doc_fields = st.sampled_from([
     {"kind": "nonarchimedean", "prime": 3, "bogus": True},
 ])
 _bad_schemas = st.sampled_from(["nope", "freewalk/measure/v2", "freewalk/config/v1", None, 1, {}])
-_bad_entries = st.sampled_from(["abc", "1/0", "", "inf", "nan", "1/x", None, [], {}])
+_bad_entries = st.sampled_from(["abc", "1/0", "", "inf", "nan", "1/x", None, [], {}, True, False])
 
 
 @st.composite
@@ -540,6 +540,27 @@ def test_broken_document_exits_2(doc_fuzz_dir, case):
             pytest.fail(f"{argv[0]} raised {exc!r} on {doc}")
     assert code == 2, (argv[0], doc, err.getvalue())
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
+_POINT = corpus.diagonal_point_mass().to_json_dict()
+# JSON booleans read as 0 and 1, and a string iterates as its characters: each
+# document is well formed but for that, and the command ran on it (exit 0 or 1)
+_NON_SCALAR_DOCUMENTS = {
+    "bool-atom": ("measure", {**_POINT, "atoms": [[True, False, False, True]]}),
+    "string-atoms": ("measure", {**_POINT, "atoms": ["1001"]}),
+    "bool-probs": ("measure", {**_POINT, "probs": [True]}),
+    "string-probs": ("measure", {**_POINT, "probs": "1"}),
+    "string-entries": ("matrix", {"field": _REAL, "d": 2, "entries": "2111"}),
+    "bool-generators-q3": ("generators", {"field": _Q3, "d": 2,
+                                          "generators": [[True, True, False, True], [True, False, True, True]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_SCALAR_DOCUMENTS))
+def test_non_scalar_document_exits_2(doc_fuzz_dir, name):
+    kind, doc = _NON_SCALAR_DOCUMENTS[name]
+    (doc_fuzz_dir / "doc.json").write_text(json.dumps(doc))
+    _assert_input_error(_document_argv(doc_fuzz_dir, kind, True))
 
 
 def test_seed_override_and_env(workdir, monkeypatch):

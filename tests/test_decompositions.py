@@ -18,6 +18,7 @@ from freewalk import (
     scaled_multiply,
 )
 from freewalk.decompositions import (
+    _normalize_scaled,
     scaled_log_norm,
     scaled_premultiply,
 )
@@ -111,7 +112,7 @@ def test_padic_determinant_check_from_smith_pivots():
                     call()
         singular = as_matrix([[1, 2], [2, 4]], field)
         with pytest.raises(DomainError, match="singular"):
-            kak(singular, field, unimodular=False)
+            pole_pair([singular], field, unimodular=False)
         # det 1 with row and column swaps, denominators and p-powers; and its negation
         for d in (2, 3):
             for _ in range(20):
@@ -270,3 +271,42 @@ def test_scaled_premultiply_matches_product(q3):
     for m in reversed(mats[:-1]):
         true = true @ m
     assert (scaled_reconstruct(sm, q3) == true).all()
+
+
+def _per_entry_normalize_scaled(raw, p):
+    """The Q_p rule _normalize_scaled used before it read integer forms: one valuation per nonzero entry."""
+    vals = [valuation(x, p) for x in raw.flat if x != 0]
+    if not vals:
+        raise DomainError("cannot scale the zero matrix")
+    v = min(vals)
+    return raw * Fraction(p) ** (-v), v
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_normalize_scaled_matches_per_entry_valuations(p):
+    field, rng = FieldSpec.padic(p), random.Random(400 + p)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        num = rng.choice((-1, 1)) * rng.randint(1, 10**6) * p ** rng.randint(0, 40)
+        den = rng.randint(1, 10**3) * p ** rng.randint(0, 40)
+        return num if rng.random() < 0.2 else F(num, den)
+
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        raw = np.array([[entry() for _ in range(d)] for _ in range(d)], dtype=object)
+        if not raw.any():
+            continue
+        unit, v = _per_entry_normalize_scaled(raw, p)
+        got = _normalize_scaled(raw, field)
+        assert type(got.scale) is int and got.scale == v
+        assert all(type(x) is Fraction for x in got.unit.flat) and got.unit.tolist() == unit.tolist()
+    for d in (1, 2, 3):
+        with pytest.raises(DomainError, match="cannot scale the zero matrix"):
+            _normalize_scaled(np.array([[0] * d] * d, dtype=object), field)
+    # floats are read exactly (the per-entry rule raised UsageError on them)
+    half = np.array([[0.5, 0], [0, 2.0 * p]], dtype=object)
+    unit, v = _per_entry_normalize_scaled(np.array([[F(0.5), 0], [0, F(2 * p)]], dtype=object), p)
+    got = _normalize_scaled(half, field)
+    assert (got.scale, got.unit.tolist()) == (v, unit.tolist())

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from freewalk import FieldSpec, as_matrix, as_vector, dist_point_hyperplane, fubini_study, iwasawa, kak
-from freewalk.decompositions import _iwasawa_padic
+from freewalk.decompositions import _iwasawa_padic, _kak_padic
 from freewalk.estimators import _exact_delta
 from freewalk.fields import abs_value
 from freewalk.linalg import adjugate, exact_det, normalize_representative, vector_norm
@@ -259,7 +259,7 @@ def test_kak_matches_fraction_reference(d):
         if dd != d:
             continue
         field = FieldSpec.padic(p)
-        dec = kak(g, field, unimodular=unimodular)
+        dec = _kak_padic(g, field, unimodular)
         k, a, u, v, h = _ref_kak(g, p)
         for got, want in ((dec.k, k), (dec.a, a), (dec.u, u), (dec.v, v), (dec.h, h)):
             _same(got, want)

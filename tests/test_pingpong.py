@@ -23,7 +23,7 @@ from freewalk import (
 )
 from freewalk import corpus, pingpong
 from freewalk.fields import Interval
-from freewalk.decompositions import kak
+from freewalk.decompositions import _kak_real, kak
 from freewalk.linalg import _integer_form, exact_inv, exterior_square, normalize_representative
 from freewalk.pingpong import (
     _certified_failures_real,
@@ -206,7 +206,7 @@ def _per_matrix_pole_pair(gs, field, unimodular):
     v, h, ratio = [], [], []
     for g in gs:
         d = g.shape[0]
-        dec = kak(g, field, unimodular=unimodular)
+        dec = kak(g, field) if unimodular else _kak_real(np.asarray(g, dtype=float))
         ratio.append([dec.a[1] / dec.a[0], dec.a[d - 1] / dec.a[d - 2]])
         v.append([dec.v, normalize_representative(dec.u.T[:, d - 1], field)])
         h.append([dec.h, normalize_representative(dec.k.T[d - 1, :], field)])
@@ -764,14 +764,21 @@ def _walk_word_tuples(rng, count):
         yield gs
 
 
+def test_endpoint_constants_equal_interval_forms():
+    sqrt2 = Interval.exact(2).sqrt()
+    assert pingpong._SQRT2 == (sqrt2.lo, sqrt2.hi)
+    assert pingpong._CORRECTION_LO == (sqrt2 * (Interval(0.0, 0.0) + Interval(0.0, 0.0))).lo == -1e-323
+
+
 def test_certified_failures_match_interval_reference():
     rng = random.Random(909)
-    thresholds = [(0.2, 0.05), (0.5, 0.02), (0.3, 0.1), (0.05, 0.01), (0.9, 0.3)]
+    # Fraction thresholds too: the upper enclosure of r, not its nearest double, is compared
+    thresholds = [(0.2, 0.05), (0.5, 0.02), (0.3, 0.1), (0.05, 0.01), (0.9, 0.3), (F(1, 3), F(1, 10))]
     checked = boundary = 0
     for i, gs in enumerate(_walk_word_tuples(rng, 1000)):
         poles = _interval_poles(gs)
         seps = []
-        cases = [thresholds[i % len(thresholds)]]
+        cases, belows = [thresholds[i % len(thresholds)]], []
         if all(p is not None for p in poles):
             seps = [[_interval_separation(p, q) for q in poles] for p in poles]
         if seps and i % 3 == 0:
@@ -783,8 +790,12 @@ def test_certified_failures_match_interval_reference():
                 cases.append((own, 0.3))
             if cross > 0:
                 assert "cross-margin" not in _interval_failures(poles, seps, cross, 0.3)
+                # just below cross, r rounds to cross, but its upper enclosure lies above it
+                below = F(cross) - F(1, 10**40)
+                assert "cross-margin" in _interval_failures(poles, seps, below, 0.3)
                 cases.append((cross, 0.3))
-        for r, eps in cases:
+                belows.append((below, 0.3))
+        for r, eps in cases + belows:
             assert _certified_failures_real(gs, r, eps) == _interval_failures(poles, seps, r, eps), (i, r, eps)
             checked += 1
         boundary += len(cases) - 1
