@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -41,8 +40,8 @@ from .estimators import (
     wilson_interval,
 )
 from .decompositions import kak
-from .fields import ARCHIMEDEAN, NONARCHIMEDEAN, FieldSpec, format_scalar, parse_scalar
-from .linalg import flat_matrices, matrix_from_json_dict, vector_to_strings
+from .fields import ARCHIMEDEAN, NONARCHIMEDEAN, FieldSpec, parse_scalar
+from .linalg import _load_json, flat_matrices, matrix_from_json_dict, vector_to_strings
 from .pingpong import pingpong_certificate
 from .report import decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
 from .walks import GENERATOR_NAME, PROXIMAL_MAX_LEN, find_proximal_element, load_measure
@@ -127,16 +126,6 @@ def _env_int(name: str):
         return int(value)
     except ValueError as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
 def _has(doc: dict, dotted: str) -> bool:
@@ -363,16 +352,9 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
 def _cmd_kak(args) -> int:
     g, field = matrix_from_json_dict(_load_json(args.matrix))
     dec = kak(g, field)
-    d = g.shape[0]
-    out = {
-        "field": field.to_dict(),
-        "d": d,
-        "k": [format_scalar(dec.k[i, j], field) for i in range(d) for j in range(d)],
-        "a": [format_scalar(x, field) for x in dec.a],
-        "u": [format_scalar(dec.u[i, j], field) for i in range(d) for j in range(d)],
-        "v": vector_to_strings(dec.v, field),
-        "h": vector_to_strings(dec.h, field),
-    }
+    out = {"field": field.to_dict(), "d": g.shape[0], "a": vector_to_strings(dec.a, field)}
+    for name in ("k", "u", "v", "h"):  # the matrices k and u row-major
+        out[name] = vector_to_strings(getattr(dec, name).ravel(), field)
     sys.stdout.write(dumps_json(out))
     return 0
 

@@ -274,34 +274,35 @@ def scaled_premultiply(g: np.ndarray, acc: ScaledMatrix, field: FieldSpec) -> Sc
     return ScaledMatrix(out.unit, acc.scale + out.scale)
 
 
+def _log_size(scale, n, field: FieldSpec) -> float:
+    """log(exp(scale) n) over R, log(p**-scale n) over Q_p, n a size of a ScaledMatrix's unit; math.log, not np.log."""
+    if field.is_archimedean:
+        return float(scale) + math.log(float(n))
+    return -scale * math.log(field.prime) + math.log(float(n))
+
+
 def scaled_log_norm(sm: ScaledMatrix, field: FieldSpec) -> float:
     """log of the operator norm of the represented matrix."""
-    if field.is_archimedean:
-        return float(sm.scale) + math.log(operator_norm(sm.unit, field))
-    n = operator_norm(sm.unit, field)
-    return -sm.scale * math.log(field.prime) + math.log(float(n))
+    return _log_size(sm.scale, operator_norm(sm.unit, field), field)
 
 
 def log_norms(products, field: FieldSpec) -> list:
     """:func:`scaled_log_norm` of every ScaledMatrix of a list, element for element ==.
 
-    Over R: one stacked ``svd(compute_uv=False)``, and math.log (np.log can differ in the last bit).
+    Over R: one stacked ``svd(compute_uv=False)``.
     """
     if not field.is_archimedean:
         return [scaled_log_norm(sm, field) for sm in products]
     tops = np.linalg.svd(np.array([sm.unit for sm in products]), compute_uv=False)[:, 0].tolist()
-    return [float(sm.scale) + math.log(top) for sm, top in zip(products, tops)]
+    return [_log_size(sm.scale, top, field) for sm, top in zip(products, tops)]
 
 
 def scaled_log_vector_norm(sm: ScaledMatrix, x: np.ndarray, field: FieldSpec) -> float:
     """log || (represented matrix) @ x ||."""
-    w = sm.unit @ x
-    n = vector_norm(w, field)
+    n = vector_norm(sm.unit @ x, field)
     if n == 0:
         raise DomainError("matrix application produced the zero vector")
-    if field.is_archimedean:
-        return float(sm.scale) + math.log(float(n))
-    return -sm.scale * math.log(field.prime) + math.log(float(n))
+    return _log_size(sm.scale, n, field)
 
 
 def exterior_square_atoms(atoms) -> tuple:

@@ -16,6 +16,7 @@ as the class of a defining covector.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from fractions import Fraction
@@ -292,17 +293,23 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: row-major scalar strings plus a header
+# Serialization: JSON files; row-major scalar strings plus a header
 # ---------------------------------------------------------------------------
 
 
+def _load_json(path) -> dict:
+    """The JSON document in a file; an unreadable file or invalid JSON raises ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
 def matrix_to_json_dict(m: np.ndarray, field: FieldSpec) -> dict:
-    d = m.shape[0]
-    return {
-        "field": field.to_dict(),
-        "d": d,
-        "entries": [format_scalar(m[i, j], field) for i in range(d) for j in range(d)],
-    }
+    return {"field": field.to_dict(), "d": m.shape[0], "entries": vector_to_strings(m.ravel(), field)}
 
 
 def flat_matrices(doc: dict, key: str, single: bool = False) -> tuple[FieldSpec, list[np.ndarray]]:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .decompositions import _smith, kak
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value, format_scalar
+from .fields import FieldSpec, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value
 from .linalg import (
     _integer_form,
     _normalize_rows,
@@ -82,8 +82,9 @@ def _check_eps(eps: float) -> None:
 
 
 def _check_r_eps(r: float, eps: float) -> None:
-    if not r > 2 * eps > 0:
-        raise DomainError(f"need r > 2*eps > 0, got r={r}, eps={eps}")
+    # a finite r > 1 is a valid threshold that no margin meets; an infinite one has no exact form
+    if not np.inf > r > 2 * eps > 0:
+        raise DomainError(f"need r > 2*eps > 0 with r finite, got r={r}, eps={eps}")
 
 
 def is_eps_contracting(g: np.ndarray, eps: float, field: FieldSpec):
@@ -213,11 +214,6 @@ class ProximalityCertificate:
     failures: tuple
 
     def to_json_dict(self, field: FieldSpec) -> dict:
-        d = self.generators[0].shape[0]
-        gen_docs = [
-            [format_scalar(g[i, j], field) for i in range(d) for j in range(d)]
-            for g in self.generators
-        ]
         pole_docs = [
             {
                 "generator": i // 2,
@@ -236,7 +232,7 @@ class ProximalityCertificate:
             "mode": self.mode,
             "r": self.r,
             "eps": self.eps,
-            "generators": gen_docs,
+            "generators": [vector_to_strings(g.ravel(), field) for g in self.generators],
             "poles": pole_docs,
             "cross_margins": [[float(x) for x in row] for row in self.margins],
             "failures": sorted(self.failures),

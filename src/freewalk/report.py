@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 SIGNIFICANT_DIGITS = 12
@@ -17,8 +16,6 @@ def fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, Fraction):
-        x = float(x)
     return f"{float(x):.{SIGNIFICANT_DIGITS}g}"
 
 
@@ -28,11 +25,9 @@ def round_floats(obj):
         return obj
     if isinstance(obj, float):
         return float(f"{obj:.{SIGNIFICANT_DIGITS}g}")
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [round_floats(v) for v in obj]
     return obj
 

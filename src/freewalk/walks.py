@@ -35,11 +35,11 @@ stacked integer matrices with no gcd and no renormalisation: over Q_p
 each row's numerator N is divided by its denominator and by the p-power
 of its content once, at the end, which gives the unit and scale of the
 exact sequential fold; the exact replays (:func:`exact_product` and the
-direction and KAK-frame estimators) use the same fold.  :func:`advance`
-is the one sequential fold: it takes one step of one trajectory,
-:func:`run_walk` iterates it, and the kernel is checked against it.  One
-trajectory reruns from (seed, stream) through the same kernel, with a
-one-element stream list.
+direction and KAK-frame estimators) and the proximal probe use the same
+fold.  :func:`advance` is the one sequential fold: it takes one step of
+one trajectory, :func:`run_walk` iterates it, and the kernel is checked
+against it.  One trajectory reruns from (seed, stream) through the same
+kernel, with a one-element stream list.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -64,12 +63,14 @@ from .decompositions import (
     scaled_premultiply,
 )
 from .errors import ConfigError, DomainError, InvariantViolation, UsageError
-from .fields import FieldSpec, format_scalar, valuation
+from .fields import FieldSpec, valuation
 from .linalg import (
     _integer_form,
+    _load_json,
     as_matrix,
     flat_matrices,
     is_unimodular,
+    vector_to_strings,
 )
 
 GENERATOR_NAME = "philox4x64"
@@ -123,10 +124,7 @@ class WalkMeasure:
             "schema": MEASURE_SCHEMA,
             "field": self.field.to_dict(),
             "d": self.d,
-            "atoms": [
-                [format_scalar(a[i, j], self.field) for i in range(self.d) for j in range(self.d)]
-                for a in self.atoms
-            ],
+            "atoms": [vector_to_strings(a.ravel(), self.field) for a in self.atoms],
             "probs": [f"{p.numerator}/{p.denominator}" for p in self.probs],
         }
 
@@ -185,14 +183,7 @@ def measure_from_json_dict(doc: dict) -> WalkMeasure:
 
 
 def load_measure(path) -> WalkMeasure:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read measure file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"measure file {path} is not valid JSON: line {exc.lineno}") from exc
-    return measure_from_json_dict(doc)
+    return measure_from_json_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +264,8 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
     if order not in ("left", "right"):
         raise UsageError(f"order must be 'left' or 'right', not {order!r}")
     if not field.is_archimedean:
-        return _padic_walk_products(increments, idx, field.prime, order)
+        forms = [_integer_form(x) for x in increments]
+        return [_padic_scaled(num, den, field.prime) for num, den in zip(*_exact_products(forms, idx, order))]
     table = np.asarray(increments, dtype=float)
     (reps, n), m, left = idx.shape, table.shape[1], order == "left"
     if m == 1 and np.isfinite(table).all():
@@ -330,15 +322,15 @@ def integer_products(table, idx: np.ndarray, order: str, checkpoints) -> list:
     return [snaps[t] for t in checkpoints]
 
 
-def _padic_walk_products(increments, idx: np.ndarray, p: int, order: str) -> list:
-    """The Q_p branch of :func:`walk_products`.
+def _exact_products(forms, idx: np.ndarray, order: str) -> tuple:
+    """The exact product along each row of idx as a numerator stack N and one denominator per row.
 
-    With X_t = A_t / D_t (A_t the integer numerators, D_t > 0) a row's
-    product is N / prod(D), scaled by :func:`_padic_scaled`.
+    forms holds the :func:`_integer_form` (A, D) of each matrix; with
+    X_t = A_t / D_t, row r's product is N[r] / prod(D), N folded by
+    :func:`integer_products`.
     """
-    forms = [_integer_form(x) for x in increments]
-    (prod,) = integer_products([a for a, _ in forms], idx, order, [idx.shape[1]])
-    return [_padic_scaled(num, math.prod(forms[i][1] for i in row), p) for row, num in zip(idx.tolist(), prod)]
+    (num,) = integer_products([a for a, _ in forms], idx, order, [idx.shape[1]])
+    return num, [math.prod(forms[i][1] for i in row) for row in idx.tolist()]
 
 
 def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.ndarray:
@@ -348,9 +340,8 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
     X_n ... X_1 (the S walk).
     """
     forms = [_integer_form(a) for a in measure.exact_atoms]
-    idx = np.array([increments], dtype=np.intp).reshape(1, -1)
-    (prod,) = integer_products([a for a, _ in forms], idx, order, [idx.shape[1]])
-    return prod[0] * Fraction(1, math.prod(forms[i][1] for i in idx[0].tolist()))
+    num, (den,) = _exact_products(forms, np.array([increments], dtype=np.intp).reshape(1, -1), order)
+    return num[0] * Fraction(1, den)
 
 
 def characteristic_polynomial(a, den: int = 1) -> list:
@@ -410,9 +401,8 @@ def find_proximal_element(measure: WalkMeasure, seed: int = 0):
     for _ in range(PROXIMAL_TRIES):
         length = int(rng.integers(1, PROXIMAL_MAX_LEN + 1))
         word = [_sample_index(measure, rng.random()) for _ in range(length)]
-        # X_n ... X_1 = A_n ... A_1 / (D_1 ... D_n)
-        num = reduce(lambda acc, i: forms[i][0] @ acc, word[1:], forms[word[0]][0])
-        coeffs = characteristic_polynomial(num, math.prod(forms[i][1] for i in word))
+        num, (den,) = _exact_products(forms, np.array([word], dtype=np.intp), "right")
+        coeffs = characteristic_polynomial(num[0], den)
         if _unique_max_modulus_root(coeffs, measure.field):
             return {"length": length, "word": word}
     return None

@@ -563,6 +563,49 @@ def test_non_scalar_document_exits_2(doc_fuzz_dir, name):
     _assert_input_error(_document_argv(doc_fuzz_dir, kind, True))
 
 
+# an infinite r (1e309 parses to inf) is no threshold: like r <= 2 * eps it is
+# an input error, not an OverflowError traceback or a "not certified" verdict
+_NON_FINITE_R = {
+    "real-exact-inf": ("gens.json", ["--r", "inf", "--exact"]),
+    "real-exact-1e309": ("gens.json", ["--r", "1e309", "--exact"]),
+    "q3-inf": ("gens_q3.json", ["--r", "inf"]),
+    "real-float-inf": ("gens.json", ["--r", "inf"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_R))
+def test_non_finite_r_exits_2(workdir, name):
+    (workdir / "gens_q3.json").write_text(json.dumps(_VALID_DOCUMENTS[-1][1]))
+    path, extra = _NON_FINITE_R[name]
+    _assert_input_error(["certify", str(workdir / path), "--eps", "0.1", *extra])
+
+
+def test_finite_r_above_one_is_never_met(workdir):
+    (workdir / "gens_q3.json").write_text(json.dumps(_VALID_DOCUMENTS[-1][1]))
+    for path, extra in (("gens.json", []), ("gens.json", ["--exact"]), ("gens_q3.json", [])):
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["certify", str(workdir / path), "--r", "1.5", "--eps", "0.1", *extra]) == 1
+        assert "cross-margin" in json.loads(out.getvalue())["failures"]
+
+
+def test_measure_config_and_matrix_files_share_one_reader(workdir):
+    # a missing file and invalid JSON read alike whichever document it is
+    broken = workdir / "broken.json"
+    broken.write_text('{\n  "d": 2,\n  "field": }\n')
+    absent = workdir / "absent.json"
+    for path, want in (
+        (absent, f"error: cannot read {absent}: [Errno 2] No such file or directory: '{absent}'\n"),
+        (broken, f"error: {broken}: invalid JSON at line 3, column 12\n"),
+    ):
+        uses = _config(workdir, kind="lyapunov", measure=path.name, n=20, reps=10)
+        for argv in (["lyapunov", str(uses)], ["lyapunov", str(path)], ["kak", str(path)],
+                     ["certify", str(path), "--r", "0.5", "--eps", "0.02"]):
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                assert main(argv) == 2, argv
+            assert err.getvalue() == want, argv
+
+
 def test_seed_override_and_env(workdir, monkeypatch):
     cfg = _config(
         workdir, kind="lyapunov", measure="positive.json", n=30, reps=10, out=str(workdir / "a")
