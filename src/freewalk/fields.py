@@ -253,9 +253,6 @@ class Interval:
     def __sub__(self, other) -> "Interval":
         return self + (-Interval.exact(other))
 
-    def __rsub__(self, other) -> "Interval":
-        return Interval.exact(other) + (-self)
-
     def __mul__(self, other) -> "Interval":
         o = Interval.exact(other)
         c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
@@ -266,16 +263,6 @@ class Interval:
     def __truediv__(self, other) -> "Interval":
         o = Interval.exact(other)
         return Interval(*_div(self.lo, self.hi, o.lo, o.hi))
-
-    def __rtruediv__(self, other) -> "Interval":
-        return Interval.exact(other) / self
-
-    def __abs__(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(0.0, max(-self.lo, self.hi))
 
     def sqrt(self) -> "Interval":
         return Interval(*_sqrt(self.lo, self.hi))

@@ -6,10 +6,10 @@ the ultrametric world can be checked with ``==``.  Exact work clears the
 denominators of such an array once (:func:`_integer_form`) and runs on
 Python ints instead, which skips the gcd every Fraction operation pays:
 p-adic walk products, exact replay, certified poles, the determinant
-(one fraction-free elimination) and every p-adic metric.  A p-adic norm,
-distance or margin is scale-invariant up to the valuation of the common
-denominator, so it is one exponent of integer valuations and one
-Fraction.  Values turn back to Fractions only where they leave.
+(one fraction-free elimination), the inverse and every p-adic metric.  A
+p-adic norm, distance or margin is scale-invariant up to the valuation
+of the common denominator, so it is one exponent of integer valuations
+and one Fraction.  Values turn back to Fractions only where they leave.
 Covectors act by f(x) = sum_i f_i x_i and hyperplanes are always stored
 as the class of a defining covector.
 """
@@ -53,13 +53,7 @@ def as_vector(entries, field: FieldSpec) -> np.ndarray:
 
 def identity(d: int, field: FieldSpec | None = None) -> np.ndarray:
     """The d x d identity: floats over R, exact Fractions over Q_p or with no field."""
-    if field is not None and field.is_archimedean:
-        return np.eye(d)
-    m = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            m[i, j] = Fraction(1) if i == j else Fraction(0)
-    return m
+    return np.eye(d) if field is not None and field.is_archimedean else np.eye(d, dtype=object) * Fraction(1)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -134,26 +128,12 @@ def adjugate(a) -> np.ndarray:
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse by fraction-exact Gauss-Jordan elimination."""
-    d = m.shape[0]
-    a = [[Fraction(x) for x in row] for row in m]
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if a[r][c] != 0), None)
-        if piv is None:
-            raise DomainError("matrix is singular")
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            b[c], b[piv] = b[piv], b[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        b[c] = [x * inv for x in b[c]]
-        for r in range(d):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[c])]
-    return np.array(b, dtype=object)
+    """Exact inverse as Fractions: den * adjugate(a) / det(a) for the integer form m == a / den."""
+    a, den = _integer_form(m)
+    det = _int_det(a.tolist())
+    if det == 0:
+        raise DomainError("matrix is singular")
+    return adjugate(a) * Fraction(den, det)
 
 
 def is_unimodular(m: np.ndarray, field: FieldSpec) -> bool:

@@ -76,11 +76,6 @@ def contraction_data(g: np.ndarray, field: FieldSpec) -> ContractionData:
     return ContractionData(dec.v, dec.h, ratio, dist_point_hyperplane(dec.v, dec.h, field))
 
 
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < 1:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-
-
 def _check_r_eps(r: float, eps: float) -> None:
     # a finite r > 1 is a valid threshold that no margin meets; an infinite one has no exact form
     if not np.inf > r > 2 * eps > 0:
@@ -89,7 +84,8 @@ def _check_r_eps(r: float, eps: float) -> None:
 
 def is_eps_contracting(g: np.ndarray, eps: float, field: FieldSpec):
     """Sufficient contraction certificate: true iff |a_2/a_1| <= eps**2."""
-    _check_eps(eps)
+    if not 0 < eps < 1:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
     data = contraction_data(g, field)
     if field.is_archimedean:
         ok = data.ratio <= eps * eps

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
+
+from .errors import ConfigError
 
 SIGNIFICANT_DIGITS = 12
 
@@ -32,18 +35,24 @@ def round_floats(obj):
     return obj
 
 
-def write_csv(path, header, rows) -> None:
+def _write(path, text: str) -> None:
+    """Write a result file, creating its directory; an unwritable path raises ConfigError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(cell) if not isinstance(cell, str) else cell for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_json(obj))
+    _write(path, dumps_json(obj))
 
 
 def dumps_json(obj) -> str:
@@ -51,15 +60,7 @@ def dumps_json(obj) -> str:
 
 
 def fit_to_dict(fit) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "log_rho": fit.log_rho,
-        "rho_hat": fit.rho_hat,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
+    return None if fit is None else {**asdict(fit), "rho_hat": fit.rho_hat}
 
 
 def decay_to_rows(est) -> list:

@@ -52,6 +52,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -153,18 +154,13 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
         if not is_unimodular(a, field):
             raise InvariantViolation("atom determinant is not 1")
         exact.append(np.array([[Fraction(x) for x in row] for row in a], dtype=object))
-    cum = []
-    acc = 0.0
-    for p in probs:
-        acc += float(p)
-        cum.append(acc)
     return WalkMeasure(
         atoms=atoms,
         probs=probs,
         field=field,
         d=d,
         exact_atoms=tuple(exact),
-        cumulative=tuple(cum),
+        cumulative=tuple(accumulate(map(float, probs))),
     )
 
 

@@ -20,13 +20,14 @@ from freewalk.linalg import (
     adjugate,
     exact_det,
     exact_inv,
+    identity,
     matrix_from_json_dict,
     matrix_to_json_dict,
     normalize_representative,
     wedge_pairs,
 )
 
-from conftest import is_isometry, random_unimodular_int
+from conftest import is_isometry, random_rational, random_unimodular_int
 
 F = Fraction
 
@@ -153,7 +154,7 @@ def test_isometry_invariance(real_field, q3):
         assert fubini_study(k @ x, k @ y, q3) == fubini_study(x, y, q3)
 
 
-def test_exact_det_inv(q3):
+def test_exact_det_inv(q3, real_field):
     rng = random.Random(4)
     for d in (2, 3, 4):
         for _ in range(25):
@@ -164,6 +165,27 @@ def test_exact_det_inv(q3):
             for i in range(d):
                 for j in range(d):
                     assert prod[i, j] == (1 if i == j else 0)
+        # the identity: floats over R, Fractions over Q_p and with no field
+        eye = identity(d, real_field)
+        assert eye.dtype == float and np.array_equal(eye, np.eye(d))
+        for eye in (identity(d), identity(d, q3)):
+            assert all(type(x) is F for x in eye.flat) and (eye == np.eye(d)).all()
+        # non-integral rationals with det != 1 over Q_3, and float entries over R:
+        # g @ exact_inv(g) is the identity exactly, on the exact values of g's entries
+        for _ in range(10):
+            q = as_matrix([[random_rational(rng) for _ in range(d)] for _ in range(d)], q3)
+            r = as_matrix([[rng.uniform(-5.0, 5.0) for _ in range(d)] for _ in range(d)], real_field)
+            for g in (q, r):
+                gi = exact_inv(g)
+                exact = np.array([[F(x) for x in row] for row in g], dtype=object)
+                assert exact_det(exact) not in (0, 1) and all(type(x) is F for x in gi.flat)
+                assert (exact @ gi == identity(d)).all() and (gi @ exact == identity(d)).all()
+        singular = as_matrix([[random_rational(rng) for _ in range(d)] for _ in range(d)], q3)
+        singular[-1] = 2 * singular[0]
+        with pytest.raises(DomainError, match="matrix is singular"):
+            exact_inv(singular)
+        with pytest.raises(DomainError, match="matrix is singular"):
+            exact_inv(np.zeros((d, d)))
 
 
 def test_adjugate_times_matrix_is_det(q3):

@@ -215,13 +215,21 @@ def _kernel_measures(real_field):
 
 def test_batched_indices_match_per_draw(real_field):
     streams = [0, 1, 5, 2**40 + 3]
-    for m in _kernel_measures(real_field):
+    measures = _kernel_measures(real_field)
+    for m in measures:
+        # the sampling table is the sequence of float partial sums, added in order
+        acc, sums = 0.0, []
+        for p in m.probs:
+            acc += float(p)
+            sums.append(acc)
+        assert m.cumulative == tuple(sums)
         idx = walk_indices(m, 300, 17, streams)
         assert idx.shape == (len(streams), 300)
         for row, stream in zip(idx.tolist(), streams):
             rng = make_stream(17, stream)
             assert row == [_sample_index(m, rng.random()) for _ in range(300)]
             assert row == sample_increment_indices(m, 300, 17, stream).tolist()
+    assert measures[3].cumulative[-1] < 1  # the ten shears
     assert walk_indices(corpus.sanov(), 5, 1, []).shape == (0, 5)
 
 
