@@ -41,7 +41,7 @@ from .estimators import (
 )
 from .decompositions import kak
 from .fields import ARCHIMEDEAN, NONARCHIMEDEAN, FieldSpec, parse_scalar
-from .linalg import _load_json, flat_matrices, matrix_from_json_dict, vector_to_strings
+from .linalg import _load_json, as_matrix, flat_matrices, matrix_from_json_dict, vector_to_strings
 from .pingpong import pingpong_certificate
 from .report import decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
 from .walks import GENERATOR_NAME, PROXIMAL_MAX_LEN, find_proximal_element, load_measure
@@ -169,7 +169,7 @@ def _vector(entries, where: str, measure) -> list:
         raise ConfigError(f"field {where}: needs {measure.d} entries, got {len(entries)}")
     try:
         vec = [parse_scalar(v, measure.field) for v in entries]
-    except (FreewalkError, ValueError) as exc:
+    except FreewalkError as exc:
         raise ConfigError(f"field {where}: {exc}") from exc
     if not any(vec):
         raise ConfigError(f"field {where}: every entry is zero")
@@ -210,7 +210,7 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
     reps = config.get("reps")
     th = config.get("thresholds", {})
 
-    # every config vector is parsed and checked before any walk runs
+    # every config vector is parsed and checked, and the output directory made, before any walk runs
     if kind == "direction":
         x = config.get("x", ["1"] * measure.d)
         x_vec = _vector(x, "x", measure)
@@ -225,12 +225,16 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
         phi1, phi2 = (
             holder_function(
                 doc["kind"],
-                _vector([str(v) for v in doc["reference"]], f"{name}/reference", measure),
+                _vector(doc["reference"], f"{name}/reference", measure),
                 measure.field,
                 doc.get("exponent", 1.0),
             )
             for name, doc in phi_docs.items()
         )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out / kind}.csv: {exc}") from exc
 
     # contraction/irreducibility of the support are not decidable from the
     # atoms; warn when not even a proximal witness shows up in short products
@@ -361,12 +365,12 @@ def _cmd_kak(args) -> int:
 
 def _cmd_certify(args) -> int:
     field, gens = flat_matrices(_load_json(args.generators), "generators")
-    cert = pingpong_certificate(gens, args.r, args.eps, field, certified=args.exact)
+    cert = pingpong_certificate([as_matrix(g, field) for g in gens], args.r, args.eps, field, certified=args.exact)
     out = cert.to_json_dict(field)
-    sys.stdout.write(dumps_json(out))
     out_dir = args.out or os.environ.get("FREEWALK_OUT")
     if out_dir:
         write_json(Path(out_dir) / "certificate.json", out)
+    sys.stdout.write(dumps_json(out))
     return 0 if cert.certified else 1
 
 

@@ -139,27 +139,25 @@ def abs_value(x: Scalar, field: FieldSpec):
     return _p_power(p, _int_valuation(x.denominator, p) - _int_valuation(x.numerator, p))
 
 
-def parse_scalar(text, field: FieldSpec) -> Scalar:
-    """Parse a serialized scalar ("num/den", integer or decimal literal).
+def parse_scalar(text, field: FieldSpec) -> Fraction:
+    """The exact rational of a document scalar ("num/den", integer or decimal literal), in both fields.
 
-    A bool, or a value that is not a str, int or float, raises ConfigError,
-    and so do inf, nan and a zero denominator over R: no measure, matrix
-    or generator document may carry them.
+    Over R it must also round to a finite float.  A bool, a value that is not a str, int or float,
+    a decimal exponent beyond 4300 and what Fraction rejects (inf, nan, 1/0) raise ConfigError.
     """
     if isinstance(text, bool) or not isinstance(text, (str, int, float)):
         raise ConfigError(f"scalar {text!r} is not a string or a number")
-    if field.is_archimedean:
-        try:
-            x = float(Fraction(text)) if isinstance(text, str) and "/" in text else float(text)
-        except (ZeroDivisionError, OverflowError):
-            x = math.inf
-        if not math.isfinite(x):
-            raise ConfigError(f"scalar {text!r} is not finite")
-        return x
     try:
-        return Fraction(text)
+        # Fraction builds 10**e for an exponent e; cap |e| at the digits Python reads into an int
+        exp = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-") if isinstance(text, str) else ""
+        if exp.isdecimal() and int(exp) > 4300:
+            raise ValueError("its decimal exponent is beyond 4300")
+        x = Fraction(text)
+        if field.is_archimedean:
+            float(x)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"cannot parse nonarchimedean scalar {text!r}") from exc
+        raise ConfigError(f"cannot parse scalar {text!r} over {field}: {exc}") from exc
+    return x
 
 
 def format_scalar(x: Scalar, field: FieldSpec) -> str:

@@ -292,13 +292,14 @@ def matrix_to_json_dict(m: np.ndarray, field: FieldSpec) -> dict:
     return {"field": field.to_dict(), "d": m.shape[0], "entries": vector_to_strings(m.ravel(), field)}
 
 
-def flat_matrices(doc: dict, key: str, single: bool = False) -> tuple[FieldSpec, list[np.ndarray]]:
-    """The field and matrices of a document of row-major entry lists.
+def flat_matrices(doc: dict, key: str, single: bool = False) -> tuple[FieldSpec, list[list]]:
+    """The field and exact matrix rows of a document of row-major entry lists.
 
     doc["field"] is a field spec, doc["d"] an integer >= 2 (SL_1 is the
     trivial group and P^0 has no hyperplanes) and doc[key] a list of flat
-    d*d entry lists, or one such list when single is set.  Entries are
-    parsed with :func:`parse_scalar`; any malformed part raises ConfigError.
+    d*d entry lists, or one such list when single is set.  Each matrix is d rows
+    of the Fractions :func:`parse_scalar` reads, in both fields; a caller that needs
+    field-typed entries rounds them once with :func:`as_matrix`.  Any malformed part raises ConfigError.
     """
     try:
         field = FieldSpec.from_dict(doc["field"])
@@ -309,16 +310,15 @@ def flat_matrices(doc: dict, key: str, single: bool = False) -> tuple[FieldSpec,
         for flat in [doc[key]] if single else doc[key]:
             if not isinstance(flat, list) or len(flat) != d * d:
                 raise ConfigError(f"{key}: a {d}x{d} matrix is a list of {d * d} entries, got {flat!r}")
-            rows = [[parse_scalar(flat[i * d + j], field) for j in range(d)] for i in range(d)]
-            mats.append(as_matrix(rows, field))
-    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            mats.append([[parse_scalar(flat[i * d + j], field) for j in range(d)] for i in range(d)])
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed matrix document: {exc}") from exc
     return field, mats
 
 
 def matrix_from_json_dict(doc: dict) -> tuple[np.ndarray, FieldSpec]:
-    field, (m,) = flat_matrices(doc, "entries", single=True)
-    return m, field
+    field, (rows,) = flat_matrices(doc, "entries", single=True)
+    return as_matrix(rows, field), field
 
 
 def vector_to_strings(x: np.ndarray, field: FieldSpec) -> list[str]:

@@ -64,7 +64,7 @@ from .decompositions import (
     scaled_premultiply,
 )
 from .errors import ConfigError, DomainError, InvariantViolation, UsageError
-from .fields import FieldSpec, valuation
+from .fields import FieldSpec, parse_scalar, valuation
 from .linalg import (
     _integer_form,
     _load_json,
@@ -108,9 +108,9 @@ MEASURE_SCHEMA = "freewalk/measure/v1"
 class WalkMeasure:
     """A finitely supported probability measure on SL_d(k).
 
-    atoms carry field-typed entries; exact_atoms are the same matrices
-    with exact Fraction entries (float entries convert exactly), used by
-    replay-based exact computations and the freeness oracle.
+    exact_atoms hold the given entries (a document's rationals as read) as Fractions, for
+    the exact replays and the freeness oracle.  Over Q_p they are the atoms; over R the
+    atoms are the floats rounded once from them.
     """
 
     atoms: tuple
@@ -147,19 +147,18 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
         raise InvariantViolation("probabilities must be positive")
     if sum(probs) != 1:
         raise InvariantViolation(f"probabilities sum to {sum(probs)}, not 1")
-    exact = []
     for a in atoms:
         if a.shape != (d, d):
             raise InvariantViolation("atoms must share one dimension")
         if not is_unimodular(a, field):
             raise InvariantViolation("atom determinant is not 1")
-        exact.append(np.array([[Fraction(x) for x in row] for row in a], dtype=object))
     return WalkMeasure(
         atoms=atoms,
         probs=probs,
         field=field,
         d=d,
-        exact_atoms=tuple(exact),
+        exact_atoms=atoms if not field.is_archimedean else tuple(
+            np.array([[Fraction(x) for x in row] for row in rows], dtype=object) for rows in atom_rows),
         cumulative=tuple(accumulate(map(float, probs))),
     )
 
@@ -169,13 +168,9 @@ def measure_from_json_dict(doc: dict) -> WalkMeasure:
     if doc.get("schema", MEASURE_SCHEMA) != MEASURE_SCHEMA:
         raise ConfigError(f"measure schema must be {MEASURE_SCHEMA!r}, got {doc['schema']!r}")
     probs = doc.get("probs")
-    if not isinstance(probs, list) or any(isinstance(p, bool) or not isinstance(p, (str, int, float)) for p in probs):
+    if not isinstance(probs, list):
         raise ConfigError(f"probs must be a list of strings or numbers, got {probs!r}")
-    try:
-        probs = [Fraction(p) for p in probs]
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed measure document: {exc}") from exc
-    return make_measure(atoms, probs, field)
+    return make_measure(atoms, [parse_scalar(p, field) for p in probs], field)
 
 
 def load_measure(path) -> WalkMeasure:

@@ -607,7 +607,8 @@ def test_measure_config_and_matrix_files_share_one_reader(workdir):
 
 
 # an output path that names a file, or lies under one, is an input error and not a
-# traceback; for certify, exit 1 would read as "not certified"
+# traceback; for certify, exit 1 would read as "not certified".  It fails before any
+# walk runs, and certify prints nothing it could not write.
 _UNWRITABLE_OUT = {
     "experiment-at-file": ("lyapunov", "afile"),
     "experiment-under-file": ("lyapunov", "afile/sub"),
@@ -616,17 +617,19 @@ _UNWRITABLE_OUT = {
 
 
 @pytest.mark.parametrize("name", sorted(_UNWRITABLE_OUT))
-def test_unwritable_output_exits_2(workdir, name):
+def test_unwritable_output_exits_2(workdir, name, monkeypatch):
     command, out = _UNWRITABLE_OUT[name]
     (workdir / "afile").write_text("")
     if command == "certify":
         argv = ["certify", str(workdir / "gens.json"), "--r", "0.5", "--eps", "0.02"]
     else:
         argv = ["lyapunov", str(_config(workdir, kind="lyapunov", measure="diag.json", n=20, reps=10))]
-    err = io.StringIO()
-    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        monkeypatch.setattr("freewalk.cli.find_proximal_element", lambda *a, **k: pytest.fail("a walk ran"))
+    err, stdout = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(stdout):
         assert main([*argv, "--out", str(workdir / out)]) == 2
     assert err.getvalue().startswith(f"error: cannot write {workdir / out}/"), err.getvalue()
+    assert stdout.getvalue() == ""
 
 
 def test_seed_override_and_env(workdir, monkeypatch):

@@ -141,6 +141,13 @@ def test_direction_convergence_diagonal_closed_form():
     assert est.fit.rho_hat == pytest.approx(0.25, rel=0.1)
 
 
+def test_direction_convergence_replays_the_corpus_rationals():
+    m = corpus.slow_contracting()
+    assert m.exact_atoms[0][0, 0] == Fraction(27, 40)  # (3/5)(9/8), not the double nearest it
+    est = direction_convergence(m, [1, 1], [50, 100, 200], 400, 100, seed=1)
+    assert [f"{v:.12g}" for v in est.p_hat] == ["0.590381341718", "0.604435929453", "0.605944640027"]
+
+
 def test_direction_convergence_horizon_check(positive_measure):
     with pytest.raises(UsageError):
         direction_convergence(positive_measure, [1, 1], [10, 20], 30, 10, seed=1)

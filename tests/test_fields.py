@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freewalk import DomainError, FieldSpec, Interval, UsageError, abs_value, valuation
+from freewalk import ConfigError, DomainError, FieldSpec, Interval, UsageError, abs_value, valuation
 from freewalk.fields import INFINITE_VALUATION, _enclose, format_scalar, parse_scalar
 
 from conftest import random_rational
@@ -80,9 +80,29 @@ def test_scalar_serialization(q3, real_field):
     assert parse_scalar("5/3", q3) == Fraction(5, 3)
     assert parse_scalar("1.25", q3) == Fraction(5, 4)
     x = 0.1 + 0.2
-    assert parse_scalar(format_scalar(x, real_field), real_field) == x
-    with pytest.raises(DomainError):
+    assert float(parse_scalar(format_scalar(x, real_field), real_field)) == x
+    with pytest.raises(ConfigError):
         parse_scalar("not-a-number", q3)
+    # both fields read the exact rational; over R its float is the one a float reader
+    # gives (Fraction for "n/d", float() otherwise): both round correctly ("-0" reads as 0)
+    rng = random.Random(21)
+    texts = ["0", "-0", "7", "-12", "0.1", "3/5", "-4/5", "1e-7", "2.5E+3", "5e-324", "1.7976931348623157e308",
+             "123456789012345678901234567890", 0.1, 3, -2.5, 1e300, 5e-324, 10**300]
+    for _ in range(2000):
+        m = rng.randint(-10**20, 10**20)
+        texts += [str(m), f"{m}e{rng.randint(-345, 285)}", repr(m / 10 ** rng.randint(0, 25)),
+                  f"{m}/{rng.randint(1, 10**20)}", rng.uniform(-1e6, 1e6), m]
+    for t in texts:
+        for field in (real_field, q3):
+            assert type(parse_scalar(t, field)) is Fraction and parse_scalar(t, field) == Fraction(t)
+        assert float(parse_scalar(t, real_field)) == (float(Fraction(t)) if "/" in str(t) else float(t)), t
+    for bad in ["inf", "-inf", "nan", "1/0", "1e400", "abc", "", float("inf"), float("nan"), 10**400, True, None, [1]]:
+        with pytest.raises(ConfigError):
+            parse_scalar(bad, real_field)
+    # an exponent beyond 4300 fails before Fraction builds 10**e (minutes for these)
+    for bad in ["inf", "nan", "1/0", "abc", float("nan"), True, None, "1e999999999", "-2E-99_999_999 ", "1e4301"]:
+        with pytest.raises(ConfigError):
+            parse_scalar(bad, q3)
 
 
 # ---------------------------------------------------------------------------

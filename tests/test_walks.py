@@ -58,6 +58,28 @@ def test_measure_validation(real_field, q2):
         make_measure(
             [[[1, 0], [0, 1]], [[1, 1], [0, 1]]], [F(3, 2), F(-1, 2)], real_field
         )  # negative prob
+    for bad in (math.inf, math.nan):  # checked before any exact atom is built
+        with pytest.raises(InvariantViolation), np.errstate(invalid="ignore"):
+            make_measure([[[1, 0], [0, bad]]], [F(1)], real_field)
+
+
+def test_rational_measure_file_read_exactly(tmp_path):
+    # the rotations by arccos(3/5) about the z and x axes, and their inverses
+    a = [[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]]
+    b = [[1, 0, 0], [0, F(3, 5), F(-4, 5)], [0, F(4, 5), F(3, 5)]]
+    rows = [a, [list(c) for c in zip(*a)], b, [list(c) for c in zip(*b)]]
+    path = tmp_path / "rotations.json"
+    path.write_text(json.dumps({"field": {"kind": "archimedean"}, "d": 3, "probs": ["1/4"] * 4,
+                                "atoms": [[str(F(x)) for row in m for x in row] for m in rows]}))
+    m = load_measure(path)
+    for atom, exact, want in zip(m.atoms, m.exact_atoms, rows):
+        assert exact.tolist() == want and all(type(x) is Fraction for x in exact.flat)
+        assert atom.dtype == float and atom.tolist() == [[float(F(x)) for x in row] for row in want]
+    for x in m.exact_atoms[::2]:
+        assert (x @ x.T == identity(3)).all()
+    assert (m.exact_atoms[0] @ m.exact_atoms[1] == identity(3)).all()
+    q = corpus.padic_contracting(3)
+    assert q.atoms is q.exact_atoms
 
 
 def test_measure_json_roundtrip_and_hash(positive_measure):
