@@ -244,8 +244,8 @@ class GapVerdict:
 
 
 def gap_test(est: LyapunovEstimate) -> GapVerdict:
-    """Positive iff the top Lyapunov gap clears its confidence interval."""
-    hw = est.ci_half_widths[2]
+    """Positive iff the top Lyapunov gap clears its CI, floored at d * 2**-52 (a float step's rounding)."""
+    hw = max(est.ci_half_widths[2], est.d * 2**-52)
     sl2 = None
     if est.d == 2:
         sl2 = abs(est.lambda12_hat) <= max(est.ci_half_widths[1], 1e-12)

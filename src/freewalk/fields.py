@@ -139,11 +139,15 @@ def abs_value(x: Scalar, field: FieldSpec):
     return _p_power(p, _int_valuation(x.denominator, p) - _int_valuation(x.numerator, p))
 
 
+_TOO_LONG = 10**4300  # the least int of more than 4300 digits, the most str() writes
+
+
 def parse_scalar(text, field: FieldSpec) -> Fraction:
     """The exact rational of a document scalar ("num/den", integer or decimal literal), in both fields.
 
     Over R it must also round to a finite float.  A bool, a value that is not a str, int or float,
-    a decimal exponent beyond 4300 and what Fraction rejects (inf, nan, 1/0) raise ConfigError.
+    a decimal exponent beyond 4300, a numerator or denominator of more than 4300 digits and what
+    Fraction rejects (inf, nan, 1/0) raise ConfigError.
     """
     if isinstance(text, bool) or not isinstance(text, (str, int, float)):
         raise ConfigError(f"scalar {text!r} is not a string or a number")
@@ -153,6 +157,8 @@ def parse_scalar(text, field: FieldSpec) -> Fraction:
         if exp.isdecimal() and int(exp) > 4300:
             raise ValueError("its decimal exponent is beyond 4300")
         x = Fraction(text)
+        if max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+            raise ValueError("its numerator or denominator has more than 4300 digits")
         if field.is_archimedean:
             float(x)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:

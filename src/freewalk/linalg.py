@@ -5,8 +5,9 @@ object-dtype numpy arrays holding exact Fractions, so every identity in
 the ultrametric world can be checked with ``==``.  Exact work clears the
 denominators of such an array once (:func:`_integer_form`) and runs on
 Python ints instead, which skips the gcd every Fraction operation pays:
-p-adic walk products, exact replay, certified poles, the determinant
-(one fraction-free elimination), the inverse and every p-adic metric.  A
+p-adic walk products, exact replay, certified poles, the determinant,
+adjugate and characteristic polynomial (one Faddeev-LeVerrier pass gives
+all three), the inverse and every p-adic metric.  A
 p-adic norm, distance or margin is scale-invariant up to the valuation
 of the common denominator, so it is one exponent of integer valuations
 and one Fraction.  Values turn back to Fractions only where they leave.
@@ -84,56 +85,52 @@ def _integer_form(m) -> tuple[np.ndarray, int]:
     return np.array(a, dtype=object).reshape(m.shape), den
 
 
+def _faddeev_leverrier(a) -> tuple[list, np.ndarray, int]:
+    """Char poly [c_0, ..., c_d] (monic), adjugate and determinant of a square int matrix, in one pass.
+
+    Faddeev-LeVerrier on Python ints: B_0 = I, B_k = a B_{k-1} + c_{d-k} I with c_{d-k} =
+    -tr(a B_{k-1}) / k, each division exact.  a B_{d-1} = -c_0 I, so adj(a) = (-1)**(d-1) B_{d-1}
+    (an object array) after d - 2 matrix products, and det(a) = a[0] . adj[:, 0] = (-1)**d c_0.
+    """
+    # dtype=object: numpy turns a list mixing negative ints and ints >= 2**63 into floats
+    rows = [[operator.index(x) for x in row] for row in np.asarray(a, dtype=object).tolist()]
+    d = len(rows)
+    coeffs, ab = [1], rows  # c_d, c_{d-1}, ..., c_1; ab = a B_{k-1}
+    b = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(1, d):
+        coeffs.append(-sum(ab[i][i] for i in range(d)) // k)
+        b = [[x + coeffs[-1] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(ab)]
+        if k < d - 1:
+            ab = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in rows]
+    adj = np.array(b, dtype=object) * (-1) ** (d - 1)
+    det = sum(x * y for x, y in zip(rows[0], adj[:, 0]))
+    return [(-1) ** d * det, *reversed(coeffs)], adj, det
+
+
 def exact_det(m: np.ndarray) -> Fraction:
     """Exact determinant: det(a) / den**d for the integer form m == a / den."""
     a, den = _integer_form(m)
-    return Fraction(_int_det(a.tolist()), den ** len(a))
-
-
-def _int_det(rows: list) -> int:
-    """Determinant of a square list of int rows, by Bareiss fraction-free elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            a[r] = [(a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev for k in range(n)]
-        prev = a[c][c]
-    return sign * a[-1][-1] if n else 1
+    return Fraction(_faddeev_leverrier(a)[2], den ** len(a))
 
 
 def adjugate(a) -> np.ndarray:
     """Adjugate of a square integer matrix: adjugate(a) @ a == det(a) * I.
 
-    Entries must be ints (Python or numpy); the result is an object array
-    of Python ints, each cofactor an integer determinant, so no Fraction
-    is built.  For invertible a, a^{-1} = adjugate(a) / det(a), and a
-    column or row of it spans the same projective point as that of a^{-1}.
+    Entries must be ints (Python or numpy); the result is an object array of Python ints from
+    :func:`_faddeev_leverrier`, so no Fraction is built.  For invertible a, a^{-1} = adjugate(a) /
+    det(a), and a column or row of it spans the same projective point as that of a^{-1}.
     """
-    # dtype=object: numpy turns a list mixing negative ints and ints >= 2**63 into floats
-    rows = [[operator.index(x) for x in row] for row in np.asarray(a, dtype=object).tolist()]
-    d = len(rows)
-    adj = np.empty((d, d), dtype=object)
-    # adj[j, i] is the (i, j) cofactor
-    adj[:, :] = [
-        [(-1) ** (i + j) * _int_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]) for i in range(d)]
-        for j in range(d)
-    ]
-    return adj
+    return _faddeev_leverrier(a)[1]
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:
-    """Exact inverse as Fractions: den * adjugate(a) / det(a) for the integer form m == a / den."""
+    """Exact inverse as Fractions: den * adj(a) / det(a) for the integer form m == a / den,
+    both from one :func:`_faddeev_leverrier` pass."""
     a, den = _integer_form(m)
-    det = _int_det(a.tolist())
+    _, adj, det = _faddeev_leverrier(a)
     if det == 0:
         raise DomainError("matrix is singular")
-    return adjugate(a) * Fraction(den, det)
+    return adj * Fraction(den, det)
 
 
 def is_unimodular(m: np.ndarray, field: FieldSpec) -> bool:

@@ -44,6 +44,7 @@ from .decompositions import _smith, kak
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value
 from .linalg import (
+    _faddeev_leverrier,
     _integer_form,
     _normalize_rows,
     _padic_margin,
@@ -385,16 +386,15 @@ def _certified_failures_real(gs, r: float, eps: float) -> set[str]:
     """Failure reasons of a tuple over R whose verdict holds at interval endpoints.
 
     g^{-1} = den adj(a) / det(a) for g = a / den, so each generator is put
-    in integer form once.  Only lower endpoints of the separations are
-    compared with r, as certainly_gt / certainly_ge would.
+    in integer form once and adj(a) and det(a) come from one pass.  Only lower endpoints of the
+    separations are compared with r, as certainly_gt / certainly_ge would.
     """
     eps4 = Fraction(eps) ** 4
     r_hi = _enclose(*Fraction(r).as_integer_ratio())[1]
     poles: list[Optional[_CertifiedPole]] = []
     for g in gs:
         a, den = _integer_form(g)
-        adj = adjugate(a)
-        det = _dot(a[0], adj[:, 0])
+        _, adj, det = _faddeev_leverrier(a)
         if det == 0:
             raise DomainError("matrix is singular")
         sign = 1 if det > 0 else -1

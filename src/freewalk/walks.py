@@ -47,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -66,6 +65,7 @@ from .decompositions import (
 from .errors import ConfigError, DomainError, InvariantViolation, UsageError
 from .fields import FieldSpec, parse_scalar, valuation
 from .linalg import (
+    _faddeev_leverrier,
     _integer_form,
     _load_json,
     as_matrix,
@@ -337,15 +337,10 @@ def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.n
 
 def characteristic_polynomial(a, den: int = 1) -> list:
     """Exact char poly coefficients [c_0, ..., c_d] (monic) of a / den, a an integer matrix:
-    Faddeev-LeVerrier on Python ints (each division by k is exact), c_k(a / den) = c_k(a) / den**(d - k)."""
-    a = np.array([[operator.index(x) for x in row] for row in np.asarray(a, dtype=object).tolist()], dtype=object)
-    d = len(a)
-    coeffs, mk = [1], a  # c_d, then c_{d-1}, ..., c_0
-    for k in range(1, d + 1):
-        coeffs.append(-mk.trace() // k)
-        if k < d:
-            mk = a @ (mk + coeffs[-1] * np.eye(d, dtype=object))
-    return [Fraction(c, den ** (d - k)) for k, c in enumerate(reversed(coeffs))]
+    those of a from :func:`linalg._faddeev_leverrier`, and c_k(a / den) = c_k(a) / den**(d - k)."""
+    coeffs = _faddeev_leverrier(a)[0]
+    d = len(coeffs) - 1
+    return [Fraction(c, den ** (d - k)) for k, c in enumerate(coeffs)]
 
 
 def _unique_max_modulus_root(coeffs, field: FieldSpec) -> bool:

@@ -659,6 +659,34 @@ def test_seed_override_and_env(workdir, monkeypatch):
     assert d["config"]["seed"] == 7 and d["lambda1_hat"] == b["lambda1_hat"]
 
 
+def test_scalar_too_long_to_write_exits_2(workdir):
+    measure = {"field": {"kind": "nonarchimedean", "prime": 3}, "d": 2, "probs": ["1"],
+               "atoms": [["1e4300", "0", "0", "1e-4300"]]}
+    (workdir / "long.json").write_text(json.dumps(measure))
+    cfg = _config(workdir, kind="lyapunov", measure="long.json", n=20, reps=10, out=str(workdir / "long-out"))
+    proc = subprocess.run([sys.executable, "-m", "freewalk.cli", "lyapunov", str(cfg)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_compact_rotation_group_has_no_positive_gap(workdir):
+    # the rotations by arccos(3/5) about the z and x axes and their inverses generate a free
+    # group inside SO(3): lambda_1 = lambda_2 = 0.  The float atoms are orthogonal only to
+    # about 4e-17, which leaves a gap of the order of 1e-17 that more reps cannot resolve.
+    a = [[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]]
+    b = [[1, 0, 0], [0, F(3, 5), F(-4, 5)], [0, F(4, 5), F(3, 5)]]
+    rows = [a, [list(c) for c in zip(*a)], b, [list(c) for c in zip(*b)]]
+    (workdir / "rotations.json").write_text(json.dumps({
+        "field": {"kind": "archimedean"}, "d": 3, "probs": ["1/4"] * 4,
+        "atoms": [[str(F(x)) for row in m for x in row] for m in rows]}))
+    cfg = _config(workdir, kind="lyapunov", measure="rotations.json", n=100, reps=100, seed=1,
+                  out=str(workdir / "rot-out"))
+    assert main(["lyapunov", str(cfg)]) == 0
+    sidecar = json.loads((workdir / "rot-out" / "lyapunov.json").read_text())
+    assert 0 < sidecar["gap_hat"] < 1e-15 and sidecar["ci_half_widths"][2] < sidecar["gap_hat"]
+    assert sidecar["gap_positive"] is False
+
+
 def test_hypothesis_warning_for_isometry_measure(workdir, capsys):
     (workdir / "rot.json").write_text(dumps_json(corpus.rotation_point_mass().to_json_dict()))
     cfg = _config(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -205,6 +206,59 @@ def test_adjugate_times_matrix_is_det(q3):
     assert adjugate(np.array([[7]])).tolist() == [[1]]
     with pytest.raises(TypeError):
         adjugate(np.array([[F(1, 2), 0], [0, 2]], dtype=object))
+
+
+def _leibniz_det(m):
+    """Determinant as the signed sum over permutations, independent of any elimination."""
+    d, total = len(m), 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(d))
+    return total
+
+
+def _low_rank(rng, d, rank, bits):
+    """A d x d integer matrix of rank at most rank: a (d, rank) times a (rank, d) integer product."""
+    left = [[rng.randint(-2**bits, 2**bits) for _ in range(rank)] for _ in range(d)]
+    right = [[rng.randint(-2**bits, 2**bits) for _ in range(d)] for _ in range(rank)]
+    return [[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(d)] for i in range(d)]
+
+
+def test_adjugate_is_the_cofactor_matrix():
+    # adj @ a == det I holds for adj = 0 on every singular a; the cofactors pin adj itself
+    rng = random.Random(23)
+    for d in (1, 2, 3, 4, 5):
+        for bits in (6, 70, 200):  # 70 and 200 bits: entries beyond 2**63, no float coercion
+            cases = [([[rng.randint(-2**bits, 2**bits) for _ in range(d)] for _ in range(d)], d) for _ in range(3)]
+            if d >= 2:  # rank d - 1 (adj of rank 1) and rank d - 2 (adj == 0; the zero matrix at d = 2)
+                cases += [(_low_rank(rng, d, rank, bits // 2), rank) for rank in (d - 1, d - 2)]
+            for a, rank in cases:
+                want = [[(-1) ** (i + j) * _leibniz_det([r[:j] + r[j + 1:] for k, r in enumerate(a) if k != i])
+                         for i in range(d)] for j in range(d)]
+                adj = adjugate(np.array(a, dtype=object))
+                assert adj.dtype == object and all(type(x) is int for x in adj.flat)
+                assert adj.tolist() == want
+                assert exact_det(np.array(a, dtype=object)) == _leibniz_det(a)
+                assert any(adj.flat) == (rank >= d - 1)
+
+
+def test_characteristic_polynomial_is_cayley_hamilton():
+    from freewalk.walks import characteristic_polynomial
+
+    rng = random.Random(29)
+    for d in (1, 2, 3, 4, 5):
+        for den in (1, 6):
+            for bits in (5, 80):
+                a = [[rng.randint(-2**bits, 2**bits) for _ in range(d)] for _ in range(d)]
+                c = characteristic_polynomial(np.array(a, dtype=object), den)
+                g = np.array([[F(x, den) for x in row] for row in a], dtype=object)
+                assert len(c) == d + 1 and c[d] == 1 and all(type(x) is F for x in c)
+                assert c[d - 1] == -F(sum(a[i][i] for i in range(d)), den)
+                assert c[0] == (-1) ** d * F(_leibniz_det(a), den**d)
+                total, power = np.zeros((d, d), dtype=object), identity(d)
+                for ck in c:  # sum_k c_k g**k == 0 exactly
+                    total, power = total + ck * power, power @ g
+                assert not any(total.flat)
 
 
 def test_normalize_representative(real_field, q3):

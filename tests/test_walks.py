@@ -82,6 +82,17 @@ def test_rational_measure_file_read_exactly(tmp_path):
     assert q.atoms is q.exact_atoms
 
 
+def test_measure_rejects_scalars_too_long_to_write():
+    # 1e4300 passes the exponent cap, but str() of its 4301-digit numerator, which
+    # canonical_hash and every writer take, raises ValueError
+    doc = {"field": {"kind": "nonarchimedean", "prime": 3}, "d": 2, "probs": ["1"],
+           "atoms": [["1e4300", "0", "0", "1e-4300"]]}
+    with pytest.raises(ConfigError, match="more than 4300 digits"):
+        measure_from_json_dict(doc)
+    doc["atoms"] = [["1e4299", "0", "0", "1e-4299"]]
+    assert len(measure_from_json_dict(doc).canonical_hash()) == 64
+
+
 def test_measure_json_roundtrip_and_hash(positive_measure):
     doc = positive_measure.to_json_dict()
     again = measure_from_json_dict(json.loads(json.dumps(doc)))
