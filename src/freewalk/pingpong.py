@@ -12,10 +12,9 @@ v, h (m, 2, d) and ratios (m, 2) for a stack of m matrices (index 0
 holds the KAK frames, which the walk estimators read),
 :func:`cross_margin_matrix` every delta(v_p, Ker h_q) of a stack of
 tuples, own-separations on its diagonal, and :func:`tuple_failure_reasons`
-compares them, and the ratios, with the thresholds; the decay and tuple
-estimators, :func:`pingpong_certificate` and :func:`is_very_proximal` all
-score through these.  Thresholds are also compared by :func:`is_eps_contracting`
-(the single-matrix API) and :func:`_certified_failures_real` (on endpoints).
+is the one comparer of tuple bounds with thresholds: the decay and tuple
+estimators, :func:`pingpong_certificate`, :func:`is_very_proximal` and the
+certified bounds of :func:`_certified_bounds` all score through it.
 
 Three evaluation modes:
 
@@ -81,6 +80,18 @@ def _check_r_eps(r: float, eps: float) -> None:
     # a finite r > 1 is a valid threshold that no margin meets; an infinite one has no exact form
     if not np.inf > r > 2 * eps > 0:
         raise DomainError(f"need r > 2*eps > 0 with r finite, got r={r}, eps={eps}")
+
+
+def _check_generators(gs, least: int) -> None:
+    """Reject fewer than `least` generators, or generators that are not square matrices of one size."""
+    if len(gs) < least:
+        raise DomainError(f"a generator tuple needs at least {least} matrices, got {len(gs)}")
+    try:
+        shapes = {np.shape(g) for g in gs}
+    except ValueError:  # numpy refuses a ragged row list
+        shapes = set()
+    if len(shapes) != 1 or len(d := next(iter(shapes))) != 2 or d[0] != d[1] or not d[0]:
+        raise UsageError("generators must be square matrices of one size")
 
 
 def is_eps_contracting(g: np.ndarray, eps: float, field: FieldSpec):
@@ -182,10 +193,12 @@ def tuple_failure_reasons(ratio: np.ndarray, margins: np.ndarray, r: float, eps:
     ratio (..., m) and margins (..., m, m) hold tuples of m poles ordered
     g_0, g_0^{-1}, g_1, ...  Unguarded: evaluates the raw inequalities
     whether or not r > 2*eps, so decay experiments can score scheduled
-    thresholds at every walk length.  Fractions are compared exactly, with
-    r and eps**2 converted to Fractions once.
+    thresholds at every walk length.  Each threshold takes the exactness
+    of the array it meets: eps**2 and r are converted to Fractions once
+    against object arrays, and float arrays keep float comparisons.
     """
-    r, eps_sq = (Fraction(r), Fraction(eps) ** 2) if ratio.dtype == object else (r, eps * eps)
+    eps_sq = Fraction(eps) ** 2 if ratio.dtype == object else eps * eps
+    r = Fraction(r) if margins.dtype == object else r
     block = np.arange(ratio.shape[-1]) // 2
     other = block[:, None] != block[None, :]
     return {
@@ -241,8 +254,7 @@ def pingpong_certificate(
 ) -> ProximalityCertificate:
     """Full certification report for a tuple of determinant-1 matrices."""
     _check_r_eps(r, eps)
-    if len(gs) < 2:
-        raise DomainError("a ping-pong tuple needs at least 2 generators")
+    _check_generators(gs, 2)
     # poles ordered g_0, g_0^{-1}, g_1, ...
     v, h, ratio = (a.reshape(-1, *a.shape[2:]) for a in pole_pair(gs, field))
     margins = cross_margin_matrix(v, h, field)
@@ -250,8 +262,7 @@ def pingpong_certificate(
         mode, failures = "certified-interval", _certified_failures_real(gs, r, eps)
     else:
         mode = "float" if field.is_archimedean else "exact"
-        reasons = tuple_failure_reasons(ratio, margins, r, eps)
-        failures = {k for k, hit in reasons.items() if hit}
+        failures = {k for k, hit in tuple_failure_reasons(ratio, margins, r, eps).items() if hit}
     return ProximalityCertificate(
         generators=tuple(gs),
         r=r,
@@ -291,17 +302,10 @@ class _CertifiedPole:
 
 
 _SQRT2 = _sqrt(2.0, 2.0)
-# Lower endpoint of the outward-rounded product sqrt(2) * (sin_v + sin_h):
-# the same for every pair of sin bounds whose lower endpoints are 0.0.
-_CORRECTION_LO = _down(_SQRT2[1] * _down(0.0))
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _sym_inf_norm(m: np.ndarray):
-    return max(sum(abs(x) for x in row) for row in m)
 
 
 def _certified_pole_real(a: np.ndarray, den: int) -> Optional[_CertifiedPole]:
@@ -332,7 +336,7 @@ def _certified_pole_real(a: np.ndarray, den: int) -> Optional[_CertifiedPole]:
     # Python-int lists: numpy object arithmetic costs more on such small matrices
     P = [[_dot(r, s) for s in rows] for r in rows]  # a a^T, eigvec for sigma_1^2: attracting point
     S = [[_dot(r, s) for s in cols] for r in cols]  # a^T a, eigvec for sigma_1^2: repelling covector
-    W = min(_sym_inf_norm(exterior_square(np.array(M, dtype=object))) for M in (P, S))
+    W = min(max(sum(map(abs, row)) for row in exterior_square(np.array(M, dtype=object))) for M in (P, S))
     den_sq = den * den
 
     def pole_bounds(A, x):
@@ -352,70 +356,60 @@ def _certified_pole_real(a: np.ndarray, den: int) -> Optional[_CertifiedPole]:
     bh = pole_bounds(S, hhat)
     if bv is None or bh is None:
         return None
-    return _CertifiedPole(
-        v=vhat,
-        v_den=v_den,
-        vv=bv[2],
-        h=hhat,
-        h_den=h_den,
-        hh=bh[2],
-        ratio_sq_upper=min(bv[0], bh[0]),
-        sin_v=bv[1],
-        sin_h=bh[1],
-    )
+    return _CertifiedPole(v=vhat, v_den=v_den, vv=bv[2], h=hhat, h_den=h_den, hh=bh[2],
+                          ratio_sq_upper=min(bv[0], bh[0]), sin_v=bv[1], sin_h=bh[1])
 
 
-def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> tuple[float, float]:
-    """Endpoints of delta(v_p, Ker h_q), corrected for candidate error.
+def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> float:
+    """Lower endpoint of delta(v_p, Ker h_q), corrected for candidate error.
 
     delta(., Ker .) is sqrt(2)-Lipschitz in the summed projective metric,
     so the true separation is at least the candidate one minus
-    sqrt(2) * (angle errors).  The endpoints are rounded as the Interval
+    sqrt(2) * (angle errors).  The endpoint is rounded as the Interval
     expression sqrt(num_sq) / sqrt(den_sq) - sqrt(2) * (sin_v + sin_h)
-    rounds them.
+    rounds its lower end.
     """
     scale_sq = (p.v_den * q.h_den) ** 2
     dot = _dot(q.h, p.v)
     num = _sqrt(*_enclose(dot * dot, scale_sq))
-    lo, hi = _div(*num, *_sqrt(*_enclose(p.vv * q.hh, scale_sq)))
-    correction_hi = _up(_SQRT2[1] * _up(p.sin_v + q.sin_h))
-    return _down(lo - correction_hi), _up(hi - _CORRECTION_LO)
+    lo = _div(*num, *_sqrt(*_enclose(p.vv * q.hh, scale_sq)))[0]
+    return _down(lo - _up(_SQRT2[1] * _up(p.sin_v + q.sin_h)))
 
 
-def _certified_failures_real(gs, r: float, eps: float) -> set[str]:
-    """Failure reasons of a tuple over R whose verdict holds at interval endpoints.
+def _certified_bounds(gs) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Certified bounds of a tuple over R, or None when a pole's spectral gap is not certified.
 
-    g^{-1} = den adj(a) / det(a) for g = a / den, so each generator is put
-    in integer form once and adj(a) and det(a) come from one pass.  Only lower endpoints of the
-    separations are compared with r, as certainly_gt / certainly_ge would.
+    ratio_sq (2m,) holds exact upper bounds on |a_2/a_1|**2 and sep (2m, 2m) lower endpoints
+    of delta(v_p, Ker h_q), poles ordered as by :func:`pole_pair`; sep is inf where
+    :func:`tuple_failure_reasons` reads nothing (two poles of one generator).
+    g^{-1} = den adj(a) / det(a) for g = a / den: adj(a) and det(a) come from one pass.
     """
-    eps4 = Fraction(eps) ** 4
-    r_hi = _enclose(*Fraction(r).as_integer_ratio())[1]
-    poles: list[Optional[_CertifiedPole]] = []
+    poles = []
     for g in gs:
         a, den = _integer_form(g)
         _, adj, det = _faddeev_leverrier(a)
         if det == 0:
             raise DomainError("matrix is singular")
         sign = 1 if det > 0 else -1
-        poles.append(_certified_pole_real(a, den))
-        poles.append(_certified_pole_real(sign * den * adj, sign * det))
+        poles += [_certified_pole_real(a, den), _certified_pole_real(sign * den * adj, sign * det)]
     if any(p is None for p in poles):
+        return None
+    sep = [[_certified_separation(p, q) if i == j or i // 2 != j // 2 else np.inf for j, q in enumerate(poles)]
+           for i, p in enumerate(poles)]
+    return np.array([p.ratio_sq_upper for p in poles], dtype=object), np.array(sep)
+
+
+def _certified_failures_real(gs, r: float, eps: float) -> set[str]:
+    """Failure reasons of a tuple over R whose verdict holds at interval endpoints.
+
+    :func:`tuple_failure_reasons` compares the bounds on |a_2/a_1|**2 with (eps**2)**2 and the
+    lower separation endpoints with the upper enclosure of r, as certainly_gt / certainly_ge would.
+    """
+    bounds = _certified_bounds(gs)
+    if bounds is None:
         return {FAIL_UNCERTIFIED}
-    failures: set[str] = set()
-    if any(not p.ratio_sq_upper <= eps4 for p in poles):
-        failures.add(FAIL_CONTRACTION)
-    if any(not _certified_separation(p, p)[0] > r_hi for p in poles):
-        failures.add(FAIL_SEPARATION)
-    m = len(poles)
-    if any(
-        not _certified_separation(poles[i], poles[j])[0] >= r_hi
-        for i in range(m)
-        for j in range(m)
-        if i // 2 != j // 2
-    ):
-        failures.add(FAIL_CROSS)
-    return failures
+    reasons = tuple_failure_reasons(*bounds, _enclose(*Fraction(r).as_integer_ratio())[1], Fraction(eps) ** 2)
+    return {k for k, hit in reasons.items() if hit}
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +505,7 @@ def free_word_oracle(gs, max_len: int) -> OracleVerdict:
     """
     if not 1 <= max_len <= MAX_ORACLE_LEN:
         raise UsageError(f"max_len must be in [1, {MAX_ORACLE_LEN}]")
+    _check_generators(gs, 1)
     base = [_exact_rows(g) for g in gs]
     d = len(base[0])
     ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))

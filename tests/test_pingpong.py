@@ -26,6 +26,7 @@ from freewalk.fields import Interval
 from freewalk.decompositions import _kak_real, kak
 from freewalk.linalg import _integer_form, exact_inv, exterior_square, normalize_representative
 from freewalk.pingpong import (
+    _certified_bounds,
     _certified_failures_real,
     _certified_pole_real,
     _certified_separation,
@@ -678,7 +679,7 @@ def test_certified_pole_bounds_match_fraction_reference(real_field):
                 den_sq = sum(a * a for a in v) * sum(b * b for b in h)
                 sep = Interval.exact(num_sq).sqrt() / Interval.exact(den_sq).sqrt()
                 ref = sep - Interval.exact(2).sqrt() * (sin_v + sin_h)
-                assert _certified_separation(p, q) == (ref.lo, ref.hi), name
+                assert _certified_separation(p, q) == ref.lo, name
 
 
 # The Interval-based certified path that preceded the endpoint one, kept
@@ -767,7 +768,6 @@ def _walk_word_tuples(rng, count):
 def test_endpoint_constants_equal_interval_forms():
     sqrt2 = Interval.exact(2).sqrt()
     assert pingpong._SQRT2 == (sqrt2.lo, sqrt2.hi)
-    assert pingpong._CORRECTION_LO == (sqrt2 * (Interval(0.0, 0.0) + Interval(0.0, 0.0))).lo == -1e-323
 
 
 def test_certified_failures_match_interval_reference():
@@ -800,3 +800,59 @@ def test_certified_failures_match_interval_reference():
             checked += 1
         boundary += len(cases) - 1
     assert checked >= 1000 and boundary >= 200
+
+
+def test_certified_bounds_sound_at_their_own_thresholds():
+    # r just below the least separation bound read, eps with eps**4 at the largest ratio bound:
+    # every tuple valid there (r > 2 eps) certifies, and the exact oracle finds no relation in it
+    rng = random.Random(2024)
+    certified = 0
+    for gs in _walk_word_tuples(rng, 300):
+        bounds = _certified_bounds(gs)
+        if bounds is None:
+            continue
+        ratio_sq, sep = bounds
+        assert ratio_sq.shape == (2 * len(gs),) and sep.shape == (2 * len(gs),) * 2
+        r = float(np.nextafter(sep.min(), 0))
+        eps = float(max(ratio_sq)) ** 0.25
+        while F(eps) ** 4 < max(ratio_sq):
+            eps = float(np.nextafter(eps, 1))
+        if not r > 2 * eps:
+            continue
+        assert _certified_failures_real(gs, r, eps) == set()
+        assert not free_word_oracle([exact_matrix(np.asarray(g)) for g in gs], 8).found
+        certified += 1
+    assert certified >= 50
+
+
+def test_tuple_failure_reasons_mixed_dtypes():
+    # exact ratios with float margins: eps**2 meets the ratios as a Fraction, r the margins as a float
+    r, eps = 0.5, 0.125
+    ratio = np.array([[F(1, 64)] * 4, [F(1, 100)] * 4, [F(1, 64) + F(1, 10**30)] * 4], dtype=object)
+    margins = np.full((3, 4, 4), 0.75)
+    margins[0, 1, 1] = r  # an own separation equal to r
+    margins[1, 1, 2] = r  # a cross margin equal to r
+    reasons = tuple_failure_reasons(ratio, margins, r, eps)
+    assert reasons["own-contraction"].tolist() == [False, False, True]
+    assert reasons["own-separation"].tolist() == [True, False, False]
+    assert reasons["cross-margin"].tolist() == [False, False, False]
+
+
+@pytest.mark.parametrize("field_name", ["R", "Q3"])
+def test_malformed_generator_tuples_rejected(field_name, real_field, q3):
+    field = real_field if field_name == "R" else q3
+    a, i3 = as_matrix([[1, 2], [0, 1]], field), as_matrix(np.eye(3, dtype=int), field)
+    calls = [
+        lambda: free_word_oracle([], 4),
+        lambda: free_word_oracle([[[1, 2], [0, 1]], np.eye(3, dtype=int)], 4),
+        lambda: free_word_oracle([[[1, 2], [0]]], 4),
+        lambda: free_word_oracle([[[1, 2, 0], [0, 1, 0]]], 4),
+        lambda: free_word_oracle([[1, 2]], 4),
+        lambda: pingpong_certificate([], 0.5, 0.1, field),
+        lambda: pingpong_certificate([a, i3], 0.5, 0.1, field),
+        lambda: pingpong_certificate([a, i3], 0.5, 0.1, field, certified=True),
+        lambda: pingpong_certificate([a, a[:1]], 0.5, 0.1, field, certified=True),
+    ]
+    for call in calls:
+        with pytest.raises((UsageError, DomainError)):
+            call()
