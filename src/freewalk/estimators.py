@@ -1,8 +1,8 @@
 """Monte Carlo estimators turning the limit theorems into desk-scale checks.
 
-Every estimator is a pure function of (inputs, seed): trajectory i of an
-experiment runs on RNG stream i (or a documented affine reallocation for
-multi-walk experiments), and results are reduced in trajectory order.
+Every estimator is a pure function of (inputs, seed), reduced in trajectory
+order: trajectory i runs on RNG stream i, and walk w of ping-pong tuple rep
+at grid point gi on stream (gi*reps + rep)*l + w (:func:`_tuple_failures`).
 :func:`walk_indices` stacks the index rows of all trajectories and each
 estimator call folds all its float walks (atoms, inverses, wedges, every
 grid point and measure) in one :func:`walk_products` call per matrix
@@ -561,6 +561,24 @@ def _walk_poles(batches) -> list:
     return [tuple(np.stack(p[2 * b:2 * b + 2], axis=1) for p in parts) for b in range(len(batches))]
 
 
+def _tuple_failures(measures, grid, reps: int, seed: int, thresholds) -> list:
+    """:func:`tuple_failure_reasons` of reps l-tuples of walks, l = len(measures), one dict per grid point.
+
+    Walk w of tuple rep at grid point gi runs on stream (gi*reps + rep)*l + w of measures[w], and
+    is scored at thresholds[gi] = (r, eps).  One :func:`_walk_poles` call (a batch per (gi, w))
+    and one margin call; a tuple's poles are S_n, S_n^{-1} of walk 0, then of walk 1, and so on.
+    """
+    if len({(m.field, m.d) for m in measures}) != 1:
+        raise UsageError("the measures of a tuple must share one field and dimension")
+    l = len(measures)
+    poles = _walk_poles([(m, walk_indices(m, n, seed, [(gi * reps + rep) * l + w for rep in range(reps)]))
+                         for gi, n in enumerate(grid) for w, m in enumerate(measures)])
+    v, h, ratio = (np.array([np.concatenate(a[i:i + l], axis=1) for i in range(0, len(a), l)])
+                   for a in zip(*poles))
+    margins = cross_margin_matrix(v, h, measures[0].field)
+    return [tuple_failure_reasons(ratio[gi], margins[gi], r, eps) for gi, (r, eps) in enumerate(thresholds)]
+
+
 def pingpong_decay(
     measure: WalkMeasure,
     measure2: WalkMeasure,
@@ -575,34 +593,19 @@ def pingpong_decay(
     Thresholds are evaluated at every grid point; points where
     r_base**n <= 2 * eps_base**n cannot support the freeness
     interpretation and are marked invalid in extra["thresholds_valid"]
-    (the raw inequalities are still scored there).  All grid points and
-    both measures share one :func:`_walk_poles` and one margin call.
+    (the raw inequalities are still scored there).  The pairs are the
+    l = 2 tuples of :func:`_tuple_failures`.
     """
     if not 0 < eps_base < r_base < 1:
         raise DomainError("need 0 < eps_base < r_base < 1")
     grid = sorted(grid)
-    field = measure.field
-    # trajectory pair (gi, rep) walks streams 2*(gi*reps+rep) and 2*(gi*reps+rep)+1
-    poles = _walk_poles([(m, walk_indices(m, n, seed, [2 * (gi * reps + rep) + w for rep in range(reps)]))
-                         for gi, n in enumerate(grid) for w, m in enumerate((measure, measure2))])
-    # each tuple's poles: S_n, S_n^{-1}, S'_n, S'_n^{-1}; one row of tuples per grid point
-    v, h, ratio = (np.array([np.concatenate(pair, axis=1) for pair in zip(a[0::2], a[1::2])])
-                   for a in zip(*poles))
-    margins = cross_margin_matrix(v, h, field)
-    counts = []
-    breakdown = {k: [] for k in FAILURE_KEYS}
-    for gi, n in enumerate(grid):
-        fails = tuple_failure_reasons(ratio[gi], margins[gi], r_base**n, eps_base**n)
-        counts.append(int(np.any(list(fails.values()), axis=0).sum()))
-        for k in FAILURE_KEYS:
-            breakdown[k].append(int(fails[k].sum()))
+    fails = _tuple_failures((measure, measure2), grid, reps, seed, [(r_base**n, eps_base**n) for n in grid])
+    counts = [int(np.any(list(f.values()), axis=0).sum()) for f in fails]
     extra = {
-        "breakdown": breakdown,
+        "breakdown": {k: [int(f[k].sum()) for f in fails] for k in FAILURE_KEYS},
         "thresholds_valid": [r_base**n > 2 * eps_base**n for n in grid],
         "r": [r_base**n for n in grid],
         "eps": [eps_base**n for n in grid],
-        "r_base": r_base,
-        "eps_base": eps_base,
     }
     return _decay("proportion", grid, [_proportion_point(c, reps) for c in counts], reps, extra=extra)
 
@@ -643,10 +646,7 @@ def tuple_decay(
     """
     if l < 2:
         raise DomainError("tuple size l must be at least 2")
-    # walk w of tuple rep runs on stream rep*l + w; its poles are 2w and 2w+1
-    (poles,) = _walk_poles([(measure, walk_indices(measure, n, seed, range(reps * l)))])
-    v, h, ratio = (a.reshape(reps, 2 * l, *a.shape[2:]) for a in poles)
-    fails = tuple_failure_reasons(ratio, cross_margin_matrix(v, h, measure.field), r, eps)
+    (fails,) = _tuple_failures((measure,) * l, [n], reps, seed, [(r, eps)])
     failures = int(np.any(list(fails.values()), axis=0).sum())
     prediction = None
     prediction_se = None

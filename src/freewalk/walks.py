@@ -10,9 +10,9 @@ indices give statistically independent, individually reproducible
 streams, so trajectory ``i`` of an experiment can be regenerated in
 isolation from ``(seed, i)``.  Sampling one increment consumes exactly
 one uniform draw; n increments are drawn with one ``random(n)`` call,
-which yields the same uniforms as n single draws.  The walks draw them
-from one generator per thread, reset to where :func:`make_stream` starts
-and built on first use (importing freewalk skips ``numpy.random``).
+which yields the same uniforms as n single draws.  The walks and the proximal
+probe draw them from one generator per thread, reset to where :func:`make_stream`
+starts and built on first use (importing freewalk skips ``numpy.random``).
 
 Walk kernel
 -----------
@@ -382,7 +382,7 @@ def find_proximal_element(measure: WalkMeasure, seed: int = 0):
     PROXIMAL_MAX_LEN is the practical witness for contraction.  Returns
     {"length", "word"} or None.
     """
-    rng = make_stream(seed, 0)
+    rng = _reseeded(_start_state(seed, 0))  # stream 0; nothing in the loop reseeds this generator
     forms = [_integer_form(a) for a in measure.exact_atoms]
     for _ in range(PROXIMAL_TRIES):
         length = int(rng.integers(1, PROXIMAL_MAX_LEN + 1))

@@ -446,14 +446,25 @@ def test_walk_poles_match_exact_replay_sl3(real_field):
 
 
 def test_tuple_decay_l2_matches_pair(positive_measure):
-    n, reps = 16, 150
-    r, eps = 0.8**n, 0.7**n
-    pair = pingpong_decay(positive_measure, positive_measure, 0.8, 0.7, [n], reps, seed=6)
-    tup = tuple_decay(positive_measure, 2, r, eps, n, reps, seed=6)
-    width = 2 * (pair.ci_hi[0] - pair.ci_lo[0]) + 0.1
-    assert abs(tup.failure_fraction - pair.p_hat[0]) <= width
+    # a pair at one grid point is the 2-tuple: the same streams, poles and count
+    reps = 150
+    cases = [(positive_measure, 0.8, 0.7, 16), (corpus.sl3_integer(), 0.9, 0.85, 32),
+             (corpus.padic_contracting(2), 0.8, 0.7, 16)]
+    for m, r_base, eps_base, n in cases:
+        for seed in (1, 6):
+            pair = pingpong_decay(m, m, r_base, eps_base, [n], reps, seed=seed)
+            tup = tuple_decay(m, 2, r_base**n, eps_base**n, n, reps, seed=seed)
+            assert 0 < tup.failures < reps
+            assert tup.failures == round(pair.p_hat[0] * reps)
     with pytest.raises(DomainError):
-        tuple_decay(positive_measure, 1, r, eps, n, reps, seed=6)
+        tuple_decay(positive_measure, 1, 0.8**16, 0.7**16, 16, reps, seed=6)
+
+
+def test_tuple_of_measures_over_different_fields_or_dimensions_rejected():
+    positive, q2, q3 = corpus.positive_matrices(), corpus.padic_contracting(2), corpus.padic_contracting(3)
+    for m, m2 in ((positive, q3), (q2, q3), (positive, corpus.sl3_integer())):
+        with pytest.raises(UsageError, match="one field and dimension"):
+            pingpong_decay(m, m2, 0.8, 0.7, [8, 16], 20, 1)
 
 
 def test_tuple_decay_deterministic_certified_pair(real_field):
