@@ -27,6 +27,7 @@ import jsonschema
 from . import __version__
 from .errors import ConfigError, FreewalkError
 from .estimators import (
+    FAILURE_KEYS,
     Z95,
     direction_convergence,
     gap_test,
@@ -271,10 +272,8 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
         header = ["n", "p_hat", "ci_lo", "ci_hi", "reps",
                   "fail_contraction", "fail_separation", "fail_cross", "r", "eps", "thresholds_valid"]
         bd = est.extra["breakdown"]
-        rows = []
-        for i, row in enumerate(decay_to_rows(est)):
-            rows.append(row + [bd["own-contraction"][i], bd["own-separation"][i], bd["cross-margin"][i],
-                               est.extra["r"][i], est.extra["eps"][i], est.extra["thresholds_valid"][i]])
+        rows = [row + [bd[k][i] for k in FAILURE_KEYS] + [est.extra[k][i] for k in ("r", "eps", "thresholds_valid")]
+                for i, row in enumerate(decay_to_rows(est))]
         payload = {"fit": fit_to_dict(est.fit), "breakdown": bd,
                    "thresholds_valid": est.extra["thresholds_valid"]}
 

@@ -2,7 +2,7 @@
 
 Every estimator is a pure function of (inputs, seed), reduced in trajectory
 order: trajectory i runs on RNG stream i, and walk w of ping-pong tuple rep
-at grid point gi on stream (gi*reps + rep)*l + w (:func:`_tuple_failures`).
+at grid point gi on stream (gi*reps + rep)*l + w (:func:`_tuple_scores`).
 :func:`walk_indices` stacks the index rows of all trajectories and each
 estimator call folds all its float walks (atoms, inverses, wedges, every
 grid point and measure) in one :func:`walk_products` call per matrix
@@ -10,9 +10,9 @@ size (:func:`_fold`: shorter rows padded at the start with the identity,
 left folds as transposed right folds); the exact replays fold integer
 stacks with :func:`integer_products`.  The whole stack is then scored
 by stacked calls: :func:`pole_pair` (the KAK frames of both fields, one
-SVD of the stack over R), :func:`log_norms`, and
-:func:`cross_margin_matrix` with :func:`tuple_failure_reasons` on pole
-arrays v, h (reps, 2, d) and ratios (reps, 2).
+SVD of the stack over R), :func:`log_norms`, and :func:`cross_margin_matrix`;
+the ping-pong estimators apply :func:`tuple_failure_reasons` at their own
+(r, eps) to the threshold-free ratios and margins of :func:`_tuple_scores`.
 
 Decay rates are never asserted against theoretical constants (the
 theorems' bounds are not effective); fits report sign, monotonicity and
@@ -42,6 +42,7 @@ from .linalg import (
     fubini_study,
     wedge_pairs,
 )
+from .pingpong import FAIL_CONTRACTION, FAIL_CROSS, FAIL_SEPARATION
 from .pingpong import cross_margin_matrix, pole_pair, tuple_failure_reasons
 from .walks import WalkMeasure, integer_products, walk_indices, walk_products
 
@@ -161,6 +162,12 @@ def _decay(kind: str, grid, points, reps: int, extra=None) -> DecayEstimate:
     )
 
 
+def _require_draws(grid, reps: int) -> None:
+    """UsageError unless a batch draws at least one walk: reps >= 1 and at least one grid point."""
+    if reps < 1 or len(grid) < 1:
+        raise UsageError("need reps >= 1 and at least one grid point")
+
+
 def _fold(jobs, field: FieldSpec) -> list:
     """walk_products of every job (increments, idx, order), == job for job, one call per matrix size.
 
@@ -258,6 +265,7 @@ def moment_ratio(measure: WalkMeasure, eps: float, n: int, reps: int, seed: int)
     Near 1 for strongly irreducible contracting measures; a reducible
     point mass is the documented counterexample.
     """
+    _require_draws([n], reps)
     if not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
     field = measure.field
@@ -308,6 +316,7 @@ def _replay_convergence(measure: WalkMeasure, grid, horizon: int, reps: int, see
     one :func:`walk_indices` draw.
     """
     grid = sorted(grid)
+    _require_draws(grid, reps)
     if horizon < 2 * max(grid):
         raise UsageError("horizon too small: need horizon >= 2 * max(grid)")
     atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
@@ -457,6 +466,7 @@ def independence_test(
     seed: int,
 ) -> IndependenceResult:
     """Empirical covariance gap of phi1(K_n e1) and phi2(U_n^{-1} e1*) along S_n."""
+    _require_draws([n], reps)
     field = measure.field
     s = walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field)
     v, h, _ = pole_pair([x.unit for x in s], field, unimodular=False)
@@ -498,6 +508,7 @@ def invariant_measure_probe(
     measure: WalkMeasure, n: int, reps: int, hyperplanes, t: float, seed: int
 ) -> InvariantProbeResult:
     """Tail mass of the limit direction near each supplied hyperplane."""
+    _require_draws([n], reps)
     if not 0 < t < 1:
         raise DomainError("t must lie in (0, 1)")
     field = measure.field
@@ -525,7 +536,7 @@ def invariant_measure_probe(
 # Ping-pong failure decay
 # ---------------------------------------------------------------------------
 
-FAILURE_KEYS = ("own-contraction", "own-separation", "cross-margin")
+FAILURE_KEYS = (FAIL_CONTRACTION, FAIL_SEPARATION, FAIL_CROSS)
 
 
 def _walk_poles(batches) -> list:
@@ -561,13 +572,14 @@ def _walk_poles(batches) -> list:
     return [tuple(np.stack(p[2 * b:2 * b + 2], axis=1) for p in parts) for b in range(len(batches))]
 
 
-def _tuple_failures(measures, grid, reps: int, seed: int, thresholds) -> list:
-    """:func:`tuple_failure_reasons` of reps l-tuples of walks, l = len(measures), one dict per grid point.
+def _tuple_scores(measures, grid, reps: int, seed: int) -> tuple:
+    """Threshold-free ratio (len(grid), reps, 2l) and margins (len(grid), reps, 2l, 2l), l = len(measures).
 
-    Walk w of tuple rep at grid point gi runs on stream (gi*reps + rep)*l + w of measures[w], and
-    is scored at thresholds[gi] = (r, eps).  One :func:`_walk_poles` call (a batch per (gi, w))
-    and one margin call; a tuple's poles are S_n, S_n^{-1} of walk 0, then of walk 1, and so on.
+    Walk w of tuple rep at grid point gi runs on stream (gi*reps + rep)*l + w of measures[w].  One
+    :func:`_walk_poles` call (a batch per (gi, w)) and one margin call; a tuple's poles are S_n,
+    S_n^{-1} of walk 0, then of walk 1, and so on.
     """
+    _require_draws(grid, reps)
     if len({(m.field, m.d) for m in measures}) != 1:
         raise UsageError("the measures of a tuple must share one field and dimension")
     l = len(measures)
@@ -575,8 +587,7 @@ def _tuple_failures(measures, grid, reps: int, seed: int, thresholds) -> list:
                          for gi, n in enumerate(grid) for w, m in enumerate(measures)])
     v, h, ratio = (np.array([np.concatenate(a[i:i + l], axis=1) for i in range(0, len(a), l)])
                    for a in zip(*poles))
-    margins = cross_margin_matrix(v, h, measures[0].field)
-    return [tuple_failure_reasons(ratio[gi], margins[gi], r, eps) for gi, (r, eps) in enumerate(thresholds)]
+    return ratio, cross_margin_matrix(v, h, measures[0].field)
 
 
 def pingpong_decay(
@@ -594,12 +605,13 @@ def pingpong_decay(
     r_base**n <= 2 * eps_base**n cannot support the freeness
     interpretation and are marked invalid in extra["thresholds_valid"]
     (the raw inequalities are still scored there).  The pairs are the
-    l = 2 tuples of :func:`_tuple_failures`.
+    l = 2 tuples of :func:`_tuple_scores`.
     """
     if not 0 < eps_base < r_base < 1:
         raise DomainError("need 0 < eps_base < r_base < 1")
     grid = sorted(grid)
-    fails = _tuple_failures((measure, measure2), grid, reps, seed, [(r_base**n, eps_base**n) for n in grid])
+    ratio, margins = _tuple_scores((measure, measure2), grid, reps, seed)
+    fails = [tuple_failure_reasons(ratio[gi], margins[gi], r_base**n, eps_base**n) for gi, n in enumerate(grid)]
     counts = [int(np.any(list(f.values()), axis=0).sum()) for f in fails]
     extra = {
         "breakdown": {k: [int(f[k].sum()) for f in fails] for k in FAILURE_KEYS},
@@ -646,8 +658,8 @@ def tuple_decay(
     """
     if l < 2:
         raise DomainError("tuple size l must be at least 2")
-    (fails,) = _tuple_failures((measure,) * l, [n], reps, seed, [(r, eps)])
-    failures = int(np.any(list(fails.values()), axis=0).sum())
+    (ratio,), (margins,) = _tuple_scores((measure,) * l, [n], reps, seed)
+    failures = int(np.any(list(tuple_failure_reasons(ratio, margins, r, eps).values()), axis=0).sum())
     prediction = None
     prediction_se = None
     if rho_hat is not None:

@@ -29,10 +29,12 @@ from freewalk.estimators import (
     GeometricFit,
     KakFrameConvergence,
     _mean_se,
+    _tuple_scores,
     _walk_poles,
 )
 from freewalk.fields import parse_scalar
 from freewalk.linalg import exact_inv, fubini_study
+from freewalk.pingpong import tuple_failure_reasons
 from freewalk.walks import exact_product, walk_indices, walk_products
 
 F = Fraction
@@ -479,3 +481,64 @@ def test_tuple_decay_deterministic_certified_pair(real_field):
     res2 = tuple_decay(b, 2, 0.8**20, 0.7**20, 20, 50, seed=1, rho_hat=0.92)
     assert res2.prediction == pytest.approx(2 * 0.92**20)
     assert res2.prediction_se is not None
+
+
+def _failures(ratio, margins, r, eps):
+    """Failing tuples, and failures per reason, of one grid point's scores at (r, eps)."""
+    reasons = tuple_failure_reasons(ratio, margins, r, eps)
+    return int(np.any(list(reasons.values()), axis=0).sum()), {k: int(reasons[k].sum()) for k in FAILURE_KEYS}
+
+
+# one _tuple_scores pass at reps 60, seed 3, scored at three (r_base, eps_base): the failing pairs per grid point
+_RETHRESHOLD = {
+    "positive_matrices": ([8, 16, 24], {(0.8, 0.7): [46, 26, 16], (0.9, 0.8): [58, 45, 41], (0.95, 0.9): [60, 60, 41]}),
+    "padic_contracting(2)": ([4, 8, 12], {(0.8, 0.7): [44, 43, 24], (0.9, 0.6): [60, 43, 36], (0.7, 0.5): [44, 21, 14]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETHRESHOLD))
+def test_tuple_scores_rethresholded_equal_separate_runs(name):
+    # the scores are threshold-free: one pass, thresholded afterwards, equals a
+    # separate pingpong_decay or tuple_decay run at each threshold pair
+    m = corpus.padic_contracting(2) if name == "padic_contracting(2)" else getattr(corpus, name)()
+    grid, pinned = _RETHRESHOLD[name]
+    reps, seed = 60, 3
+    ratio, margins = _tuple_scores((m, m), grid, reps, seed)
+    assert ratio.shape == (len(grid), reps, 4) and margins.shape == (len(grid), reps, 4, 4)
+    for (r_base, eps_base), counts in pinned.items():
+        scored = [_failures(ratio[gi], margins[gi], r_base**n, eps_base**n) for gi, n in enumerate(grid)]
+        est = pingpong_decay(m, m, r_base, eps_base, grid, reps, seed)
+        assert [c for c, _ in scored] == counts
+        assert est.p_hat == tuple(c / reps for c in counts)
+        assert est.extra["breakdown"] == {k: [b[k] for _, b in scored] for k in FAILURE_KEYS}
+    assert len({tuple(c) for c in pinned.values()}) == 3  # the thresholds decide: no pair of runs agrees
+    n = grid[-1]
+    (ratio3,), (margins3,) = _tuple_scores((m,) * 3, [n], reps, seed)
+    counts3 = []
+    for r_base, eps_base in list(pinned)[:2]:
+        counts3.append(_failures(ratio3, margins3, r_base**n, eps_base**n)[0])
+        assert counts3[-1] == tuple_decay(m, 3, r_base**n, eps_base**n, n, reps, seed).failures
+    assert counts3[0] != counts3[1]
+
+
+_NO_WALKS = {
+    "pingpong_decay, empty grid": lambda m, phi: pingpong_decay(m, m, 0.8, 0.7, [], 10, 1),
+    "tuple_decay, reps 0": lambda m, phi: tuple_decay(m, 3, 0.5, 0.2, 8, 0, 1),
+    "direction_convergence, empty grid": lambda m, phi: direction_convergence(m, [1, 0], [], 40, 5, 1),
+    "direction_convergence, reps 0": lambda m, phi: direction_convergence(m, [1, 0], [5, 10], 40, 0, 1),
+    "kak_convergence, empty grid": lambda m, phi: kak_convergence(m, [], 40, 5, 1),
+    "kak_convergence, reps 0": lambda m, phi: kak_convergence(m, [5, 10], 40, 0, 1),
+    "independence_test, reps 0": lambda m, phi: independence_test(m, phi, phi, 10, 0, 1),
+    "invariant_measure_probe, reps 0": lambda m, phi: invariant_measure_probe(m, 10, 0, [[1, 0]], 0.9, 1),
+    "moment_ratio, reps 0": lambda m, phi: moment_ratio(m, 0.5, 10, 0, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NO_WALKS))
+@pytest.mark.parametrize("measure", ["positive_matrices", "padic_contracting(2)"])
+def test_estimators_reject_a_batch_without_walks(measure, call):
+    # no grid point or no rep: a UsageError before any walk, over R and over Q_2
+    m = corpus.padic_contracting(2) if measure == "padic_contracting(2)" else corpus.positive_matrices()
+    phi = holder_function("dist_to_point", ["1", "0"], m.field)
+    with pytest.raises(UsageError, match="at least one grid point"):
+        _NO_WALKS[call](m, phi)
