@@ -28,6 +28,7 @@ from . import __version__
 from .errors import ConfigError, FreewalkError
 from .estimators import (
     FAILURE_KEYS,
+    HOLDER_KINDS,
     Z95,
     direction_convergence,
     gap_test,
@@ -98,7 +99,7 @@ CONFIG_SCHEMA = {
             "required": ["kind", "reference"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["dist_to_point", "dist_to_hyperplane", "one_minus_dist_to_point"]},
+                "kind": {"enum": list(HOLDER_KINDS)},
                 "reference": {"type": "array", "minItems": 2, "items": {"type": ["string", "number"]}},
                 "exponent": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },

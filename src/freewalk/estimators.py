@@ -11,8 +11,10 @@ left folds as transposed right folds); the exact replays fold integer
 stacks with :func:`integer_products`.  The whole stack is then scored
 by stacked calls: :func:`pole_pair` (the KAK frames of both fields, one
 SVD of the stack over R), :func:`log_norms`, and :func:`cross_margin_matrix`;
-the ping-pong estimators apply :func:`tuple_failure_reasons` at their own
-(r, eps) to the threshold-free ratios and margins of :func:`_tuple_scores`.
+:func:`_walk_poles` scores any index rows in one pole pass, flat in row
+order, and the ping-pong estimators apply :func:`tuple_failure_reasons`
+at their own (r, eps) to the threshold-free ratios and margins of
+:func:`_tuple_scores`.
 
 Decay rates are never asserted against theoretical constants (the
 theorems' bounds are not effective); fits report sign, monotonicity and
@@ -163,9 +165,18 @@ def _decay(kind: str, grid, points, reps: int, extra=None) -> DecayEstimate:
 
 
 def _require_draws(grid, reps: int) -> None:
-    """UsageError unless a batch draws at least one walk: reps >= 1 and at least one grid point."""
+    """UsageError unless a batch draws at least one walk: reps >= 1, at least one grid point, none negative."""
     if reps < 1 or len(grid) < 1:
         raise UsageError("need reps >= 1 and at least one grid point")
+    if min(grid) < 0:
+        raise UsageError(f"walk lengths must be >= 0, got {min(grid)}")
+
+
+def _require_vector(x, d: int, what: str) -> None:
+    """UsageError unless x has d entries, DomainError if every entry is zero."""
+    if len(x) != d:
+        raise UsageError(f"{what} must have {d} entries, got {len(x)}")
+    _require_nonzero(x, what)
 
 
 def _fold(jobs, field: FieldSpec) -> list:
@@ -266,6 +277,8 @@ def moment_ratio(measure: WalkMeasure, eps: float, n: int, reps: int, seed: int)
     point mass is the documented counterexample.
     """
     _require_draws([n], reps)
+    if n < 1:
+        raise UsageError("moment_ratio needs n >= 1")
     if not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
     field = measure.field
@@ -343,6 +356,7 @@ def direction_convergence(
     must dominate the grid (N >= 2 max grid).  Products are replayed in
     exact arithmetic so the curve stays meaningful below float precision.
     """
+    _require_vector(x, measure.d, "x")
     x_int, _ = _integer_form(x)
     (curve,) = _replay_convergence(measure, grid, horizon, reps, seed, [("left", lambda m: m @ x_int)])
     return curve
@@ -467,6 +481,8 @@ def independence_test(
 ) -> IndependenceResult:
     """Empirical covariance gap of phi1(K_n e1) and phi2(U_n^{-1} e1*) along S_n."""
     _require_draws([n], reps)
+    for phi in (phi1, phi2):
+        _require_vector(phi.reference, measure.d, "Holder reference")
     field = measure.field
     s = walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field)
     v, h, _ = pole_pair([x.unit for x in s], field, unimodular=False)
@@ -511,10 +527,10 @@ def invariant_measure_probe(
     _require_draws([n], reps)
     if not 0 < t < 1:
         raise DomainError("t must lie in (0, 1)")
+    for f in hyperplanes:
+        _require_vector(f, measure.d, "hyperplane covector")
     field = measure.field
     covs = np.array([as_vector(h, field) for h in hyperplanes]).reshape(-1, measure.d)
-    for f in covs:
-        _require_nonzero(f, "hyperplane covector")
     idx = walk_indices(measure, n, seed, range(reps))
     # M_n[e1] is the first column of each unit
     directions = np.array([left.unit[:, 0] for left in walk_products(measure.atoms, idx, field, order="left")])
@@ -539,54 +555,49 @@ def invariant_measure_probe(
 FAILURE_KEYS = (FAIL_CONTRACTION, FAIL_SEPARATION, FAIL_CROSS)
 
 
-def _walk_poles(batches) -> list:
-    """Poles of (S_n, S_n^{-1}) of each batch (measure, idx): v, h (reps, 2, d), ratios (reps, 2).
+def _walk_poles(measures, rows) -> tuple:
+    """Poles of (S_n, S_n^{-1}) of every row of rows: v, h (k, 2, d), ratios (k, 2), in row order.
 
-    Over R the poles of S_n^{-1} are the KAK frames of X_1^{-1} ...
-    X_n^{-1}, not the bottom singular vectors of S_n, which its float unit
-    cannot resolve once a_1/a_d passes float precision (d >= 3), and the
-    ratios ||wedge(g)|| / ||g||**2 come from scaled log products, accurate
-    far below float precision.  All batches share one :func:`_fold`, one
-    :func:`pole_pair` and one stacked log-norm call.  Over Q_p each batch
-    is exact: :func:`pole_pair` of the integer products of the atoms'
-    numerators.
+    rows[w] lists index arrays of measures[w], of any lengths.  Over R the poles of S_n^{-1} are the
+    KAK frames of X_1^{-1} ... X_n^{-1}, not the bottom singular vectors of S_n, which its float unit
+    cannot resolve once a_1/a_d passes float precision (d >= 3), and the ratios ||wedge(g)|| / ||g||**2
+    come from scaled log products, accurate far below float precision: one :func:`_fold` (every S_n
+    job, then every S_n^{-1} job), one :func:`pole_pair` and one stacked log-norm call.  Over Q_p every
+    walk is exact: one :func:`pole_pair` of the integer products of the atoms' numerators.
     """
-    field = batches[0][0].field
+    field = measures[0].field
     if not field.is_archimedean:
-        ints = ([_integer_form(a)[0] for a in m.atoms] for m, _ in batches)
-        prods = (integer_products(atoms, idx, "right", [idx.shape[1]]) for atoms, (_, idx) in zip(ints, batches))
-        return [pole_pair(list(prod), field, unimodular=False) for (prod,) in prods]
-    jobs = []
-    for measure, idx in batches:
-        inv = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
-        jobs += [(measure.atoms, idx, "right"), (inv, idx, "left")]
+        ints = [[_integer_form(a)[0] for a in m.atoms] for m in measures]
+        prods = [g for atoms, idxs in zip(ints, rows) for idx in idxs
+                 for g in integer_products(atoms, idx, "right", [idx.shape[1]])[0]]
+        return pole_pair(prods, field, unimodular=False)
+    inverses = [tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in m.atoms) for m in measures]
+    jobs = [(table, idx, order) for tables, order in (([m.atoms for m in measures], "right"), (inverses, "left"))
+            for table, idxs in zip(tables, rows) for idx in idxs]
     folds = _fold(jobs + [(exterior_square_atoms(inc), idx, order) for inc, idx, order in jobs], field)
     prods, wedges = ([x for fold in half for x in fold] for half in (folds[: len(jobs)], folds[len(jobs):]))
     # index 0 only: the S_n^{-1} poles come from the inverse fold, the ratios from the wedge log norms
     v, h, _ = pole_pair([x.unit for x in prods], field, unimodular=False)
-    vs, hs = v[:, 0], h[:, 0]
     ratios = np.array([math.exp(w - 2 * s) for w, s in zip(log_norms(wedges, field), log_norms(prods, field))])
-    # batch b owns parts 2b (S_n of each index row) and 2b + 1 (S_n^{-1})
-    cuts = np.cumsum([len(idx) for _, idx in batches for _ in (0, 1)])[:-1]
-    parts = [np.split(a, cuts) for a in (vs, hs, ratios)]
-    return [tuple(np.stack(p[2 * b:2 * b + 2], axis=1) for p in parts) for b in range(len(batches))]
+    return tuple(np.stack(np.split(a, 2), axis=1) for a in (v[:, 0], h[:, 0], ratios))
 
 
 def _tuple_scores(measures, grid, reps: int, seed: int) -> tuple:
     """Threshold-free ratio (len(grid), reps, 2l) and margins (len(grid), reps, 2l, 2l), l = len(measures).
 
-    Walk w of tuple rep at grid point gi runs on stream (gi*reps + rep)*l + w of measures[w].  One
-    :func:`_walk_poles` call (a batch per (gi, w)) and one margin call; a tuple's poles are S_n,
-    S_n^{-1} of walk 0, then of walk 1, and so on.
+    Walk w of tuple rep at grid point gi runs on stream (gi*reps + rep)*l + w of measures[w], row rep of
+    rows[w][gi].  One :func:`_walk_poles` call and one margin call; a tuple's poles are S_n, S_n^{-1} of
+    walk 0, then of walk 1, and so on.
     """
     _require_draws(grid, reps)
     if len({(m.field, m.d) for m in measures}) != 1:
         raise UsageError("the measures of a tuple must share one field and dimension")
-    l = len(measures)
-    poles = _walk_poles([(m, walk_indices(m, n, seed, [(gi * reps + rep) * l + w for rep in range(reps)]))
-                         for gi, n in enumerate(grid) for w, m in enumerate(measures)])
-    v, h, ratio = (np.array([np.concatenate(a[i:i + l], axis=1) for i in range(0, len(a), l)])
-                   for a in zip(*poles))
+    l, g = len(measures), len(grid)
+    rows = [[walk_indices(m, n, seed, [(gi * reps + rep) * l + w for rep in range(reps)]) for gi, n in enumerate(grid)]
+            for w, m in enumerate(measures)]
+    # (l, G, reps, 2, ...) -> (G, reps, 2l, ...): walk w's S_n, S_n^{-1} become poles 2w, 2w + 1
+    v, h, ratio = (np.moveaxis(a.reshape(l, g, reps, *a.shape[1:]), 0, 2).reshape(g, reps, 2 * l, *a.shape[2:])
+                   for a in _walk_poles(measures, rows))
     return ratio, cross_margin_matrix(v, h, measures[0].field)
 
 

@@ -34,7 +34,7 @@ from freewalk.estimators import (
 )
 from freewalk.fields import parse_scalar
 from freewalk.linalg import exact_inv, fubini_study
-from freewalk.pingpong import tuple_failure_reasons
+from freewalk.pingpong import cross_margin_matrix, tuple_failure_reasons
 from freewalk.walks import exact_product, walk_indices, walk_products
 
 F = Fraction
@@ -437,7 +437,7 @@ def test_walk_poles_match_exact_replay_sl3(real_field):
     # S_n^{-1} must still agree with those of the exactly replayed inverse
     m = corpus.sl3_integer()
     idx = walk_indices(m, 80, seed=11, streams=range(4))
-    ((vs, hs, ratios),) = _walk_poles([(m, idx)])
+    vs, hs, ratios = _walk_poles([m], [[idx]])
     assert vs.shape == hs.shape == (4, 2, 3) and ratios.shape == (4, 2)
     for row, v_row, h_row in zip(idx.tolist(), vs, hs):
         s = exact_product(m, row, order="right")
@@ -542,3 +542,67 @@ def test_estimators_reject_a_batch_without_walks(measure, call):
     phi = holder_function("dist_to_point", ["1", "0"], m.field)
     with pytest.raises(UsageError, match="at least one grid point"):
         _NO_WALKS[call](m, phi)
+
+
+_MIXED_TUPLES = {
+    "R": (corpus.positive_matrices, corpus.sanov, corpus.slow_contracting),
+    "Q2": (lambda: corpus.padic_contracting(2), lambda: corpus.padic_isometry_point_mass(2),
+           lambda: corpus.padic_diagonal_point_mass(2)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_MIXED_TUPLES))
+def test_tuple_scores_layout_of_three_different_measures(field):
+    # pole 2w + k of tuple rep at grid point gi is pole k of walk w alone, on stream (gi*reps + rep)*3 + w
+    measures = tuple(make() for make in _MIXED_TUPLES[field])
+    grid, reps, seed = [0, 3, 7], 4, 2
+    ratio, margins = _tuple_scores(measures, grid, reps, seed)
+    assert ratio.shape == (len(grid), reps, 6) and margins.shape == (len(grid), reps, 6, 6)
+    for gi, n in enumerate(grid):
+        for rep in range(reps):
+            alone = [_walk_poles([m], [[walk_indices(m, n, seed, [(gi * reps + rep) * 3 + w])]])
+                     for w, m in enumerate(measures)]
+            v, h = (np.concatenate([poles[i][0] for poles in alone]) for i in (0, 1))
+            assert ratio[gi, rep].tolist() == [x for poles in alone for x in poles[2][0].tolist()]
+            assert np.array_equal(margins[gi, rep], cross_margin_matrix(v, h, measures[0].field))
+
+
+_NEGATIVE_LENGTHS = {
+    "pingpong_decay": lambda m, phi: pingpong_decay(m, m, 0.8, 0.7, [-1, 4], 5, 1),
+    "tuple_decay": lambda m, phi: tuple_decay(m, 3, 0.5, 0.2, -3, 5, 1),
+    "independence_test": lambda m, phi: independence_test(m, phi, phi, -2, 5, 1),
+    "invariant_measure_probe": lambda m, phi: invariant_measure_probe(m, -1, 5, [[1, 0]], 0.9, 1),
+    "direction_convergence": lambda m, phi: direction_convergence(m, [1, 0], [-2, 4], 10, 5, 1),
+    "moment_ratio": lambda m, phi: moment_ratio(m, 0.5, -1, 5, 1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NEGATIVE_LENGTHS))
+@pytest.mark.parametrize("measure", ["positive_matrices", "padic_contracting(2)"])
+def test_estimators_reject_negative_walk_lengths(measure, call):
+    # a UsageError before any walk, over R and over Q_2; moment_ratio divides by n, so it needs n >= 1
+    m = corpus.padic_contracting(2) if measure == "padic_contracting(2)" else corpus.positive_matrices()
+    phi = holder_function("dist_to_point", ["1", "0"], m.field)
+    with pytest.raises(UsageError, match="walk lengths must be >= 0"):
+        _NEGATIVE_LENGTHS[call](m, phi)
+    if call == "moment_ratio":
+        with pytest.raises(UsageError, match="n >= 1"):
+            moment_ratio(m, 0.5, 0, 5, 1)
+
+
+@pytest.mark.parametrize("measure", ["positive_matrices", "padic_contracting(2)"])
+def test_estimator_vectors_need_d_entries_not_all_zero(measure):
+    # hyperplanes, x and Holder references: a UsageError for a wrong length, a DomainError for the zero vector
+    m = corpus.padic_contracting(2) if measure == "padic_contracting(2)" else corpus.positive_matrices()
+    phi = holder_function("dist_to_point", ["1", "0"], m.field)
+    for bad, error in (([1, 0, 0, 1], UsageError), ([1, 0, 0], UsageError), ([1], UsageError), ([0, 0], DomainError)):
+        for planes in ([bad], [[1, 1], bad]):
+            with pytest.raises(error):
+                invariant_measure_probe(m, 10, 20, planes, 0.9, 1)
+        with pytest.raises(error):
+            direction_convergence(m, bad, [2, 4], 10, 5, 1)
+        for kind in ("dist_to_point", "dist_to_hyperplane"):
+            wrong = holder_function(kind, bad, m.field)
+            for phis in ((wrong, phi), (phi, wrong)):
+                with pytest.raises(error):
+                    independence_test(m, *phis, 10, 5, 1)

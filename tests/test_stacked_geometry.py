@@ -120,17 +120,18 @@ def test_batched_walk_poles_equal_one_call_per_batch(make):
     other = corpus.positive_matrices() if make is not corpus.positive_matrices else corpus.sanov()
     if other.d != m.d:
         other = m
-    batches = [(m, walk_indices(m, 8, 5, range(0, 12, 2))),
-               (other, walk_indices(other, 8, 5, range(1, 12, 2))),
-               (m, walk_indices(m, 30, 5, range(12, 15))),
-               (other, walk_indices(other, 3, 5, range(15, 20)))]
-    got = estimators._walk_poles(batches)
-    assert len(got) == len(batches)
-    for batch, poles in zip(batches, got):
-        (alone,) = estimators._walk_poles([batch])
-        want = _unbatched_poles(*batch)
-        for a, b, c in zip(poles, alone, want):
-            assert a.shape == c.shape == (len(batch[1]),) + c.shape[1:]
+    rows = [[walk_indices(m, 8, 5, range(0, 12, 2)), walk_indices(m, 30, 5, range(12, 15))],
+            [walk_indices(other, 8, 5, range(1, 12, 2)), walk_indices(other, 3, 5, range(15, 20))]]
+    # the flat result holds the blocks in row order: m's two index arrays, then other's
+    batches = [(measure, idx) for measure, idxs in zip((m, other), rows) for idx in idxs]
+    got = estimators._walk_poles([m, other], rows)
+    starts = np.cumsum([0] + [len(idx) for _, idx in batches])
+    assert [len(a) for a in got] == [starts[-1]] * 3
+    for (measure, idx), lo, hi in zip(batches, starts, starts[1:]):
+        alone = estimators._walk_poles([measure], [[idx]])
+        want = _unbatched_poles(measure, idx)
+        for a, b, c in zip((x[lo:hi] for x in got), alone, want):
+            assert a.shape == c.shape == (len(idx),) + c.shape[1:]
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
