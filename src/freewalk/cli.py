@@ -30,6 +30,7 @@ from .estimators import (
     FAILURE_KEYS,
     HOLDER_KINDS,
     Z95,
+    _require_vector,
     direction_convergence,
     gap_test,
     holder_function,
@@ -167,14 +168,11 @@ def _validate_config(doc: dict, path: str) -> None:
 
 def _vector(entries, where: str, measure) -> list:
     """A config vector parsed over the measure's field: measure.d scalars, not all zero."""
-    if len(entries) != measure.d:
-        raise ConfigError(f"field {where}: needs {measure.d} entries, got {len(entries)}")
     try:
         vec = [parse_scalar(v, measure.field) for v in entries]
+        _require_vector(vec, measure.d, "vector")
     except FreewalkError as exc:
         raise ConfigError(f"field {where}: {exc}") from exc
-    if not any(vec):
-        raise ConfigError(f"field {where}: every entry is zero")
     return vec
 
 

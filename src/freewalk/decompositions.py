@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .fields import FieldSpec, _int_valuation, _p_power, valuation
+from .fields import FieldSpec, _int_valuation, _p_power
 from .linalg import (
     _integer_form,
     exterior_square,
@@ -258,7 +258,7 @@ def _padic_scaled(num: np.ndarray, den: int, p: int) -> ScaledMatrix:
     content = math.gcd(*num.flat)
     if content == 0:
         raise DomainError("cannot scale the zero matrix")
-    v = valuation(content, p) - valuation(den, p)
+    v = _int_valuation(content, p) - _int_valuation(den, p)
     return ScaledMatrix(num * (Fraction(p) ** -v / den), v)
 
 

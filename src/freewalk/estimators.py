@@ -3,18 +3,18 @@
 Every estimator is a pure function of (inputs, seed), reduced in trajectory
 order: trajectory i runs on RNG stream i, and walk w of ping-pong tuple rep
 at grid point gi on stream (gi*reps + rep)*l + w (:func:`_tuple_scores`).
-:func:`walk_indices` stacks the index rows of all trajectories and each
-estimator call folds all its float walks (atoms, inverses, wedges, every
-grid point and measure) in one :func:`walk_products` call per matrix
-size (:func:`_fold`: shorter rows padded at the start with the identity,
-left folds as transposed right folds); the exact replays fold integer
-stacks with :func:`integer_products`.  The whole stack is then scored
-by stacked calls: :func:`pole_pair` (the KAK frames of both fields, one
-SVD of the stack over R), :func:`log_norms`, and :func:`cross_margin_matrix`;
-:func:`_walk_poles` scores any index rows in one pole pass, flat in row
-order, and the ping-pong estimators apply :func:`tuple_failure_reasons`
-at their own (r, eps) to the threshold-free ratios and margins of
-:func:`_tuple_scores`.
+:func:`walk_indices` stacks the index rows of all trajectories and, on
+both fields, each estimator call folds its scaled walks (atoms, inverses,
+wedges, every grid point and measure) in one :func:`walk_products` call
+per matrix size (:func:`_fold`: shorter rows padded at the start with the
+identity, left folds as transposed right folds); the exact replays and the
+Q_p poles fold integer stacks with :func:`integer_products`.  The whole
+stack is then scored by stacked calls: :func:`pole_pair` (the KAK frames
+of both fields, one SVD of the stack over R), :func:`log_norms`, and
+:func:`cross_margin_matrix`; :func:`_walk_poles` scores any index rows in
+one pole pass, flat in row order, and the ping-pong estimators apply
+:func:`tuple_failure_reasons` at their own (r, eps) to the threshold-free
+ratios and margins of :func:`_tuple_scores`.
 
 Decay rates are never asserted against theoretical constants (the
 theorems' bounds are not effective); fits report sign, monotonicity and
@@ -42,6 +42,7 @@ from .linalg import (
     as_vector,
     dist_point_hyperplane,
     fubini_study,
+    identity,
     wedge_pairs,
 )
 from .pingpong import FAIL_CONTRACTION, FAIL_CROSS, FAIL_SEPARATION
@@ -182,14 +183,12 @@ def _require_vector(x, d: int, what: str) -> None:
 def _fold(jobs, field: FieldSpec) -> list:
     """walk_products of every job (increments, idx, order), == job for job, one call per matrix size.
 
-    Over R the jobs of one size share one right fold behind an identity
-    increment, which pads a shorter row at the start and leaves its unit
-    and scale as they are; a left fold is the right fold of the
+    On both fields the jobs of one size share one right fold behind an
+    identity increment, which pads a shorter row at the start and leaves
+    its unit and scale as they are; a left fold is the right fold of the
     transposed increments, transposed back.
     """
-    if not field.is_archimedean:
-        return [walk_products(inc, idx, field, order) for inc, idx, order in jobs]
-    tables = [np.asarray(inc, dtype=float) for inc, _, _ in jobs]
+    tables = [np.asarray(inc) for inc, _, _ in jobs]  # floats over R, exact Fractions over Q_p
     tables = [t.swapaxes(1, 2) if order == "left" else t for t, (_, _, order) in zip(tables, jobs)]
     out = [None] * len(jobs)
     for m in {t.shape[1] for t in tables}:
@@ -198,7 +197,7 @@ def _fold(jobs, field: FieldSpec) -> list:
         offsets = np.cumsum([1] + [len(tables[j]) for j in group])
         idx = [np.concatenate([np.zeros((len(a), n - a.shape[1]), a.dtype), a + base], axis=1)
                for a, base in zip((jobs[j][1] for j in group), offsets)]
-        prods = iter(walk_products(np.concatenate([np.eye(m)[None]] + [tables[j] for j in group]),
+        prods = iter(walk_products(np.concatenate([identity(m, field)[None]] + [tables[j] for j in group]),
                                    np.concatenate(idx), field))
         for j in group:
             part = list(islice(prods, len(jobs[j][1])))
@@ -482,6 +481,8 @@ def independence_test(
     """Empirical covariance gap of phi1(K_n e1) and phi2(U_n^{-1} e1*) along S_n."""
     _require_draws([n], reps)
     for phi in (phi1, phi2):
+        if phi.field != measure.field:
+            raise UsageError(f"a Holder function over {phi.field} cannot score a walk over {measure.field}")
         _require_vector(phi.reference, measure.d, "Holder reference")
     field = measure.field
     s = walk_products(measure.atoms, walk_indices(measure, n, seed, range(reps)), field)

@@ -130,13 +130,7 @@ def abs_value(x: Scalar, field: FieldSpec):
     """
     if field.is_archimedean:
         return abs(float(x))
-    if x == 0:
-        return Fraction(0)
-    if isinstance(x, float):
-        raise UsageError("valuation is defined for exact rationals, not floats")
-    x = x if type(x) is Fraction else Fraction(x)
-    p = field.prime
-    return _p_power(p, _int_valuation(x.denominator, p) - _int_valuation(x.numerator, p))
+    return Fraction(0) if x == 0 else _p_power(field.prime, -valuation(x, field.prime))
 
 
 _TOO_LONG = 10**4300  # the least int of more than 4300 digits, the most str() writes

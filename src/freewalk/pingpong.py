@@ -114,18 +114,18 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     g^{-1} = (U^{-1} J)(J A^{-1} J)(J K^{-1}) with J the index reversal,
     so the attracting point of g^{-1} is the class of U^{-1} e_d and its
     repelling covector the last row of K^{-1}, and |a_i / a_j| is read
-    off A.  This avoids inverting g and matches the reversed-reciprocal
-    a-part identity.  Over R the whole stack takes one SVD: K^{-1} = K^T
-    and U^{-1} = U^T, so the four frames are rows and columns of K and U,
+    off A, which matches the reversed-reciprocal a-part identity.  Over R
+    the whole stack takes one SVD and no inverse: K^{-1} = K^T and
+    U^{-1} = U^T, so the four frames are rows and columns of K and U,
     normalised as one stack each (scale- and sign-invariant, so with
-    unimodular=False any invertible g will do).  Over Q_p the integer
-    adjugates of U and K span the same classes, taken from the integer
-    Smith form before its units are folded in, and |a_i / a_j| is
-    p**(v_i - v_j) of the pivot valuations.  It suits matrices of
-    moderate condition number; for long products, whose unit part cannot
-    resolve U^{-1} e_d in floats once a_1/a_d passes 1e16 (d >= 3), the
-    walk estimators take only index 0 and decompose the product of the
-    inverses instead.
+    unimodular=False any invertible g will do).  Over Q_p, with K, U the
+    integer Smith factors and b the integer form of g, one integer
+    adjugate gives both: adj(b) K e_d spans U^{-1} e_d and e_d^T U adj(b)
+    spans e_d^T K^{-1}; |a_i / a_j| is p**(v_i - v_j) of the pivot
+    valuations.  It suits matrices of moderate condition number; for long
+    products, whose unit part cannot resolve U^{-1} e_d in floats once
+    a_1/a_d passes 1e16 (d >= 3), the walk estimators take only index 0
+    and decompose the product of the inverses instead.
     """
     if field.is_archimedean and len(gs):  # an empty stack, which svd rejects, gets the loop's empty arrays
         if unimodular:
@@ -137,15 +137,15 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
         return v, h, np.stack([s[:, 1] / s[:, 0], s[:, -1] / s[:, -2]], axis=1)
     v, h, ratio = [], [], []
     p = field.prime
-    for g in gs:  # normalize_representative is scale-invariant: adjugates stand in for the inverses
+    for g in gs:  # normalize_representative is scale-invariant: an adjugate stands in for the inverse
         d = g.shape[0]
         k, _, u, _, pivots = _smith(g, p, unimodular=unimodular)
         vals = [val for *_, val in pivots]
         ratio.append([_p_power(p, vals[0] - vals[1]), _p_power(p, vals[d - 2] - vals[d - 1])])
-        k_inv, u_inv = adjugate(k), adjugate(u)
-        v.append([normalize_representative([row[0] for row in k], field),
-                  normalize_representative(u_inv[:, d - 1], field)])
-        h.append([normalize_representative(u[0], field), normalize_representative(k_inv[d - 1, :], field)])
+        # object arrays: a list of ints near 2**64 would pass through a fixed-width numpy int and wrap
+        adj, k, u = adjugate(_integer_form(g)[0]), np.array(k, dtype=object), np.array(u, dtype=object)
+        v.append([normalize_representative(k[:, 0], field), normalize_representative(adj @ k[:, d - 1], field)])
+        h.append([normalize_representative(u[0], field), normalize_representative(u[d - 1] @ adj, field)])
     return np.array(v), np.array(h), np.array(ratio)
 
 

@@ -26,10 +26,10 @@ or exterior squares) along every row at once.  Over R the batch is one
 stack of float matrices renormalized by its max-abs entry after every
 step, exactly as :func:`scaled_premultiply` does, so each row is
 bit-identical to the sequential fold; with 1x1 increments (wedges at
-d = 2) the unit stays exactly +-1, so the fold takes no steps.  An
-estimator call makes one such fold per matrix size (``estimators._fold``):
-shorter rows are padded at the start with an identity increment and left
-folds run transposed.
+d = 2) the unit stays exactly +-1, so the fold takes no steps.  On both
+fields an estimator call makes one fold per matrix size
+(``estimators._fold``): shorter rows are padded at the start with an
+identity increment and left folds run transposed.
 Every exact product goes through :func:`integer_products`, one fold of
 stacked integer matrices with no gcd and no renormalisation: over Q_p
 each row's numerator N is divided by its denominator and by the p-power

@@ -6,6 +6,7 @@ import pytest
 
 from freewalk import (
     DomainError,
+    FieldSpec,
     UsageError,
     direction_convergence,
     fit_geometric_decay,
@@ -606,3 +607,14 @@ def test_estimator_vectors_need_d_entries_not_all_zero(measure):
             for phis in ((wrong, phi), (phi, wrong)):
                 with pytest.raises(error):
                     independence_test(m, *phis, 10, 5, 1)
+
+
+def test_independence_test_rejects_a_holder_function_over_another_field():
+    # phi1 or phi2 over Q_2 on a walk over R, and over R on a walk over Q_2: a UsageError before any walk
+    for m, other in ((corpus.positive_matrices(), FieldSpec.padic(2)), (corpus.padic_contracting(2), FieldSpec.real())):
+        phi = holder_function("dist_to_point", ["1", "0"], m.field)
+        wrong = holder_function("dist_to_point", ["1", "0"], other)
+        for phis in ((wrong, wrong), (wrong, phi), (phi, wrong)):
+            with pytest.raises(UsageError, match="Holder function over"):
+                independence_test(m, *phis, 10, 20, 1)
+        independence_test(m, phi, phi, 10, 20, 1)

@@ -48,6 +48,23 @@ def test_abs_value_examples(q2, q3, real_field):
     assert abs_value(-2.5, real_field) == 2.5
 
 
+def test_abs_value_rejects_floats_over_qp():
+    for p in (2, 3):
+        with pytest.raises(UsageError, match="not floats"):
+            abs_value(0.5, FieldSpec.padic(p))
+
+
+def test_abs_value_is_p_to_minus_valuation():
+    rng = random.Random(29)
+    for p in (2, 3, 5):
+        for _ in range(1000):
+            x = random_rational(rng) * Fraction(p) ** rng.randint(-20, 20)
+            if x == 0:
+                continue
+            got = abs_value(x, FieldSpec.padic(p))
+            assert type(got) is Fraction and got == Fraction(p) ** -valuation(x, p)
+
+
 def test_valuation_additive_and_ultrametric():
     rng = random.Random(101)
     for p in (2, 3, 5):

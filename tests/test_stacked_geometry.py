@@ -19,7 +19,7 @@ from freewalk import DomainError, FieldSpec, corpus, decompositions, estimators,
 from freewalk.decompositions import ScaledMatrix, exterior_square_atoms, scaled_log_norm
 from freewalk.linalg import as_vector, dist_point_hyperplane, normalize_representative, vector_norm
 from freewalk.pingpong import cross_margin_matrix
-from freewalk.walks import walk_indices, walk_products
+from freewalk.walks import make_measure, walk_indices, walk_products
 
 R = FieldSpec.real()
 
@@ -83,18 +83,34 @@ def _same_products(got, want):
 _MEASURES = (corpus.positive_matrices, corpus.slow_contracting, corpus.sl3_integer)
 
 
-def test_fold_equals_one_walk_products_call_per_job():
-    # mixed lengths, both orders and several tables, two matrix sizes
-    jobs = []
-    for i, make in enumerate(_MEASURES):
-        m = make()
-        inv = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in m.atoms)
-        for n, order, table in ((5, "right", m.atoms), (40, "left", inv), (17, "left", m.atoms),
-                                (1, "right", exterior_square_atoms(inv)), (33, "left", exterior_square_atoms(m.atoms))):
-            jobs.append((table, walk_indices(m, n, 100 + i, range(7)), order))
-    got = estimators._fold(jobs, R)
-    for (table, idx, order), products in zip(jobs, got):
-        _same_products(products, walk_products(table, idx, R, order=order))
+def _padic_measures(p: int) -> tuple:
+    """Two d = 2 measures over Q_p and sl3_integer's atoms over Q_p (d = 3)."""
+    sl3 = corpus.sl3_integer()
+    d3 = make_measure([a.tolist() for a in sl3.exact_atoms], sl3.probs, FieldSpec.padic(p))
+    return corpus.padic_contracting(p), corpus.padic_diagonal_point_mass(p), d3
+
+
+def test_fold_equals_one_walk_products_call_per_job(monkeypatch):
+    # mixed lengths, both orders and several tables, over R, Q_2 and Q_3; three matrix sizes, the d = 3
+    # atoms and their wedges in one 3 x 3 group, so one walk_products call per size
+    for field, measures, steps in ((R, [make() for make in _MEASURES], (5, 40, 17, 1, 33)),
+                                   *((FieldSpec.padic(p), _padic_measures(p), (5, 12, 9, 1, 10)) for p in (2, 3))):
+        jobs = []
+        for i, m in enumerate(measures):
+            inv = tuple(np.linalg.inv(np.asarray(a, dtype=float)) if field == R else linalg.exact_inv(a)
+                        for a in m.atoms)
+            for n, order, table in zip(steps, ("right", "left", "left", "right", "left"),
+                                       (m.atoms, inv, m.atoms, exterior_square_atoms(inv),
+                                        exterior_square_atoms(m.atoms))):
+                jobs.append((table, walk_indices(m, n, 100 + i, range(7 if field == R else 4)), order))
+        calls = []
+        monkeypatch.setattr(estimators, "walk_products",
+                            lambda *a, **k: calls.append(a[0].shape) or walk_products(*a, **k))
+        got = estimators._fold(jobs, field)
+        monkeypatch.undo()
+        assert sorted(shape[1] for shape in calls) == [1, 2, 3]
+        for (table, idx, order), products in zip(jobs, got):
+            _same_products(products, walk_products(table, idx, field, order=order))
 
 
 def _unbatched_poles(measure, idx):
