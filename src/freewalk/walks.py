@@ -244,6 +244,11 @@ def walk_indices(measure: WalkMeasure, n: int, seed: int, streams) -> np.ndarray
     return np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 
+#: Bytes of increments :func:`walk_products` gathers at once over R: a block of
+#: steps (at least one) whose (reps, m, m) increments fit, not the whole walk.
+_GATHER_BYTES = 1 << 16
+
+
 def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "right") -> list:
     """Scaled products of increments along each row of an index array.
 
@@ -251,6 +256,12 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
     (the M walk), with X_t = increments[idx[row, t]].  Returns one
     ScaledMatrix per row, equal to the sequential fold of
     :func:`scaled_premultiply` (or :func:`scaled_multiply`) bit for bit.
+
+    Over R with m >= 2 a step is four ufunc calls on the whole batch, each
+    into a buffer allocated once per call: matmul, abs, maximum.reduce and
+    divide.  The increments are gathered a block of steps at a time, as
+    many as fit in _GATHER_BYTES (at least one), so memory does not grow
+    with n * reps * m * m.
     """
     if order not in ("left", "right"):
         raise UsageError(f"order must be 'left' or 'right', not {order!r}")
@@ -266,12 +277,18 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
     else:
         prod = np.broadcast_to(np.eye(m), (reps, m, m)).copy()
         step, mag, maxima = np.empty((reps, m, m)), np.empty((m * m, reps)), np.empty((n, reps))
-        for t, col in enumerate(np.ascontiguousarray(idx.T)):
-            np.matmul(prod, table[col], out=step) if left else np.matmul(table[col], prod, out=step)
-            # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
-            np.abs(step.reshape(reps, m * m).T, out=mag)
-            top = np.maximum.reduce(mag, axis=0, out=maxima[t])
-            np.divide(step, top.reshape(reps, 1, 1), out=prod)
+        # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
+        entries, divisors = step.reshape(reps, m * m).T, maxima.reshape(n, reps, 1, 1)
+        matmul, absolute, top_of, divide = np.matmul, np.absolute, np.maximum.reduce, np.divide
+        block = max(1, _GATHER_BYTES // (reps * m * m * 8))
+        for start in range(0, n, block):
+            stop = start + block
+            # four ufunc calls a step, all into buffers; the views come from iterating arrays built above
+            for x, top, divisor in zip(table[idx[:, start:stop].T], maxima[start:stop], divisors[start:stop]):
+                matmul(prod, x, step) if left else matmul(x, prod, step)
+                absolute(entries, mag)
+                top_of(mag, 0, None, top)
+                divide(step, divisor, prod)
         tops, at = maxima.ravel(), slice(None)
     if not (maxima > 0).all():
         raise DomainError("cannot scale the zero matrix")
@@ -343,13 +360,40 @@ def characteristic_polynomial(a, den: int = 1) -> list:
     return [Fraction(c, den ** (d - k)) for k, c in enumerate(coeffs)]
 
 
+def _poly_divmod(a, b) -> tuple:
+    """Quotient and remainder over Q of coefficient lists, lowest degree first (b's last entry nonzero)."""
+    rem, quot = [Fraction(x) for x in a], []
+    while len(rem) >= len(b):
+        q = rem[-1] / b[-1]
+        quot.append(q)
+        for i, y in enumerate(b[:-1], len(rem) - len(b)):
+            rem[i] -= q * y
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot[::-1], rem
+
+
+def _top_modulus(coeffs) -> float:
+    return max(abs(r) for r in np.roots([float(c) for c in reversed(coeffs)]))
+
+
 def _unique_max_modulus_root(coeffs, field: FieldSpec) -> bool:
     """Whether the monic polynomial has a single root of maximal absolute value."""
-    d = len(coeffs) - 1
     if field.is_archimedean:
         roots = np.roots([float(c) for c in reversed(coeffs)])
         mags = sorted((abs(r) for r in roots), reverse=True)
-        return len(mags) >= 2 and mags[0] > mags[1] * (1 + 1e-9)
+        if not (len(mags) >= 2 and mags[0] > mags[1] * (1 + 1e-9)):
+            return False
+        # np.roots spreads a multiple root over moduli further apart than 1e-9, so decide
+        # multiplicity exactly: the multiple roots of c are the roots of g = gcd(c, c'), and
+        # c / g has the roots of c, each once
+        a, b = coeffs, [k * c for k, c in enumerate(coeffs)][1:]
+        while b:
+            a, b = b, _poly_divmod(a, b)[1]
+        if len(a) < 2:
+            return True
+        return _top_modulus(_poly_divmod(coeffs, a)[0]) > _top_modulus(a) * (1 + 1e-9)
     # Newton polygon: the largest-modulus roots live on the final (steepest)
     # lower-hull segment; a unique one means that segment has length 1
     p = field.prime

@@ -221,6 +221,26 @@ def test_proximal_probe():
     assert find_proximal_element(corpus.padic_isometry_point_mass(3), seed=1) is None
 
 
+def test_repeated_maximal_roots_are_not_proximal(real_field):
+    from freewalk.walks import _unique_max_modulus_root, characteristic_polynomial
+
+    def proximal(rows):
+        return _unique_max_modulus_root(characteristic_polynomial(np.array(rows, dtype=object)), real_field)
+
+    # np.roots spreads a triple root 1 over moduli further apart than the 1e-9 criterion
+    jordan = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    for rows in (np.eye(2, dtype=int).tolist(), np.eye(3, dtype=int).tolist(), np.eye(4, dtype=int).tolist(), jordan):
+        assert not proximal(rows)
+    # a repeated root below a simple top root leaves the top proximal; a repeated top root does not
+    assert proximal([[4, 0, 0], [0, 1, 1], [0, 0, 1]]) and proximal([[2, 1], [1, 1]])
+    assert not proximal([[3, 1, 0], [0, 3, 0], [0, 0, 1]]) and not proximal([[-2, 0, 0], [0, -2, 0], [0, 0, 1]])
+    # A * A^-1 * A * A^-1 is the identity: the compact rotation group has no proximal element
+    a = [[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]]
+    b = [[1, 0, 0], [0, F(3, 5), F(-4, 5)], [0, F(4, 5), F(3, 5)]]
+    rotations = make_measure([a, [list(c) for c in zip(*a)], b, [list(c) for c in zip(*b)]], [F(1, 4)] * 4, real_field)
+    assert find_proximal_element(rotations, seed=1) is None
+
+
 def test_characteristic_polynomial_exact():
     from freewalk.walks import characteristic_polynomial
 
@@ -477,10 +497,20 @@ def _random_table(rng, count, m):
     return rng.standard_normal((count, m, m)) * np.exp(rng.uniform(-30, 30, (count, 1, 1)))
 
 
+def _block(reps, m):
+    """Steps per gather of walk_products over R at this batch width."""
+    return max(1, walks._GATHER_BYTES // (reps * m * m * 8))
+
+
 @pytest.mark.parametrize("m", (1, 2, 3, 4))
 def test_kernel_equals_sequential_fold(real_field, m):
     rng = np.random.default_rng(40 + m)
-    for n, reps in ((0, 3), (1, 4), (7, 1), (40, 9), (200, 5)):
+    block = _block(5, m)
+    wide = walks._GATHER_BYTES // (8 * m * m) + 1  # one step's increments overrun the budget
+    assert _block(wide, m) == 1
+    cases = [(0, 3), (1, 4), (7, 1), (40, 9), (200, 5), (300, 1)]
+    cases += [(n, 5) for n in (block - 1, block, block + 1, 2 * block + 1)] + [(3, wide)]
+    for n, reps in cases:
         table = _random_table(rng, 6, m)
         idx = rng.integers(0, 6, (reps, n))
         for order in ("left", "right"):
@@ -489,6 +519,24 @@ def test_kernel_equals_sequential_fold(real_field, m):
             for row, g in zip(idx.tolist(), got):
                 want = _fold(table, row, real_field, order == "left")
                 assert np.array_equal(g.unit, want.unit) and g.scale == want.scale
+
+
+def test_kernel_memory_does_not_grow_with_gathered_walk(real_field):
+    # the increments are gathered a bounded block of steps at a time: doubling n adds the
+    # per-step maxima and their logs, not another n * reps * m * m doubles of increments
+    import tracemalloc
+
+    m, reps = 3, 10
+    table = _random_table(np.random.default_rng(5), 6, m)
+    peaks = []
+    for n in (2000, 4000):
+        idx = np.random.default_rng(n).integers(0, 6, (reps, n))
+        tracemalloc.start()
+        walk_products(table, idx, real_field)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert _block(reps, m) < 2000
+    assert peaks[1] - peaks[0] < 2000 * reps * m * m * 8, peaks
 
 
 def test_one_by_one_walks_with_a_zero_entry(real_field):
