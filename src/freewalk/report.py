@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,25 +35,12 @@ def round_floats(obj):
     return obj
 
 
-def _open_untruncated(path, flags: int) -> int:
-    """``open``'s opener for mode "w" without O_TRUNC: the file is cut after the write."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def _write(path, text: str) -> None:
-    """Write a result file, creating its directory; an unwritable path raises ConfigError.
-
-    An existing file is rewritten in place and then cut at the end of the new
-    text, not truncated to zero first (ext4 flushes a file truncated to zero on
-    close).  Encoding, newlines and a new file's mode are those of
-    ``Path.write_text``.
-    """
+    """Write a result file, creating its directory; an unwritable path raises ConfigError."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", opener=_open_untruncated) as out:
-            out.write(text)
-            out.truncate()
+        path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -279,16 +279,15 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
         step, mag, maxima = np.empty((reps, m, m)), np.empty((m * m, reps)), np.empty((n, reps))
         # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
         entries, divisors = step.reshape(reps, m * m).T, maxima.reshape(n, reps, 1, 1)
-        matmul, absolute, top_of, divide = np.matmul, np.absolute, np.maximum.reduce, np.divide
         block = max(1, _GATHER_BYTES // (reps * m * m * 8))
         for start in range(0, n, block):
             stop = start + block
             # four ufunc calls a step, all into buffers; the views come from iterating arrays built above
             for x, top, divisor in zip(table[idx[:, start:stop].T], maxima[start:stop], divisors[start:stop]):
-                matmul(prod, x, step) if left else matmul(x, prod, step)
-                absolute(entries, mag)
-                top_of(mag, 0, None, top)
-                divide(step, divisor, prod)
+                np.matmul(prod, x, out=step) if left else np.matmul(x, prod, out=step)
+                np.abs(entries, out=mag)
+                np.maximum.reduce(mag, axis=0, out=top)
+                np.divide(step, divisor, out=prod)
         tops, at = maxima.ravel(), slice(None)
     if not (maxima > 0).all():
         raise DomainError("cannot scale the zero matrix")
@@ -374,15 +373,15 @@ def _poly_divmod(a, b) -> tuple:
     return quot[::-1], rem
 
 
-def _top_modulus(coeffs) -> float:
-    return max(abs(r) for r in np.roots([float(c) for c in reversed(coeffs)]))
+def _root_moduli(coeffs) -> list:
+    """Absolute values of the roots of a coefficient list (lowest degree first), largest first."""
+    return sorted((abs(r) for r in np.roots([float(c) for c in reversed(coeffs)])), reverse=True)
 
 
 def _unique_max_modulus_root(coeffs, field: FieldSpec) -> bool:
     """Whether the monic polynomial has a single root of maximal absolute value."""
     if field.is_archimedean:
-        roots = np.roots([float(c) for c in reversed(coeffs)])
-        mags = sorted((abs(r) for r in roots), reverse=True)
+        mags = _root_moduli(coeffs)
         if not (len(mags) >= 2 and mags[0] > mags[1] * (1 + 1e-9)):
             return False
         # np.roots spreads a multiple root over moduli further apart than 1e-9, so decide
@@ -393,7 +392,7 @@ def _unique_max_modulus_root(coeffs, field: FieldSpec) -> bool:
             a, b = b, _poly_divmod(a, b)[1]
         if len(a) < 2:
             return True
-        return _top_modulus(_poly_divmod(coeffs, a)[0]) > _top_modulus(a) * (1 + 1e-9)
+        return _root_moduli(_poly_divmod(coeffs, a)[0])[0] > _root_moduli(a)[0] * (1 + 1e-9)
     # Newton polygon: the largest-modulus roots live on the final (steepest)
     # lower-hull segment; a unique one means that segment has length 1
     p = field.prime

@@ -632,22 +632,6 @@ def test_unwritable_output_exits_2(workdir, name, monkeypatch):
     assert stdout.getvalue() == ""
 
 
-def test_result_files_are_rewritten_in_place(workdir):
-    from freewalk.report import _write
-
-    # a longer old file rewritten with shorter text holds exactly the new bytes
-    path = workdir / "out" / "result.csv"
-    _write(path, "n,p_hat\n" + "8,0.5\n" * 100)
-    _write(path, "n,p_hat\n8,0.25\n")
-    assert path.read_bytes() == b"n,p_hat\n8,0.25\n"
-    _write(path, "")
-    assert path.read_bytes() == b""
-    # a new file gets the mode bits write_text gives it
-    (workdir / "reference.csv").write_text("x\n")
-    _write(workdir / "new.csv", "x\n")
-    assert os.stat(workdir / "new.csv").st_mode == os.stat(workdir / "reference.csv").st_mode
-
-
 def test_seed_override_and_env(workdir, monkeypatch):
     cfg = _config(
         workdir, kind="lyapunov", measure="positive.json", n=30, reps=10, out=str(workdir / "a")
