@@ -98,7 +98,7 @@ def _kak_real(g: np.ndarray) -> KakDecomposition:
 
 def _kak_padic(g: np.ndarray, field: FieldSpec, unimodular: bool = False) -> KakDecomposition:
     p = field.prime
-    k, dk, u, du, pivots = _smith(g, p, unimodular=unimodular)
+    k, dk, u, du, pivots, _ = _smith(g, p, unimodular=unimodular)
     units = [_unit(row[0], den, val, p) for row, den, val in pivots]
     # m = diag(a) * diag(units); fold the unit part into the rows of u
     return KakDecomposition(
@@ -113,8 +113,9 @@ def _kak_padic(g: np.ndarray, field: FieldSpec, unimodular: bool = False) -> Kak
 def _smith(g, p: int, full: bool = True, unimodular: bool = False) -> tuple:
     """Exact elimination g == k @ m @ u of an invertible g over Q_p, on Python ints.
 
-    Returns k_int, dk, u_int, du, pivots: k = k_int / dk and u = u_int / du
-    (lists of int rows; a denominator may be negative).  full: the Smith form, m diagonal,
+    Returns k_int, dk, u_int, du, pivots, a: k = k_int / dk and u = u_int / du
+    (lists of int rows; a denominator may be negative), a the integer form of
+    g it eliminates.  full: the Smith form, m diagonal,
     each pivot of minimal valuation in the remaining block (ties at the
     smallest (row, col) index), so the valuations come out ascending.
     Otherwise rows only, as for Iwasawa: m upper triangular, each pivot of
@@ -131,8 +132,8 @@ def _smith(g, p: int, full: bool = True, unimodular: bool = False) -> tuple:
     included); k and u carry only swaps and unit-triangular operations, so
     det g is the product of the pivots, negated once per swap.
     """
-    b, db = _integer_form(g)
-    b = b.tolist()
+    a, db = _integer_form(g)
+    b = a.tolist()
     d = len(b)
     k = [[int(i == j) for j in range(d)] for i in range(d)]
     u = [row[:] for row in k]
@@ -178,7 +179,7 @@ def _smith(g, p: int, full: bool = True, unimodular: bool = False) -> tuple:
         raise InvariantViolation("matrix determinant is not 1")
     if full and any(pivots[i][2] > pivots[i + 1][2] for i in range(d - 1)):
         raise AssertionError("pivot valuations not ascending")
-    return k, dk, u, du, pivots
+    return k, dk, u, du, pivots, a
 
 
 def _reduce(den: int, rows: list) -> tuple[int, list]:
@@ -210,7 +211,7 @@ def iwasawa(g: np.ndarray, field: FieldSpec) -> IwasawaDecomposition:
 
 def _iwasawa_padic(g: np.ndarray, field: FieldSpec, unimodular: bool = False) -> IwasawaDecomposition:
     p = field.prime
-    k, dk, _, _, pivots = _smith(g, p, full=False, unimodular=unimodular)
+    k, dk, _, _, pivots, _ = _smith(g, p, full=False, unimodular=unimodular)
     units = [_unit(row[0], den, v, p) for row, den, v in pivots]
     # m = diag(a) * diag(units) * n; fold the unit part into the columns of k
     k = np.array([[Fraction(x * n, dk * q) for x, (n, q) in zip(row, units)] for row in k], dtype=object)

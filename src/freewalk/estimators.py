@@ -181,12 +181,12 @@ def _require_vector(x, d: int, what: str) -> None:
 
 
 def _fold(jobs, field: FieldSpec) -> list:
-    """walk_products of every job (increments, idx, order), == job for job, one call per matrix size.
+    """Scaled products of every job (increments, idx, order), one walk_products call per matrix size.
 
-    On both fields the jobs of one size share one right fold behind an
-    identity increment, which pads a shorter row at the start and leaves
-    its unit and scale as they are; a left fold is the right fold of the
-    transposed increments, transposed back.
+    order "right" is X_n ... X_1, "left" X_1 ... X_n.  walk_products folds right only, so a left fold
+    is the right fold of the transposed increments, transposed back.  On both fields the jobs of one
+    size share one right fold behind an identity increment, which pads a shorter row at the start and
+    leaves its unit and scale as they are.
     """
     tables = [np.asarray(inc) for inc, _, _ in jobs]  # floats over R, exact Fractions over Q_p
     tables = [t.swapaxes(1, 2) if order == "left" else t for t, (_, _, order) in zip(tables, jobs)]
@@ -534,7 +534,7 @@ def invariant_measure_probe(
     covs = np.array([as_vector(h, field) for h in hyperplanes]).reshape(-1, measure.d)
     idx = walk_indices(measure, n, seed, range(reps))
     # M_n[e1] is the first column of each unit
-    directions = np.array([left.unit[:, 0] for left in walk_products(measure.atoms, idx, field, order="left")])
+    directions = np.array([left.unit[:, 0] for left in _fold([(measure.atoms, idx, "left")], field)[0]])
     margins = cross_margin_matrix(directions[None], covs[None], field)[0]
     counts = (margins <= t**n).sum(axis=0).tolist()
     fracs, los, his = _columns(_proportion_point(c, reps) for c in counts)

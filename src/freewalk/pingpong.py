@@ -139,11 +139,11 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     p = field.prime
     for g in gs:  # normalize_representative is scale-invariant: an adjugate stands in for the inverse
         d = g.shape[0]
-        k, _, u, _, pivots = _smith(g, p, unimodular=unimodular)
+        k, _, u, _, pivots, b = _smith(g, p, unimodular=unimodular)
         vals = [val for *_, val in pivots]
         ratio.append([_p_power(p, vals[0] - vals[1]), _p_power(p, vals[d - 2] - vals[d - 1])])
         # object arrays: a list of ints near 2**64 would pass through a fixed-width numpy int and wrap
-        adj, k, u = adjugate(_integer_form(g)[0]), np.array(k, dtype=object), np.array(u, dtype=object)
+        adj, k, u = adjugate(b), np.array(k, dtype=object), np.array(u, dtype=object)
         v.append([normalize_representative(k[:, 0], field), normalize_representative(adj @ k[:, d - 1], field)])
         h.append([normalize_representative(u[0], field), normalize_representative(u[d - 1] @ adj, field)])
     return np.array(v), np.array(h), np.array(ratio)

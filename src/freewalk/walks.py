@@ -22,14 +22,15 @@ ScaledMatrix so products of any length never overflow.  Every estimator
 walks through one kernel: :func:`walk_indices` stacks the index rows of
 a batch of streams into an array of shape (reps, n), and
 :func:`walk_products` folds a table of increments (atoms, their inverses
-or exterior squares) along every row at once.  Over R the batch is one
+or exterior squares) into S_n along every row at once.  Over R the batch is one
 stack of float matrices renormalized by its max-abs entry after every
 step, exactly as :func:`scaled_premultiply` does, so each row is
 bit-identical to the sequential fold; with 1x1 increments (wedges at
 d = 2) the unit stays exactly +-1, so the fold takes no steps.  On both
 fields an estimator call makes one fold per matrix size
-(``estimators._fold``): shorter rows are padded at the start with an
-identity increment and left folds run transposed.
+(``estimators._fold``, which alone decides fold direction): shorter rows
+are padded at the start with an identity increment, and M_n is the
+transposed right fold X_n^T ... X_1^T of the transposed increments.
 Every exact product goes through :func:`integer_products`, one fold of
 stacked integer matrices with no gcd and no renormalisation: over Q_p
 each row's numerator N is divided by its denominator and by the p-power
@@ -249,13 +250,11 @@ def walk_indices(measure: WalkMeasure, n: int, seed: int, streams) -> np.ndarray
 _GATHER_BYTES = 1 << 16
 
 
-def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "right") -> list:
-    """Scaled products of increments along each row of an index array.
+def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
+    """Scaled reversed products X_n ... X_1 (the S walk) along each row of an index array.
 
-    order "right" gives X_n ... X_1 (the S walk), "left" gives X_1 ... X_n
-    (the M walk), with X_t = increments[idx[row, t]].  Returns one
-    ScaledMatrix per row, equal to the sequential fold of
-    :func:`scaled_premultiply` (or :func:`scaled_multiply`) bit for bit.
+    X_t = increments[idx[row, t]].  Returns one ScaledMatrix per row, == the sequential fold of
+    :func:`scaled_premultiply`; ``estimators._fold`` makes left folds as transposed right folds.
 
     Over R with m >= 2 a step is four ufunc calls on the whole batch, each
     into a buffer allocated once per call: matmul, abs, maximum.reduce and
@@ -263,13 +262,11 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
     many as fit in _GATHER_BYTES (at least one), so memory does not grow
     with n * reps * m * m.
     """
-    if order not in ("left", "right"):
-        raise UsageError(f"order must be 'left' or 'right', not {order!r}")
     if not field.is_archimedean:
         forms = [_integer_form(x) for x in increments]
-        return [_padic_scaled(num, den, field.prime) for num, den in zip(*_exact_products(forms, idx, order))]
+        return [_padic_scaled(num, den, field.prime) for num, den in zip(*_exact_products(forms, idx, "right"))]
     table = np.asarray(increments, dtype=float)
-    (reps, n), m, left = idx.shape, table.shape[1], order == "left"
+    (reps, n), m = idx.shape, table.shape[1]
     if m == 1 and np.isfinite(table).all():
         # the running unit stays exactly +-1: each step's max-abs is |x_t| (so one log per entry), the unit their sign
         tops, at = np.abs(table[:, 0, 0]), idx.T
@@ -279,12 +276,12 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec, order: str = "r
         step, mag, maxima = np.empty((reps, m, m)), np.empty((m * m, reps)), np.empty((n, reps))
         # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
         entries, divisors = step.reshape(reps, m * m).T, maxima.reshape(n, reps, 1, 1)
-        block = max(1, _GATHER_BYTES // (reps * m * m * 8))
+        block = max(1, _GATHER_BYTES // (max(reps, 1) * m * m * 8))
         for start in range(0, n, block):
             stop = start + block
             # four ufunc calls a step, all into buffers; the views come from iterating arrays built above
             for x, top, divisor in zip(table[idx[:, start:stop].T], maxima[start:stop], divisors[start:stop]):
-                np.matmul(prod, x, out=step) if left else np.matmul(x, prod, out=step)
+                np.matmul(x, prod, out=step)
                 np.abs(entries, out=mag)
                 np.maximum.reduce(mag, axis=0, out=top)
                 np.divide(step, divisor, out=prod)

@@ -80,6 +80,25 @@ def _same_products(got, want):
         assert np.array_equal(a.unit, b.unit)
 
 
+def _sequential_fold(table, idx, field, order):
+    """Each row's product one scaled_multiply ("left") or scaled_premultiply ("right") step at a time."""
+    out = []
+    for row in idx.tolist():
+        acc = decompositions.scaled_identity(np.asarray(table[0]).shape[0], field)
+        for i in row:
+            acc = (decompositions.scaled_multiply(acc, table[i], field) if order == "left"
+                   else decompositions.scaled_premultiply(table[i], acc, field))
+        out.append(acc)
+    return out
+
+
+def _left_fold(table, idx, field):
+    """M_n = X_1 ... X_n of every row through estimators._fold, checked == against the sequential fold."""
+    got = estimators._fold([(table, idx, "left")], field)[0]
+    _same_products(got, _sequential_fold(table, idx, field, "left"))
+    return got
+
+
 _MEASURES = (corpus.positive_matrices, corpus.slow_contracting, corpus.sl3_integer)
 
 
@@ -110,16 +129,17 @@ def test_fold_equals_one_walk_products_call_per_job(monkeypatch):
         monkeypatch.undo()
         assert sorted(shape[1] for shape in calls) == [1, 2, 3]
         for (table, idx, order), products in zip(jobs, got):
-            _same_products(products, walk_products(table, idx, field, order=order))
+            _same_products(products, walk_products(table, idx, field) if order == "right"
+                           else _sequential_fold(table, idx, field, order))
 
 
 def _unbatched_poles(measure, idx):
-    """One batch's poles, one walk_products call per product and per-row frames and norms."""
+    """One batch's poles, one fold call per product and per-row frames and norms."""
     inv = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
     s = walk_products(measure.atoms, idx, R)
-    s_inv = walk_products(inv, idx, R, order="left")
+    s_inv = _left_fold(inv, idx, R)
     w = walk_products(exterior_square_atoms(measure.atoms), idx, R)
-    w_inv = walk_products(exterior_square_atoms(inv), idx, R, order="left")
+    w_inv = _left_fold(exterior_square_atoms(inv), idx, R)
     v, h, ratio = [], [], []
     for row in zip(s, s_inv, w, w_inv):
         svds = [np.linalg.svd(x.unit) for x in row[:2]]
@@ -160,7 +180,7 @@ def test_invariant_margins_equal_dist_point_hyperplane_loop(field):
     n, reps, t = 12, 40, 0.8
     covs = [as_vector(f, field) for f in planes]
     x0 = as_vector([1, 0], field)
-    lefts = walk_products(m.atoms, walk_indices(m, n, 9, range(reps)), field, order="left")
+    lefts = _left_fold(m.atoms, walk_indices(m, n, 9, range(reps)), field)
     loop = [[dist_point_hyperplane(left.unit @ x0, f, field) for f in covs] for left in lefts]
     directions = np.array([left.unit[:, 0] for left in lefts])
     margins = cross_margin_matrix(directions[None], np.array(covs)[None], field)[0]
@@ -182,15 +202,9 @@ def test_fold_of_one_by_one_jobs_equals_sequential_fold():
             (tables[2], rng.integers(0, 5, (5, 17)), "left"), (tables[0], rng.integers(0, 5, (2, 0)), "right")]
     got = estimators._fold(jobs, R)
     for (table, idx, order), products in zip(jobs, got):
-        want = []
-        for row in idx.tolist():
-            acc = decompositions.scaled_identity(1, R)
-            for i in row:
-                acc = (decompositions.scaled_multiply(acc, table[i], R) if order == "left"
-                       else decompositions.scaled_premultiply(table[i], acc, R))
-            want.append(acc)
-        _same_products(products, want)
-        _same_products(products, walk_products(table, idx, R, order=order))
+        _same_products(products, _sequential_fold(table, idx, R, order))
+        if order == "right":
+            _same_products(products, walk_products(table, idx, R))
 
 
 @pytest.mark.parametrize("d", (2, 3))

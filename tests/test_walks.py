@@ -20,7 +20,7 @@ from freewalk import (
     new_walk_state,
     run_walk,
 )
-from freewalk import corpus, walks
+from freewalk import corpus, estimators, walks
 from freewalk.decompositions import (
     exterior_square_atoms,
     scaled_identity,
@@ -191,8 +191,11 @@ def test_reversed_walk_law_ks(positive_measure):
     # streams must stay below the 1% critical value
     n, reps = 20, 10000
     field = positive_measure.field
-    lefts = walk_products(positive_measure.atoms, walk_indices(positive_measure, n, 31, range(reps)),
-                          field, order="left")
+    left_idx = walk_indices(positive_measure, n, 31, range(reps))
+    lefts = _products(positive_measure.atoms, left_idx, field, "left")
+    for row, got in zip(left_idx[:20].tolist(), lefts):
+        want = _fold(positive_measure.atoms, row, field, True)
+        assert np.array_equal(got.unit, want.unit) and got.scale == want.scale
     rights = walk_products(positive_measure.atoms,
                            walk_indices(positive_measure, n, 31, range(reps, 2 * reps)), field)
     xs = sorted(scaled_log_norm(m, field) for m in lefts)
@@ -294,6 +297,11 @@ def _fold(increments, row, field, left):
     return acc
 
 
+def _products(table, idx, field, order):
+    """The right fold of walk_products, or the left fold of estimators._fold: walk_products folds right only."""
+    return estimators._fold([(table, idx, order)], field)[0] if order == "left" else walk_products(table, idx, field)
+
+
 def test_stacked_products_match_sequential_fold(real_field):
     for m in (corpus.positive_matrices(), corpus.sanov(), corpus.slow_contracting(), corpus.sl3_integer()):
         inverses = tuple(np.linalg.inv(a) for a in m.atoms)
@@ -302,7 +310,7 @@ def test_stacked_products_match_sequential_fold(real_field):
         idx = walk_indices(m, 150, 3, range(6))
         for table in tables:
             for order in ("left", "right"):
-                batch = walk_products(table, idx, real_field, order)
+                batch = _products(table, idx, real_field, order)
                 for row, got in zip(idx.tolist(), batch):
                     want = _fold(table, row, real_field, order == "left")
                     assert np.array_equal(got.unit, want.unit)
@@ -314,7 +322,7 @@ def test_batch_row_matches_run_walk(real_field):
     for m in _kernel_measures(real_field):
         idx = walk_indices(m, n, seed, range(5))
         rights = walk_products(m.atoms, idx, m.field)
-        lefts = walk_products(m.atoms, idx, m.field, order="left")
+        lefts = _products(m.atoms, idx, m.field, "left")
         for i in range(5):
             st = run_walk(m, n, seed, i)
             assert st.increments == tuple(idx[i].tolist())
@@ -362,7 +370,7 @@ def test_padic_products_match_sequential_fold():
         idx = walk_indices(m, 40, 3, range(5))
         for table in tables:
             for order in ("left", "right"):
-                batch = walk_products(table, idx, m.field, order)
+                batch = _products(table, idx, m.field, order)
                 assert len(batch) == 5
                 for row, got in zip(idx.tolist(), batch):
                     want = _fold(table, row, m.field, order == "left")
@@ -370,6 +378,7 @@ def test_padic_products_match_sequential_fold():
                     assert got.scale == want.scale and isinstance(got.scale, int)
         empty = walk_products(m.atoms, idx[:, :0], m.field)
         assert all((e.unit == identity(m.d)).all() and e.scale == 0 for e in empty)
+        assert walk_products(m.atoms, idx[:0], m.field) == []
 
 
 def test_exact_product_matches_fraction_fold():
@@ -509,12 +518,13 @@ def test_kernel_equals_sequential_fold(real_field, m):
     wide = walks._GATHER_BYTES // (8 * m * m) + 1  # one step's increments overrun the budget
     assert _block(wide, m) == 1
     cases = [(0, 3), (1, 4), (7, 1), (40, 9), (200, 5), (300, 1)]
-    cases += [(n, 5) for n in (block - 1, block, block + 1, 2 * block + 1)] + [(3, wide)]
+    # (5, 0): no rows, where the gather block once divided by the batch width
+    cases += [(n, 5) for n in (block - 1, block, block + 1, 2 * block + 1)] + [(3, wide), (5, 0)]
     for n, reps in cases:
         table = _random_table(rng, 6, m)
         idx = rng.integers(0, 6, (reps, n))
         for order in ("left", "right"):
-            got = walk_products(table, idx, real_field, order)
+            got = _products(table, idx, real_field, order)
             assert len(got) == reps
             for row, g in zip(idx.tolist(), got):
                 want = _fold(table, row, real_field, order == "left")
