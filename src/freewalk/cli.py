@@ -353,7 +353,7 @@ def _run_experiment(kind: str, config: dict, base: Path, out: Path) -> int:
 
 def _cmd_kak(args) -> int:
     g, field = matrix_from_json_dict(_load_json(args.matrix))
-    dec = kak(g, field)
+    dec = kak(g, field)  # checks the file's exact determinant, then decomposes its float rounding over R
     out = {"field": field.to_dict(), "d": g.shape[0], "a": vector_to_strings(dec.a, field)}
     for name in ("k", "u", "v", "h"):  # the matrices k and u row-major
         out[name] = vector_to_strings(getattr(dec, name).ravel(), field)

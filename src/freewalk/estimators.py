@@ -321,11 +321,10 @@ def _exact_delta(x, y, field: FieldSpec) -> float:
 def _replay_convergence(measure: WalkMeasure, grid, horizon: int, reps: int, seed: int, sides) -> list:
     """Mean delta between each grid checkpoint's direction and the horizon's, one curve per side.
 
-    sides holds (order, directions) pairs: directions maps the integer
-    products at one checkpoint of the left or right exact replay to one
-    integer direction row per trajectory.  Directions are projective, so
-    the replay runs on the atoms' integer numerators.  Every side shares
-    one :func:`walk_indices` draw.
+    sides holds (transposed, directions) pairs: directions maps the stacked exact replays at one
+    checkpoint, S_n, or M_n^T (the fold of the transposed atoms) when transposed is set, to one integer
+    direction row per trajectory.  Directions are projective, so the replay runs on the atoms' integer
+    numerators.  Every side shares one :func:`walk_indices` draw.
     """
     grid = sorted(grid)
     _require_draws(grid, reps)
@@ -334,8 +333,9 @@ def _replay_convergence(measure: WalkMeasure, grid, horizon: int, reps: int, see
     atoms = [_integer_form(a)[0] for a in measure.exact_atoms]
     idx = walk_indices(measure, horizon, seed, range(reps))
     curves = []
-    for order, directions in sides:
-        *dirs, limit = (directions(m) for m in integer_products(atoms, idx, order, [*grid, horizon]))
+    for transposed, directions in sides:
+        table = [a.T for a in atoms] if transposed else atoms
+        *dirs, limit = (directions(p) for p in integer_products(table, idx, [*grid, horizon]))
         cols = [[_exact_delta(u, w, measure.field) for u, w in zip(at_n, limit)] for at_n in dirs]
         curves.append(_decay("mean", grid, [_mean_point(c) for c in cols], reps, extra={"horizon": horizon}))
     return curves
@@ -357,7 +357,8 @@ def direction_convergence(
     """
     _require_vector(x, measure.d, "x")
     x_int, _ = _integer_form(x)
-    (curve,) = _replay_convergence(measure, grid, horizon, reps, seed, [("left", lambda m: m @ x_int)])
+    # each row M_n x, as x^T M_n^T
+    (curve,) = _replay_convergence(measure, grid, horizon, reps, seed, [(True, lambda mt: x_int @ mt)])
     return curve
 
 
@@ -367,15 +368,15 @@ class KakFrameConvergence:
     u_curve: DecayEstimate  # delta(U_n^{-1} e1*, U_N^{-1} e1*), U from kak(S_n)
 
 
-def _top_left_directions(stack: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Top left singular direction of each matrix of a stack, one row each.
+def _top_right_directions(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Top right singular direction of each matrix of a stack p, one row each.
 
-    Three power steps on M M^T: angular error O((a2/a1)^6), far below the
+    Three power steps on p^T p: angular error O((a2/a1)^6), far below the
     O(a2/a1) scale of the frame-convergence curves.
     """
     w = z[:, None]
     for _ in range(3):
-        w = stack @ (stack.swapaxes(1, 2) @ w)
+        w = p.swapaxes(1, 2) @ (p @ w)
     return w[..., 0]
 
 
@@ -386,13 +387,11 @@ def kak_convergence(
     reps: int,
     seed: int,
 ) -> KakFrameConvergence:
-    """Decay of the KAK frame directions of M_n (k-part) and S_n (u-part)."""
+    """Decay of the KAK frame directions of M_n (k-part) and S_n (u-part): the top right singular
+    directions of M_n^T (k(M_n) e1, from the fold of the transposed atoms) and of S_n."""
     z = np.array([3**j for j in range(measure.d)], dtype=object)
-    # k-part: top left direction of M_n; u-part: top right direction of S_n
-    k_curve, u_curve = _replay_convergence(measure, grid, horizon, reps, seed, [
-        ("left", lambda m: _top_left_directions(m, z)),
-        ("right", lambda s: _top_left_directions(s.swapaxes(1, 2), z)),
-    ])
+    sides = [(transposed, lambda p: _top_right_directions(p, z)) for transposed in (True, False)]
+    k_curve, u_curve = _replay_convergence(measure, grid, horizon, reps, seed, sides)
     return KakFrameConvergence(k_curve=k_curve, u_curve=u_curve)
 
 
@@ -570,7 +569,7 @@ def _walk_poles(measures, rows) -> tuple:
     if not field.is_archimedean:
         ints = [[_integer_form(a)[0] for a in m.atoms] for m in measures]
         prods = [g for atoms, idxs in zip(ints, rows) for idx in idxs
-                 for g in integer_products(atoms, idx, "right", [idx.shape[1]])[0]]
+                 for g in integer_products(atoms, idx, [idx.shape[1]])[0]]
         return pole_pair(prods, field, unimodular=False)
     inverses = [tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in m.atoms) for m in measures]
     jobs = [(table, idx, order) for tables, order in (([m.atoms for m in measures], "right"), (inverses, "left"))

@@ -314,8 +314,9 @@ def flat_matrices(doc: dict, key: str, single: bool = False) -> tuple[FieldSpec,
 
 
 def matrix_from_json_dict(doc: dict) -> tuple[np.ndarray, FieldSpec]:
+    """The exact matrix of a matrix document, an object array of Fractions in both fields, and its field."""
     field, (rows,) = flat_matrices(doc, "entries", single=True)
-    return as_matrix(rows, field), field
+    return np.array(rows, dtype=object), field
 
 
 def vector_to_strings(x: np.ndarray, field: FieldSpec) -> list[str]:

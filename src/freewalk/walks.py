@@ -31,16 +31,16 @@ fields an estimator call makes one fold per matrix size
 (``estimators._fold``, which alone decides fold direction): shorter rows
 are padded at the start with an identity increment, and M_n is the
 transposed right fold X_n^T ... X_1^T of the transposed increments.
-Every exact product goes through :func:`integer_products`, one fold of
-stacked integer matrices with no gcd and no renormalisation: over Q_p
+Every exact product goes through :func:`integer_products`, one right fold
+of stacked integer matrices with no gcd and no renormalisation: over Q_p
 each row's numerator N is divided by its denominator and by the p-power
 of its content once, at the end, which gives the unit and scale of the
 exact sequential fold; the exact replays (:func:`exact_product` and the
-direction and KAK-frame estimators) and the proximal probe use the same
-fold.  :func:`advance` is the one sequential fold: it takes one step of
-one trajectory, :func:`run_walk` iterates it, and the kernel is checked
-against it.  One trajectory reruns from (seed, stream) through the same
-kernel, with a one-element stream list.
+direction and KAK-frame estimators, which take M_n^T as the fold of the
+transposed atoms) and the proximal probe use the same fold.  :func:`advance` is
+the one sequential fold: it takes one step of one trajectory, :func:`run_walk`
+iterates it, and the kernel is checked against it.  One trajectory reruns from
+(seed, stream) through the same kernel, with a one-element stream list.
 """
 
 from __future__ import annotations
@@ -148,10 +148,12 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
         raise InvariantViolation("probabilities must be positive")
     if sum(probs) != 1:
         raise InvariantViolation(f"probabilities sum to {sum(probs)}, not 1")
-    for a in atoms:
+    for a, rows in zip(atoms, atom_rows):
         if a.shape != (d, d):
             raise InvariantViolation("atoms must share one dimension")
-        if not is_unimodular(a, field):
+        # rounding entries near 10**6 can move a float determinant 1e-5 off 1: retake a failed check exactly
+        if not (is_unimodular(a, field) or field.is_archimedean and np.isfinite(a).all()
+                and is_unimodular(np.array(rows, dtype=object), field)):
             raise InvariantViolation("atom determinant is not 1")
     return WalkMeasure(
         atoms=atoms,
@@ -264,7 +266,7 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
     """
     if not field.is_archimedean:
         forms = [_integer_form(x) for x in increments]
-        return [_padic_scaled(num, den, field.prime) for num, den in zip(*_exact_products(forms, idx, "right"))]
+        return [_padic_scaled(num, den, field.prime) for num, den in zip(*_exact_products(forms, idx))]
     table = np.asarray(increments, dtype=float)
     (reps, n), m = idx.shape, table.shape[1]
     if m == 1 and np.isfinite(table).all():
@@ -294,19 +296,16 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
     return [ScaledMatrix(prod[r], float(scales[r])) for r in range(reps)]
 
 
-def integer_products(table, idx: np.ndarray, order: str, checkpoints) -> list:
-    """Exact products of integer matrices along each row of an index array.
+def integer_products(table, idx: np.ndarray, checkpoints) -> list:
+    """Exact reversed products X_t ... X_1 of integer matrices along each row of an index array.
 
     table holds integer matrices (object arrays of Python ints) and
-    X_t = table[idx[row, t]]; order "left" gives X_1 ... X_t, "right"
-    gives X_t ... X_1.  Returns one (reps, m, m) object stack per entry of
-    checkpoints, in the order given: row r of the stack for t is the exact
-    product of the row's first t increments, with no gcd and no
-    renormalisation (t = 0 is the identity).
+    X_t = table[idx[row, t]].  Returns one (reps, m, m) object stack per
+    entry of checkpoints, in the order given: row r of the stack for t is
+    the exact product of the row's first t increments, with no gcd and no
+    renormalisation (t = 0 is the identity).  The left product X_1 ... X_t
+    is the transpose of the fold of the transposed table.
     """
-    if order not in ("left", "right"):
-        raise UsageError(f"order must be 'left' or 'right', not {order!r}")
-    left = order == "left"
     reps, n = idx.shape
     checkpoints = list(checkpoints)
     if any(not 0 <= t <= n for t in checkpoints):
@@ -319,32 +318,30 @@ def integer_products(table, idx: np.ndarray, order: str, checkpoints) -> list:
     done = 0
     for stop in sorted(set(checkpoints)):
         for col in idx.T[done:stop]:
-            x = ints[col]
-            prod = prod @ x if left else x @ prod
+            prod = ints[col] @ prod
         snaps[stop] = prod
         done = stop
     return [snaps[t] for t in checkpoints]
 
 
-def _exact_products(forms, idx: np.ndarray, order: str) -> tuple:
-    """The exact product along each row of idx as a numerator stack N and one denominator per row.
+def _exact_products(forms, idx: np.ndarray) -> tuple:
+    """The exact reversed product along each row of idx as a numerator stack N and one denominator per row.
 
     forms holds the :func:`_integer_form` (A, D) of each matrix; with
     X_t = A_t / D_t, row r's product is N[r] / prod(D), N folded by
     :func:`integer_products`.
     """
-    (num,) = integer_products([a for a, _ in forms], idx, order, [idx.shape[1]])
+    (num,) = integer_products([a for a, _ in forms], idx, [idx.shape[1]])
     return num, [math.prod(forms[i][1] for i in row) for row in idx.tolist()]
 
 
-def exact_product(measure: WalkMeasure, increments, order: str = "left") -> np.ndarray:
-    """Exact replay of a product from logged atom indices.
+def exact_product(measure: WalkMeasure, increments) -> np.ndarray:
+    """Exact replay X_n ... X_1 (the S walk) of logged atom indices.
 
-    order "left" gives X_1 ... X_n (the M walk), "right" gives
-    X_n ... X_1 (the S walk).
+    The M walk X_1 ... X_n is the replay of the reversed word, ``increments[::-1]``.
     """
     forms = [_integer_form(a) for a in measure.exact_atoms]
-    num, (den,) = _exact_products(forms, np.array([increments], dtype=np.intp).reshape(1, -1), order)
+    num, (den,) = _exact_products(forms, np.array([increments], dtype=np.intp).reshape(1, -1))
     return num[0] * Fraction(1, den)
 
 
@@ -427,7 +424,7 @@ def find_proximal_element(measure: WalkMeasure, seed: int = 0):
     for _ in range(PROXIMAL_TRIES):
         length = int(rng.integers(1, PROXIMAL_MAX_LEN + 1))
         word = [_sample_index(measure, rng.random()) for _ in range(length)]
-        num, (den,) = _exact_products(forms, np.array([word], dtype=np.intp), "right")
+        num, (den,) = _exact_products(forms, np.array([word], dtype=np.intp))
         coeffs = characteristic_polynomial(num[0], den)
         if _unique_max_modulus_root(coeffs, measure.field):
             return {"length": length, "word": word}

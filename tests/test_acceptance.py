@@ -186,8 +186,8 @@ def test_acceptance_03a_certified_tuples_pass_oracle():
             break
         s1 = run_walk(m, 16, seed=314, stream=2 * rep)
         s2 = run_walk(m, 16, seed=314, stream=2 * rep + 1)
-        g1 = exact_product(m, s1.increments, "right")
-        g2 = exact_product(m, s2.increments, "right")
+        g1 = exact_product(m, s1.increments)
+        g2 = exact_product(m, s2.increments)
         cert = pingpong_certificate(
             [fw.as_matrix(np.array(g1, dtype=float), REAL), fw.as_matrix(np.array(g2, dtype=float), REAL)],
             0.2,

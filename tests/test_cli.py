@@ -79,6 +79,25 @@ def test_kak_rejects_bad_input(workdir, capsys):
     assert main(["kak", str(bad)]) == 2
 
 
+# det [[10**6, 10**6 - 1], [10**6 + 1, 10**6]] is exactly 1; the float LU determinant reads 1.0000086
+_BIG_SL2Z = ["1000000", "999999", "1000001", "1000000"]
+
+
+def test_kak_checks_determinant_exactly(workdir, capsys):
+    path = workdir / "big.json"
+    path.write_text(json.dumps({"field": {"kind": "archimedean"}, "d": 2, "entries": _BIG_SL2Z}))
+    assert main(["kak", str(path)]) == 0
+    assert float(json.loads(capsys.readouterr().out)["a"][0]) == pytest.approx(2e6, rel=1e-6)
+
+
+def test_measure_determinant_checked_exactly(workdir):
+    (workdir / "big_measure.json").write_text(
+        json.dumps({"field": {"kind": "archimedean"}, "d": 2, "atoms": [_BIG_SL2Z], "probs": ["1"]}))
+    cfg = _config(workdir, kind="lyapunov", measure="big_measure.json", n=20, reps=10, out=str(workdir / "big"))
+    assert main(["lyapunov", str(cfg)]) == 0
+    assert (workdir / "big" / "lyapunov.csv").exists()
+
+
 def test_certify_exit_codes(workdir, capsys):
     code = main(["certify", str(workdir / "gens.json"), "--r", "0.5", "--eps", "0.02"])
     assert code == 0

@@ -441,7 +441,7 @@ def test_walk_poles_match_exact_replay_sl3(real_field):
     vs, hs, ratios = _walk_poles([m], [[idx]])
     assert vs.shape == hs.shape == (4, 2, 3) and ratios.shape == (4, 2)
     for row, v_row, h_row in zip(idx.tolist(), vs, hs):
-        s = exact_product(m, row, order="right")
+        s = exact_product(m, row)
         for pole_v, pole_h, g in zip(v_row, h_row, (s, exact_inv(s))):
             v, h = _float_top_frame(g)
             assert fubini_study(pole_v, v, real_field) <= 1e-9

@@ -370,7 +370,7 @@ def _pinned_certificate_tuples():
         "R2-shears": (real, [random_unimodular_int(rng, 2, steps=16) for _ in range(3)]),
     }
     sl3 = corpus.sl3_integer()
-    out["R3-walk"] = (real, [exact_product(sl3, [rng.randrange(4) for _ in range(6)]).tolist() for _ in range(2)])
+    out["R3-walk"] = (real, [exact_product(sl3, [rng.randrange(4) for _ in range(6)][::-1]).tolist() for _ in range(2)])
     out["R3-shears"] = (real, [random_unimodular_int(rng, 3, steps=24) for _ in range(2)])
     for p in (2, 3):
         q = FieldSpec.padic(p)
@@ -381,7 +381,7 @@ def _pinned_certificate_tuples():
             conj.append((k @ a @ exact_inv(k)).tolist())
         out[f"Q{p}-conjugates"] = (q, conj)
         walk = corpus.padic_contracting(p)
-        out[f"Q{p}-walk"] = (q, [exact_product(walk, [rng.randrange(2) for _ in range(5)]).tolist() for _ in range(2)])
+        out[f"Q{p}-walk"] = (q, [exact_product(walk, [rng.randrange(2) for _ in range(5)][::-1]).tolist() for _ in range(2)])
     return out
 
 
@@ -623,7 +623,7 @@ def _certified_fixtures(real_field):
     for rep in range(8):
         gs = []
         for stream in (2 * rep, 2 * rep + 1):
-            g = exact_product(m, run_walk(m, 16, seed=314, stream=stream).increments, "right")
+            g = exact_product(m, run_walk(m, 16, seed=314, stream=stream).increments)
             gs.append(as_matrix(np.array(g, dtype=float), real_field))
         yield f"walk{rep}", gs, 0.2, 0.05
 
@@ -760,7 +760,7 @@ def _walk_word_tuples(rng, count):
         gs = []
         for _ in range(3 if i % 5 == 0 else 2):
             word = [rng.randrange(len(m.atoms)) for _ in range(rng.randint(2, 24))]
-            g = exact_product(m, word)
+            g = exact_product(m, word[::-1])
             gs.append(np.array(g, dtype=float) if as_float else g)
         yield gs
 

@@ -168,8 +168,8 @@ def test_scaled_matches_exact_replay(sanov_measure, q3):
     # for n <= 30 and integer atoms the scaled representation matches the
     # directly recomputed product (relative 1e-8 real, exact p-adic)
     st = run_walk(sanov_measure, 30, seed=5, stream=2)
-    exact_m = exact_product(sanov_measure, st.increments, order="left")
-    exact_s = exact_product(sanov_measure, st.increments, order="right")
+    exact_m = exact_product(sanov_measure, st.increments[::-1])
+    exact_s = exact_product(sanov_measure, st.increments)
     rec_m = scaled_reconstruct(st.left_product, sanov_measure.field)
     rec_s = scaled_reconstruct(st.right_product, sanov_measure.field)
     scale = float(max(abs(Fraction(x)) for x in exact_m.flat))
@@ -179,11 +179,8 @@ def test_scaled_matches_exact_replay(sanov_measure, q3):
 
     mq = corpus.padic_contracting(3)
     stq = run_walk(mq, 30, seed=5, stream=2)
-    assert (scaled_reconstruct(stq.left_product, mq.field) == exact_product(mq, stq.increments, "left")).all()
-    assert (
-        scaled_reconstruct(stq.right_product, mq.field)
-        == exact_product(mq, stq.increments, "right")
-    ).all()
+    assert (scaled_reconstruct(stq.left_product, mq.field) == exact_product(mq, stq.increments[::-1])).all()
+    assert (scaled_reconstruct(stq.right_product, mq.field) == exact_product(mq, stq.increments)).all()
 
 
 def test_reversed_walk_law_ks(positive_measure):
@@ -384,15 +381,15 @@ def test_padic_products_match_sequential_fold():
 def test_exact_product_matches_fraction_fold():
     for m in _padic_kernel_measures() + [corpus.sanov(), corpus.slow_contracting(), corpus.sl3_integer()]:
         word = sample_increment_indices(m, 25, 9, 1).tolist()
-        for order, seq in (("left", word), ("right", word[::-1])):
+        for seq in (word, word[::-1]):  # X_1 ... X_n replays the reversed word
             want = identity(m.d)
             for i in seq:
                 want = want @ m.exact_atoms[i]
-            got = exact_product(m, word, order)
+            got = exact_product(m, seq[::-1])
             assert got.dtype == object
             assert all(isinstance(x, Fraction) for x in got.flat)
             assert (got == want).all()
-        assert (exact_product(m, [], "left") == identity(m.d)).all()
+        assert (exact_product(m, []) == identity(m.d)).all()
 
 
 def test_integer_products_match_fraction_fold():
@@ -403,19 +400,23 @@ def test_integer_products_match_fraction_fold():
         n = 12
         idx = walk_indices(m, n, 5, range(3))
         cps = [n, 0, 5, 1, 5]
-        for order in ("left", "right"):
-            stacks = integer_products([a for a, _ in forms], idx, order, cps)
+        # right folds X_t ... X_1; a left fold X_1 ... X_t is the transposed right fold of the transposed table
+        for left in (False, True):
+            stacks = integer_products([a.T if left else a for a, _ in forms], idx, cps)
             assert len(stacks) == len(cps)
             for t, stack in zip(cps, stacks):
                 assert stack.shape == (3, m.d, m.d) and stack.dtype == object
-                for row, got in zip(idx.tolist(), stack):
+                for row, got in zip(idx.tolist(), stack.swapaxes(1, 2) if left else stack):
                     want = identity(m.d)
                     for i in row[:t]:
-                        want = want @ m.exact_atoms[i] if order == "left" else m.exact_atoms[i] @ want
+                        want = want @ m.exact_atoms[i] if left else m.exact_atoms[i] @ want
                     assert all(type(x) is int for x in got.flat)
                     assert (got == want * math.prod(forms[i][1] for i in row[:t])).all()
+        # a batch with no rows: one empty stack per checkpoint
+        empty = integer_products([a for a, _ in forms], idx[:0], cps)
+        assert [s.shape for s in empty] == [(0, m.d, m.d)] * len(cps)
     with pytest.raises(UsageError):
-        integer_products([a for a, _ in forms], idx, "left", [n + 1])
+        integer_products([a for a, _ in forms], idx, [n + 1])
 
 
 # ---------------------------------------------------------------------------
