@@ -49,7 +49,20 @@ from .pingpong import pingpong_certificate
 from .report import decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
 from .walks import GENERATOR_NAME, PROXIMAL_MAX_LEN, find_proximal_element, load_measure
 
-EXPERIMENT_KINDS = ("lyapunov", "decay", "direction", "independence", "invariant", "tuple")
+_THRESHOLD_BASES = {"required": ["r_base", "eps_base"]}
+
+#: What each experiment kind needs beyond CONFIG_SCHEMA, as one JSON Schema per kind.
+KIND_SCHEMAS = {
+    "lyapunov": {"required": ["n", "reps"], "properties": {"n": {"minimum": 10}, "reps": {"minimum": 10}}},
+    "decay": {"required": ["grid", "reps", "thresholds"], "properties": {"thresholds": _THRESHOLD_BASES}},
+    "direction": {"required": ["grid", "horizon", "reps"]},
+    # an anyOf would print the whole config in its message
+    "independence": {"required": ["reps"], "if": {"not": {"required": ["grid"]}}, "then": {"required": ["n"]}},
+    "invariant": {"required": ["n", "reps", "hyperplanes", "thresholds"],
+                  "properties": {"thresholds": {"required": ["t"]}}},
+    "tuple": {"required": ["n", "reps", "tuple_size", "thresholds"], "properties": {"thresholds": _THRESHOLD_BASES}},
+}
+EXPERIMENT_KINDS = tuple(KIND_SCHEMAS)
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -109,18 +122,6 @@ CONFIG_SCHEMA = {
 }
 
 
-#: The fields each experiment kind needs; "a.b" is field b of object a and
-#: "a|b" needs a or b.
-REQUIRED = {
-    "lyapunov": ("n", "reps"),
-    "decay": ("grid", "reps", "thresholds.r_base", "thresholds.eps_base"),
-    "direction": ("grid", "horizon", "reps"),
-    "independence": ("reps", "grid|n"),
-    "invariant": ("n", "reps", "hyperplanes", "thresholds.t"),
-    "tuple": ("n", "reps", "tuple_size", "thresholds.r_base", "thresholds.eps_base"),
-}
-
-
 def _env_int(name: str):
     value = os.environ.get(name)
     if not value:
@@ -131,17 +132,13 @@ def _env_int(name: str):
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
 
 
-def _has(doc: dict, dotted: str) -> bool:
-    for part in dotted.split("."):
-        if part not in doc:
-            return False
-        doc = doc[part]
-    return True
+def _schema_errors(schema: dict, doc) -> list:
+    return sorted(jsonschema.Draft202012Validator(schema).iter_errors(doc), key=lambda e: list(e.absolute_path))
 
 
 def _validate_config(doc: dict, path: str) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    # the kind's schema runs only once CONFIG_SCHEMA holds, so doc["kind"] is a known kind
+    errors = _schema_errors(CONFIG_SCHEMA, doc) or _schema_errors(KIND_SCHEMAS[doc["kind"]], doc)
     if errors:
         e = errors[0]
         loc = "/".join(str(p) for p in e.absolute_path) or "(root)"
@@ -150,17 +147,8 @@ def _validate_config(doc: dict, path: str) -> None:
     if grid is not None and any(a >= b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{path}: grid must be strictly increasing")
     kind = doc["kind"]
-    missing = [
-        need.replace("|", " or ")
-        for need in REQUIRED[kind]
-        if not any(_has(doc, alt) for alt in need.split("|"))
-    ]
-    if missing:
-        raise ConfigError(f"{kind} experiment needs config fields: {', '.join(missing)}")
     if kind == "direction" and doc["horizon"] < 2 * max(grid):
         raise ConfigError(f"{path}: field horizon: need horizon >= 2 * max(grid) = {2 * max(grid)}")
-    if kind == "lyapunov" and min(doc["n"], doc["reps"]) < 10:
-        raise ConfigError(f"{path}: lyapunov needs n >= 10 and reps >= 10")
     th = doc.get("thresholds", {})
     if kind in ("decay", "tuple") and th["eps_base"] >= th["r_base"]:
         raise ConfigError(f"{path}: field thresholds: need eps_base < r_base")

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -469,6 +470,81 @@ def test_broken_config_field_exits_2_before_any_walk(fuzz_dir, case):
         code = main([kind, str(path), "--out", str(fuzz_dir / "broken-out")])
     assert code == 2, (doc, err.getvalue())
     assert err.getvalue().startswith("error: ")
+
+
+# README's per-kind list, one case per field a kind needs: (kind, path of the field, None to delete it or the
+# value to set, the field the error line names)
+_NEEDED_FIELDS = [
+    ("lyapunov", ("n",), None, "n"),
+    ("lyapunov", ("reps",), None, "reps"),
+    ("lyapunov", ("n",), 9, "n"),
+    ("lyapunov", ("reps",), 9, "reps"),
+    ("decay", ("grid",), None, "grid"),
+    ("decay", ("reps",), None, "reps"),
+    ("decay", ("thresholds", "r_base"), None, "r_base"),
+    ("decay", ("thresholds", "eps_base"), None, "eps_base"),
+    ("direction", ("grid",), None, "grid"),
+    ("direction", ("horizon",), None, "horizon"),
+    ("direction", ("reps",), None, "reps"),
+    ("independence", ("reps",), None, "reps"),
+    ("independence", ("grid",), None, "n"),  # neither grid nor n
+    ("invariant", ("n",), None, "n"),
+    ("invariant", ("reps",), None, "reps"),
+    ("invariant", ("hyperplanes",), None, "hyperplanes"),
+    ("invariant", ("thresholds", "t"), None, "t"),
+    ("tuple", ("n",), None, "n"),
+    ("tuple", ("reps",), None, "reps"),
+    ("tuple", ("tuple_size",), None, "tuple_size"),
+    ("tuple", ("thresholds", "r_base"), None, "r_base"),
+    ("tuple", ("thresholds", "eps_base"), None, "eps_base"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, where, value, name", _NEEDED_FIELDS,
+    ids=[f"{k}-{'.'.join(w)}-{'absent' if v is None else v}" for k, w, v, _ in _NEEDED_FIELDS],
+)
+def test_each_needed_field_exits_2_naming_it(fuzz_dir, kind, where, value, name):
+    doc = _base_config(kind)
+    *parents, key = where
+    target = doc
+    for part in parents:
+        target = target[part]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    path = fuzz_dir / "needs.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    walk = mock.patch("freewalk.cli.find_proximal_element", side_effect=AssertionError("a walk ran"))
+    with redirect_stderr(err), walk:
+        code = main([kind, str(path), "--out", str(fuzz_dir / "needs-out")])
+    assert code == 2, (doc, err.getvalue())
+    assert err.getvalue().startswith("error: ")
+    assert re.search(rf"\b{name}\b", err.getvalue()), err.getvalue()
+
+
+def test_independence_takes_n_in_place_of_grid(fuzz_dir):
+    doc = _base_config("independence")
+    del doc["grid"]
+    doc["n"] = 5
+    (fuzz_dir / "n.json").write_text(json.dumps(doc))
+    assert main(["independence", str(fuzz_dir / "n.json"), "--out", str(fuzz_dir / "n-out")]) == 0
+    assert (fuzz_dir / "n-out" / "independence.csv").read_text().splitlines()[1].startswith("5,")
+
+
+@pytest.mark.parametrize("measure2", ["sl3.json", "q3.json"])
+def test_measure2_of_another_dimension_or_field_exits_2(workdir, measure2):
+    (workdir / "sl3.json").write_text(dumps_json(corpus.sl3_integer().to_json_dict()))
+    (workdir / "q3.json").write_text(dumps_json(corpus.padic_contracting(3).to_json_dict()))
+    cfg = _config(workdir, kind="decay", measure="positive.json", measure2=measure2, grid=[4, 8], reps=4,
+                  thresholds={"r_base": 0.8, "eps_base": 0.7})
+    err = io.StringIO()
+    walk = mock.patch("freewalk.cli.find_proximal_element", side_effect=AssertionError("a walk ran"))
+    with redirect_stderr(err), walk:
+        assert main(["decay", str(cfg), "--out", str(workdir / "m2")]) == 2
+    assert err.getvalue() == "error: measure and measure2 must share field and dimension\n"
 
 
 _REAL, _Q2, _Q3 = ({"kind": "archimedean"}, {"kind": "nonarchimedean", "prime": 2},

@@ -291,6 +291,15 @@ def test_holder_catalog(real_field):
         holder_function("dist_to_point", ["1", "0"], real_field, exponent=2.0)
 
 
+def test_holder_evaluate_rejects_unknown_kind(real_field):
+    from freewalk import HolderTestFunction, as_vector
+
+    phi = HolderTestFunction(kind="bogus", reference=("1", "0"), exponent=1.0, holder_norm_bound=1.0,
+                             field=real_field)
+    with pytest.raises(DomainError):
+        phi.evaluate(as_vector([0, 1], real_field))
+
+
 def test_independence_point_mass_zero():
     m = corpus.diagonal_point_mass()
     phi = holder_function("dist_to_point", ["1", "0"], m.field)

@@ -23,6 +23,12 @@ def test_field_spec_validation():
         FieldSpec("complex")
 
 
+def test_odd_composite_is_no_prime():
+    for composite in (9, 15):
+        with pytest.raises(DomainError):
+            FieldSpec.padic(composite)
+
+
 def test_field_spec_roundtrip():
     for f in (FieldSpec.real(), FieldSpec.padic(5)):
         assert FieldSpec.from_dict(f.to_dict()) == f

@@ -523,6 +523,12 @@ def test_oracle_rejects_floats(real_field):
         free_word_oracle([_obj([[1, 0], [0, 1]])], 99)
 
 
+def test_oracle_rejects_float_in_object_array():
+    g = np.array([[1, 0.5], [0, 1]], dtype=object)
+    with pytest.raises(UsageError):
+        free_word_oracle([g], 3)
+
+
 def test_oracle_accepts_int_arrays():
     a = np.array([[1, 2], [0, 1]])
     b = np.array([[1, 0], [2, 1]])

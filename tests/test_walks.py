@@ -63,6 +63,11 @@ def test_measure_validation(real_field, q2):
             make_measure([[[1, 0], [0, bad]]], [F(1)], real_field)
 
 
+def test_measure_atoms_share_one_dimension(real_field):
+    with pytest.raises(InvariantViolation):
+        make_measure([[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], [F(1, 2), F(1, 2)], real_field)
+
+
 def test_rational_measure_file_read_exactly(tmp_path):
     # the rotations by arccos(3/5) about the z and x axes, and their inverses
     a = [[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]]
