@@ -145,6 +145,9 @@ def parse_scalar(text, field: FieldSpec) -> Fraction:
     """
     if isinstance(text, bool) or not isinstance(text, (str, int, float)):
         raise ConfigError(f"scalar {text!r} is not a string or a number")
+    # a plain ASCII integer literal of at most 18 digits: int reads it as Fraction's pattern would, and faster
+    if type(text) is str and len(text) < 19 and text.isascii() and text.removeprefix("-").isdigit():
+        return Fraction(int(text))
     try:
         # Fraction builds 10**e for an exponent e; cap |e| at the digits Python reads into an int
         exp = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-") if isinstance(text, str) else ""

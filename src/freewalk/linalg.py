@@ -247,7 +247,7 @@ def normalize_representative(x: np.ndarray, field: FieldSpec) -> np.ndarray:
     """
     _require_nonzero(x, "projective representative")
     if field.is_archimedean:
-        v = np.asarray(x, dtype=float)
+        v = np.ascontiguousarray(x, dtype=float)  # from d = 4 on, v @ v sums strided entries in another order
         n = math.sqrt(float(v @ v))
         v = v / n
         lead = next(c for c in v if c != 0.0)
@@ -263,6 +263,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """The real :func:`normalize_representative` of every row of a float array, row for row ==."""
     if not x.any(axis=1).all():
         raise DomainError("projective representative must be nonzero")
+    x = np.ascontiguousarray(x)  # as normalize_representative: strided rows sum in another order from d = 4 on
     # a (1, d) @ (d, 1) matmul takes the same dot as v @ v; a sum of squares differs in the last bit
     v = x / np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0])
     lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]

@@ -23,9 +23,10 @@ Three evaluation modes:
 * exact (nonarchimedean default): Fractions end to end, every comparison
   is exact;
 * certified (archimedean with exact rational inputs): candidate
-  attracting/repelling data from a float SVD is verified with exact
-  Rayleigh-quotient and residual bounds on integers (g^{-1} comes from
-  the integer adjugate), which meet floats only as outward-rounded
+  attracting/repelling data from one float SVD of the whole stack
+  g_0, g_0^{-1}, g_1, ... is verified with exact Rayleigh-quotient and
+  residual bounds on Python-int lists (g^{-1} comes from the integer
+  adjugate), in one pass per tuple, which meet floats only as outward-rounded
   (lo, hi) endpoint pairs from the same endpoint functions that
   :class:`~freewalk.fields.Interval` uses, so a positive verdict holds
   at interval endpoints.
@@ -33,6 +34,7 @@ Three evaluation modes:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -44,6 +46,7 @@ from .errors import DomainError, UsageError
 from .fields import FieldSpec, _div, _down, _enclose, _p_power, _sqrt, _up, abs_value
 from .linalg import (
     _faddeev_leverrier,
+    _int_list,
     _integer_form,
     _normalize_rows,
     _padic_margin,
@@ -52,10 +55,10 @@ from .linalg import (
     adjugate,
     dist_point_hyperplane,
     exact_inv,
-    exterior_square,
     normalize_representative,
     require_unimodular,
     vector_to_strings,
+    wedge_pairs,
 )
 
 
@@ -117,7 +120,7 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     off A, which matches the reversed-reciprocal a-part identity.  Over R
     the whole stack takes one SVD and no inverse: K^{-1} = K^T and
     U^{-1} = U^T, so the four frames are rows and columns of K and U,
-    normalised as one stack each (scale- and sign-invariant, so with
+    normalised in one stack (scale- and sign-invariant, so with
     unimodular=False any invertible g will do).  Over Q_p, with K, U the
     integer Smith factors and b the integer form of g, one integer
     adjugate gives both: adj(b) K e_d spans U^{-1} e_d and e_d^T U adj(b)
@@ -132,8 +135,8 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
             for g in gs:
                 require_unimodular(g, field)
         k, s, u = np.linalg.svd(np.asarray(gs, dtype=float))
-        v = np.stack([_normalize_rows(k[:, :, 0]), _normalize_rows(u[:, -1, :])], axis=1)
-        h = np.stack([_normalize_rows(u[:, 0, :]), _normalize_rows(k[:, :, -1])], axis=1)
+        f = _normalize_rows(np.concatenate([k[:, :, 0], u[:, -1, :], u[:, 0, :], k[:, :, -1]])).reshape(4, len(k), -1)
+        v, h = np.stack([f[0], f[1]], axis=1), np.stack([f[2], f[3]], axis=1)
         return v, h, np.stack([s[:, 1] / s[:, 0], s[:, -1] / s[:, -2]], axis=1)
     v, h, ratio = [], [], []
     p = field.prime
@@ -305,20 +308,26 @@ _SQRT2 = _sqrt(2.0, 2.0)
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
-def _certified_pole_real(a: np.ndarray, den: int) -> Optional[_CertifiedPole]:
-    """Verified geometry bounds for the matrix g = a / den, a an integer array.
+def _wedge_bound(M: list, pairs: list) -> int:
+    """The infinity norm of the exterior square of the integer row list M: its largest absolute row sum."""
+    return max(sum(abs(M[i][k] * M[j][l] - M[i][l] * M[j][k]) for k, l in pairs) for i, j in pairs)
 
-    Candidates come from a float SVD of g, each entry the correctly
-    rounded a_ij / den; the verification is exact: Rayleigh quotients
-    lower-bound sigma_1**2, the infinity norm of the exterior square
-    upper-bounds (sigma_1 sigma_2)**2, and residual (Davis-Kahan) bounds
-    control the angle to the true singular directions.  Returns None when
-    the spectral gap cannot be certified.
 
-    The arithmetic runs on integers: with the dyadic candidates x = xi / c,
+def _certified_pole_real(a: list, den: int, k0: list, u0: list) -> Optional[_CertifiedPole]:
+    """Verified geometry bounds for the matrix g = a / den, a an integer row list.
+
+    k0 and u0 are float candidates for the top left and right singular
+    vectors of g (:func:`_certified_poles` takes them from an SVD of the
+    correctly rounded a_ij / den); the verification is exact: Rayleigh
+    quotients lower-bound sigma_1**2, the infinity norm of the exterior
+    square upper-bounds (sigma_1 sigma_2)**2, and residual (Davis-Kahan)
+    bounds control the angle to the true singular directions.  Returns
+    None when the spectral gap cannot be certified.
+
+    The arithmetic runs on Python ints: with the dyadic candidates x = xi / c,
     P = a a^T (or a^T a), xx = xi.xi and ln = xi.P xi, the bounds are
     lam = ln / (den**2 xx), rho**2 = |xx P xi - ln xi|**2 / (den**4 xx**3)
     and gap = (ln**2 - W xx**2) / (den**2 xx ln), W the integer
@@ -326,17 +335,13 @@ def _certified_pole_real(a: np.ndarray, den: int) -> Optional[_CertifiedPole]:
     the enclosures of these quotients.  Every bound is invariant under
     scaling (a, den) by c > 0, so any integer form of g gives the same one.
     """
-    rows = a.tolist()
-    cols = list(zip(*rows))
-    k, _, u = np.linalg.svd(np.array([[x / den for x in row] for row in rows]))
-    vhat, v_den = _integer_form(k[:, 0])
-    hhat, h_den = _integer_form(u[0, :])
-    vhat, hhat = tuple(vhat.tolist()), tuple(hhat.tolist())
-
-    # Python-int lists: numpy object arithmetic costs more on such small matrices
-    P = [[_dot(r, s) for s in rows] for r in rows]  # a a^T, eigvec for sigma_1^2: attracting point
+    vhat, v_den = _int_list(k0)
+    hhat, h_den = _int_list(u0)
+    cols = list(zip(*a))
+    P = [[_dot(r, s) for s in a] for r in a]  # a a^T, eigvec for sigma_1^2: attracting point
     S = [[_dot(r, s) for s in cols] for r in cols]  # a^T a, eigvec for sigma_1^2: repelling covector
-    W = min(max(sum(map(abs, row)) for row in exterior_square(np.array(M, dtype=object))) for M in (P, S))
+    pairs = wedge_pairs(len(a))
+    W = min(_wedge_bound(P, pairs), _wedge_bound(S, pairs))
     den_sq = den * den
 
     def pole_bounds(A, x):
@@ -349,15 +354,31 @@ def _certified_pole_real(a: np.ndarray, den: int) -> Optional[_CertifiedPole]:
             return None
         rho = _sqrt(*_enclose(_dot(res, res), den_sq * den_sq * xx**3))
         sin_hi = _div(*rho, *_enclose(gap_num, den_sq * xx * ln))[1]
-        # W / lam**2, the bound on (sigma_2 / sigma_1)**2 from this candidate
-        return Fraction(W * xx * xx, ln * ln), sin_hi, xx
+        # W xx**2 / ln**2 = W / lam**2, the bound on (sigma_2 / sigma_1)**2 from this candidate
+        return W * xx * xx, ln * ln, sin_hi, xx
 
     bv = pole_bounds(P, vhat)
     bh = pole_bounds(S, hhat)
     if bv is None or bh is None:
         return None
-    return _CertifiedPole(v=vhat, v_den=v_den, vv=bv[2], h=hhat, h_den=h_den, hh=bh[2],
-                          ratio_sq_upper=min(bv[0], bh[0]), sin_v=bv[1], sin_h=bh[1])
+    wv, lv, sin_v, vv = bv
+    wh, lh, sin_h, hh = bh
+    # the smaller of the two ratio bounds, compared cross-multiplied (both ln**2 > 0), as one Fraction
+    ratio_sq = Fraction(wh, lh) if wh * lv < wv * lh else Fraction(wv, lv)
+    return _CertifiedPole(v=tuple(vhat), v_den=v_den, vv=vv, h=tuple(hhat), h_den=h_den, hh=hh,
+                          ratio_sq_upper=ratio_sq, sin_v=sin_v, sin_h=sin_h)
+
+
+def _certified_poles(forms: list) -> list:
+    """:func:`_certified_pole_real` of each matrix a / den of forms, a list of (a, den), from one SVD.
+
+    The float stack of every a_ij / den takes one LAPACK call; a stacked
+    SVD decomposes matrix by matrix, so each candidate is bit for bit the
+    one an SVD of its own matrix gives.
+    """
+    k, _, u = np.linalg.svd(np.array([[[x / den for x in row] for row in a] for a, den in forms]))
+    return [_certified_pole_real(a, den, kk[:, 0].tolist(), uu[0].tolist())
+            for (a, den), kk, uu in zip(forms, k, u)]
 
 
 def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> float:
@@ -382,16 +403,19 @@ def _certified_bounds(gs) -> Optional[tuple[np.ndarray, np.ndarray]]:
     ratio_sq (2m,) holds exact upper bounds on |a_2/a_1|**2 and sep (2m, 2m) lower endpoints
     of delta(v_p, Ker h_q), poles ordered as by :func:`pole_pair`; sep is inf where
     :func:`tuple_failure_reasons` reads nothing (two poles of one generator).
-    g^{-1} = den adj(a) / det(a) for g = a / den: adj(a) and det(a) come from one pass.
+    g^{-1} = den adj(a) / det(a) for g = a / den: adj(a) and det(a) come from one pass, and the
+    2m matrices g_0, g_0^{-1}, g_1, ... take one SVD (:func:`_certified_poles`).
     """
-    poles = []
+    forms = []
     for g in gs:
         a, den = _integer_form(g)
+        a = a.tolist()
         _, adj, det = _faddeev_leverrier(a)
         if det == 0:
             raise DomainError("matrix is singular")
-        sign = 1 if det > 0 else -1
-        poles += [_certified_pole_real(a, den), _certified_pole_real(sign * den * adj, sign * det)]
+        scale = den if det > 0 else -den
+        forms += [(a, den), ([[scale * x for x in row] for row in adj.tolist()], abs(det))]
+    poles = _certified_poles(forms)  # every pole is bounded, so a later pole's error still raises
     if any(p is None for p in poles):
         return None
     sep = [[_certified_separation(p, q) if i == j or i // 2 != j // 2 else np.inf for j, q in enumerate(poles)]

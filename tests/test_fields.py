@@ -128,6 +128,24 @@ def test_scalar_serialization(q3, real_field):
             parse_scalar(bad, q3)
 
 
+def test_integer_literals_parse_as_fraction_reads_them(q3, real_field):
+    # short ASCII integer literals take int(); every text, on either path, reads as Fraction(text) does
+    texts = ["0", "-0", "0469", "--5", "-", "", "+5", " 5", "1_000", "٣", "12345678901234567890123",
+             "1e3", "1/2", "999999999999999999", "-999999999999999999", "-1234567890123456789"]
+    for t in texts:
+        try:
+            want = Fraction(t)
+        except ValueError:
+            want = None
+        for field in (real_field, q3):
+            if want is None:
+                with pytest.raises(ConfigError, match="cannot parse scalar"):
+                    parse_scalar(t, field)
+            else:
+                got = parse_scalar(t, field)
+                assert type(got) is Fraction and got == want, (t, field)
+
+
 # ---------------------------------------------------------------------------
 # Certified intervals
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ from freewalk import (
     pingpong_certificate,
 )
 from freewalk import corpus, pingpong
-from freewalk.fields import Interval
+from freewalk.fields import Interval, _div, _enclose, _sqrt
 from freewalk.decompositions import _kak_real, kak
-from freewalk.linalg import _integer_form, exact_inv, exterior_square, normalize_representative
+from freewalk.linalg import _faddeev_leverrier, _integer_form, exact_inv, exterior_square, normalize_representative
 from freewalk.pingpong import (
+    _CertifiedPole,
     _certified_bounds,
     _certified_failures_real,
-    _certified_pole_real,
+    _certified_poles,
     _certified_separation,
     cross_margin_matrix,
     pole_pair,
@@ -672,9 +673,9 @@ def test_certified_pole_bounds_match_fraction_reference(real_field):
         for g in gs:
             for x in (exact_matrix(np.asarray(g)), exact_inv(exact_matrix(np.asarray(g)))):
                 a, den = _integer_form(x)
-                poles.append(_certified_pole_real(a, den))
+                poles += _certified_poles([(a.tolist(), den)])
                 # the bounds do not depend on the scale of the integer form
-                assert _certified_pole_real(7 * a, 7 * den) == poles[-1], name
+                assert _certified_poles([((7 * a).tolist(), 7 * den)]) == poles[-1:], name
                 refs.append(_fraction_pole_bounds(x))
         for pole, (v, h, ratio_sq, sin_v, sin_h) in zip(poles, refs):
             assert pole.ratio_sq_upper == ratio_sq, name
@@ -752,6 +753,52 @@ def _interval_failures(poles, seps, r, eps):
     return failures
 
 
+# The per-matrix certified path that the one-SVD pass replaced (an SVD per pole, W from the
+# object exterior_square), kept as the reference for _certified_bounds.
+def _per_matrix_pole(a, den):
+    rows = a.tolist()
+    cols = list(zip(*rows))
+    k, _, u = np.linalg.svd(np.array([[x / den for x in row] for row in rows]))
+    vhat, v_den = _integer_form(k[:, 0])
+    hhat, h_den = _integer_form(u[0, :])
+    vhat, hhat = tuple(vhat.tolist()), tuple(hhat.tolist())
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    P = [[dot(r, c) for c in rows] for r in rows]
+    S = [[dot(r, c) for c in cols] for r in cols]
+    W = min(max(sum(map(abs, row)) for row in exterior_square(np.array(M, dtype=object))) for M in (P, S))
+    den_sq = den * den
+
+    def pole_bounds(A, x):
+        xx = dot(x, x)
+        Ax = [dot(row, x) for row in A]
+        ln = dot(x, Ax)
+        res = [xx * p - ln * c for p, c in zip(Ax, x)]
+        gap_num = ln * ln - W * xx * xx
+        if gap_num <= 0:
+            return None
+        rho = _sqrt(*_enclose(dot(res, res), den_sq * den_sq * xx**3))
+        return F(W * xx * xx, ln * ln), _div(*rho, *_enclose(gap_num, den_sq * xx * ln))[1], xx
+
+    bv, bh = pole_bounds(P, vhat), pole_bounds(S, hhat)
+    if bv is None or bh is None:
+        return None
+    return _CertifiedPole(v=vhat, v_den=v_den, vv=bv[2], h=hhat, h_den=h_den, hh=bh[2],
+                          ratio_sq_upper=min(bv[0], bh[0]), sin_v=bv[1], sin_h=bh[1])
+
+
+def _per_matrix_poles(gs):
+    poles = []
+    for g in gs:
+        a, den = _integer_form(g)
+        _, adj, det = _faddeev_leverrier(a)
+        sign = 1 if det > 0 else -1
+        poles += [_per_matrix_pole(a, den), _per_matrix_pole(sign * den * adj, sign * det)]
+    return poles
+
+
 def _walk_word_tuples(rng, count):
     """Tuples of walk words over R: Sanov, positive and SL_3(Z) words as
     float matrices, rational rotation-stretch words as exact Fractions."""
@@ -806,6 +853,54 @@ def test_certified_failures_match_interval_reference():
             checked += 1
         boundary += len(cases) - 1
     assert checked >= 1000 and boundary >= 200
+
+
+def _sl4_tuples(rng, count):
+    """Pairs of SL_4(Z) matrices as floats: the cube of a hyperbolic block matrix and a random conjugate of it."""
+    base = np.array([[12, 5, 0, 1], [7, 3, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=object)
+    g = base @ base @ base
+    for _ in range(count):
+        c = np.array(random_unimodular_int(rng, 4, max_entry=6, steps=8), dtype=object)
+        yield [g.astype(float), (c @ g @ exact_inv(c)).astype(float)]
+
+
+def test_certified_bounds_equal_per_matrix_reference():
+    rng = random.Random(3838)
+    cases = list(_walk_word_tuples(rng, 400)) + list(_sl4_tuples(rng, 20))
+    counts = {}
+    for gs in cases:
+        d, m = len(gs[0]), len(gs)
+        want = _per_matrix_poles(gs)
+        forms = []
+        for g in gs:
+            a, den = _integer_form(g)
+            inv, inv_den = _integer_form(exact_inv(exact_matrix(np.asarray(g))))
+            forms += [(a.tolist(), den), (inv.tolist(), inv_den)]
+        # pole for pole, in one SVD and from any integer form of g^{-1}
+        assert _certified_poles(forms) == want, gs
+        bounds = _certified_bounds(gs)
+        if any(p is None for p in want):
+            assert bounds is None
+            continue
+        ratio_sq, sep = bounds
+        assert ratio_sq.dtype == object and list(ratio_sq) == [p.ratio_sq_upper for p in want]
+        ref = [[_certified_separation(p, q) if i == j or i // 2 != j // 2 else np.inf for j, q in enumerate(want)]
+               for i, p in enumerate(want)]
+        assert sep.dtype == float and np.array_equal(sep, np.array(ref))
+        counts[d, m] = counts.get((d, m), 0) + 1
+    # certified tuples of 2 and 3 generators at d = 2 and 3, and pairs at d = 4
+    assert set(counts) == {(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)}, counts
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_stacked_svd_equals_svd_per_matrix(d):
+    # _certified_poles takes every candidate from one SVD of the stack
+    rng = np.random.default_rng(38 + d)
+    x = rng.standard_normal((2000, d, d)) * np.exp(rng.uniform(-30, 30, (2000, 1, 1)))
+    k, s, u = np.linalg.svd(x)
+    for i, g in enumerate(x):
+        ki, si, ui = np.linalg.svd(g)
+        assert np.array_equal(ki, k[i]) and np.array_equal(si, s[i]) and np.array_equal(ui, u[i])
 
 
 def test_certified_bounds_sound_at_their_own_thresholds():

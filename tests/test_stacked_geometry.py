@@ -41,15 +41,19 @@ def test_row_norms_equal_vector_norm(d):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("d", (2, 3, 4, 5, 8))
 def test_normalize_rows_equal_normalize_representative(d):
     rng = np.random.default_rng(10 + d)
     x = _random_rows(rng, 20000, d)
     assert np.array_equal(linalg._normalize_rows(x), np.array([normalize_representative(r, R) for r in x]))
-    # columns and rows of an SVD stack, as frames reads them (strided and contiguous)
+    # columns and rows of an SVD stack, as frames reads them (strided and contiguous), each in both
+    # layouts: from d = 4 on numpy sums the dot of strided entries in another order
     k, _, u = np.linalg.svd(rng.standard_normal((5000, d, d)) * np.exp(rng.uniform(-30, 30, (5000, 1, 1))))
     for got, rows in ((k[:, :, 0], [m[:, 0] for m in k]), (u[:, 0, :], [m[0, :] for m in u])):
-        assert np.array_equal(linalg._normalize_rows(got), np.array([normalize_representative(r, R) for r in rows]))
+        want = np.array([normalize_representative(r, R) for r in rows])
+        assert np.array_equal(linalg._normalize_rows(got), want)
+        assert np.array_equal(linalg._normalize_rows(got.copy()), want)
+        assert np.array_equal(np.array([normalize_representative(r.copy(), R) for r in rows]), want)
     with pytest.raises(DomainError):
         linalg._normalize_rows(np.zeros((2, d)))
 
