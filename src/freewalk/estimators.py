@@ -5,9 +5,9 @@ order: trajectory i runs on RNG stream i, and walk w of ping-pong tuple rep
 at grid point gi on stream (gi*reps + rep)*l + w (:func:`_tuple_scores`).
 :func:`walk_indices` stacks the index rows of all trajectories and, on
 both fields, each estimator call folds its scaled walks (atoms, inverses,
-wedges, every grid point and measure) in one :func:`walk_products` call
-per matrix size (:func:`_fold`: shorter rows padded at the start with the
-identity, left folds as transposed right folds); the exact replays and the
+wedges at d >= 3, every grid point and measure) in one :func:`walk_products`
+call per matrix size (:func:`_fold`: shorter rows padded at the start with
+the identity, left folds as transposed right folds); the exact replays and the
 Q_p poles fold integer stacks with :func:`integer_products`.  The whole
 stack is then scored by stacked calls: :func:`pole_pair` (the KAK frames
 of both fields, one SVD of the stack over R), :func:`log_norms`, and
@@ -228,12 +228,13 @@ class LyapunovEstimate:
 
 
 def lyapunov_estimate(measure: WalkMeasure, n: int, reps: int, seed: int) -> LyapunovEstimate:
-    """lambda_1 from (1/n) log ||S_n||, lambda_1 + lambda_2 from the exterior square."""
+    """lambda_1 from (1/n) log ||S_n||, lambda_1 + lambda_2 from the exterior square: at d = 2 that is the
+    determinant, 1, so lambda_1 + lambda_2 = 0 exactly and no wedge is folded, over either field."""
     if n < 10 or reps < 10:
         raise UsageError("lyapunov_estimate needs n >= 10 and reps >= 10")
     field = measure.field
     idx = walk_indices(measure, n, seed, range(reps))
-    wedge = [(exterior_square_atoms(measure.atoms), idx, "right")] if wedge_pairs(measure.d) else []
+    wedge = [(exterior_square_atoms(measure.atoms), idx, "right")] if measure.d > 2 else []
     s, *w = _fold([(measure.atoms, idx, "right"), *wedge], field)
     l1s = [x / n for x in log_norms(s, field)]
     l12s = [x / n for x in log_norms(w[0], field)] if w else [0.0] * reps
@@ -559,11 +560,12 @@ def _walk_poles(measures, rows) -> tuple:
     """Poles of (S_n, S_n^{-1}) of every row of rows: v, h (k, 2, d), ratios (k, 2), in row order.
 
     rows[w] lists index arrays of measures[w], of any lengths.  Over R the poles of S_n^{-1} are the
-    KAK frames of X_1^{-1} ... X_n^{-1}, not the bottom singular vectors of S_n, which its float unit
-    cannot resolve once a_1/a_d passes float precision (d >= 3), and the ratios ||wedge(g)|| / ||g||**2
-    come from scaled log products, accurate far below float precision: one :func:`_fold` (every S_n
-    job, then every S_n^{-1} job), one :func:`pole_pair` and one stacked log-norm call.  Over Q_p every
-    walk is exact: one :func:`pole_pair` of the integer products of the atoms' numerators.
+    KAK frames of X_1^{-1} ... X_n^{-1} (of inverse_atoms), not the bottom singular vectors of S_n,
+    which its float unit cannot resolve once a_1/a_d passes float precision (d >= 3), and the ratios
+    ||wedge(g)|| / ||g||**2 come from scaled log products, accurate far below float precision: one
+    :func:`_fold` (every S_n job, every S_n^{-1} job, then at d >= 3 their wedges; at d = 2 wedge(g) =
+    det(g) = 1), one :func:`pole_pair` and one stacked log-norm call.  Over Q_p every walk is exact:
+    one :func:`pole_pair` of the integer products of the atoms' numerators.
     """
     field = measures[0].field
     if not field.is_archimedean:
@@ -571,14 +573,16 @@ def _walk_poles(measures, rows) -> tuple:
         prods = [g for atoms, idxs in zip(ints, rows) for idx in idxs
                  for g in integer_products(atoms, idx, [idx.shape[1]])[0]]
         return pole_pair(prods, field, unimodular=False)
-    inverses = [tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in m.atoms) for m in measures]
-    jobs = [(table, idx, order) for tables, order in (([m.atoms for m in measures], "right"), (inverses, "left"))
+    jobs = [(table, idx, order) for tables, order in (([m.atoms for m in measures], "right"),
+                                                      ([m.inverse_atoms for m in measures], "left"))
             for table, idxs in zip(tables, rows) for idx in idxs]
-    folds = _fold(jobs + [(exterior_square_atoms(inc), idx, order) for inc, idx, order in jobs], field)
+    wedge_jobs = [(exterior_square_atoms(inc), idx, order) for inc, idx, order in jobs] if measures[0].d > 2 else []
+    folds = _fold(jobs + wedge_jobs, field)
     prods, wedges = ([x for fold in half for x in fold] for half in (folds[: len(jobs)], folds[len(jobs):]))
-    # index 0 only: the S_n^{-1} poles come from the inverse fold, the ratios from the wedge log norms
+    # index 0 only: the S_n^{-1} poles come from the inverse fold, the ratios from the log norms
     v, h, _ = pole_pair([x.unit for x in prods], field, unimodular=False)
-    ratios = np.array([math.exp(w - 2 * s) for w, s in zip(log_norms(wedges, field), log_norms(prods, field))])
+    wedge_logs = log_norms(wedges, field) if wedges else [0.0] * len(prods)  # log |det g| = 0 at d = 2
+    ratios = np.array([math.exp(w - 2 * s) for w, s in zip(wedge_logs, log_norms(prods, field))])
     return tuple(np.stack(np.split(a, 2), axis=1) for a in (v[:, 0], h[:, 0], ratios))
 
 

@@ -22,12 +22,11 @@ ScaledMatrix so products of any length never overflow.  Every estimator
 walks through one kernel: :func:`walk_indices` stacks the index rows of
 a batch of streams into an array of shape (reps, n), and
 :func:`walk_products` folds a table of increments (atoms, their inverses
-or exterior squares) into S_n along every row at once.  Over R the batch is one
-stack of float matrices renormalized by its max-abs entry after every
-step, exactly as :func:`scaled_premultiply` does, so each row is
-bit-identical to the sequential fold; with 1x1 increments (wedges at
-d = 2) the unit stays exactly +-1, so the fold takes no steps.  On both
-fields an estimator call makes one fold per matrix size
+or, at d >= 3, exterior squares) into S_n along every row at once.  Over R
+the batch is one stack of float matrices renormalized by its max-abs entry
+after every step, exactly as :func:`scaled_premultiply` does, so each row
+is bit-identical to the sequential fold.  On both fields an estimator
+call makes one fold per matrix size
 (``estimators._fold``, which alone decides fold direction): shorter rows
 are padded at the start with an identity increment, and M_n is the
 transposed right fold X_n^T ... X_1^T of the transposed increments.
@@ -52,6 +51,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -134,6 +134,15 @@ class WalkMeasure:
         doc = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(doc.encode()).hexdigest()
 
+    @cached_property
+    def inverse_atoms(self) -> tuple:
+        """Each exact atom a / den's inverse den * adj(a) / det(a), rounded once over R as the atoms are."""
+        inverses = []
+        for a, den in map(_integer_form, self.exact_atoms):
+            _, adj, det = _faddeev_leverrier(a)
+            inverses.append(adj * Fraction(den, det))
+        return tuple(x.astype(float) for x in inverses) if self.field.is_archimedean else tuple(inverses)
+
 
 def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
     """Validated measure from raw nested rows and rational probabilities."""
@@ -141,6 +150,8 @@ def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
     if not atoms:
         raise InvariantViolation("measure needs at least one atom")
     d = atoms[0].shape[0]
+    if d < 2:
+        raise InvariantViolation(f"atoms must be d x d with d >= 2, got d = {d}")
     probs = tuple(Fraction(p) for p in probs)
     if len(probs) != len(atoms):
         raise InvariantViolation("probs and atoms differ in length")
@@ -258,8 +269,8 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
     X_t = increments[idx[row, t]].  Returns one ScaledMatrix per row, == the sequential fold of
     :func:`scaled_premultiply`; ``estimators._fold`` makes left folds as transposed right folds.
 
-    Over R with m >= 2 a step is four ufunc calls on the whole batch, each
-    into a buffer allocated once per call: matmul, abs, maximum.reduce and
+    Over R a step is four ufunc calls on the whole batch, each into a
+    buffer allocated once per call: matmul, abs, maximum.reduce and
     divide.  The increments are gathered a block of steps at a time, as
     many as fit in _GATHER_BYTES (at least one), so memory does not grow
     with n * reps * m * m.
@@ -269,16 +280,12 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
         return [_padic_scaled(num, den, field.prime) for num, den in zip(*_exact_products(forms, idx))]
     table = np.asarray(increments, dtype=float)
     (reps, n), m = idx.shape, table.shape[1]
-    if m == 1 and np.isfinite(table).all():
-        # the running unit stays exactly +-1: each step's max-abs is |x_t| (so one log per entry), the unit their sign
-        tops, at = np.abs(table[:, 0, 0]), idx.T
-        maxima, prod = tops[at], np.where((table[at, 0, 0] < 0).sum(axis=0) % 2, -1.0, 1.0).reshape(reps, 1, 1)
-    else:
-        prod = np.broadcast_to(np.eye(m), (reps, m, m)).copy()
-        step, mag, maxima = np.empty((reps, m, m)), np.empty((m * m, reps)), np.empty((n, reps))
-        # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
-        entries, divisors = step.reshape(reps, m * m).T, maxima.reshape(n, reps, 1, 1)
-        block = max(1, _GATHER_BYTES // (max(reps, 1) * m * m * 8))
+    prod = np.broadcast_to(np.eye(m), (reps, m, m)).copy()
+    step, mag, maxima = np.empty((reps, m, m)), np.empty((m * m, reps)), np.empty((n, reps))
+    # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
+    entries, divisors = step.reshape(reps, m * m).T, maxima.reshape(n, reps, 1, 1)
+    block = max(1, _GATHER_BYTES // (max(reps, 1) * m * m * 8))
+    with np.errstate(invalid="ignore"):  # a zero step maximum divides 0 by 0, and raises below
         for start in range(0, n, block):
             stop = start + block
             # four ufunc calls a step, all into buffers; the views come from iterating arrays built above
@@ -287,11 +294,10 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
                 np.abs(entries, out=mag)
                 np.maximum.reduce(mag, axis=0, out=top)
                 np.divide(step, divisor, out=prod)
-        tops, at = maxima.ravel(), slice(None)
     if not (maxima > 0).all():
         raise DomainError("cannot scale the zero matrix")
     # math.log, not np.log (the two can differ in the last bit): the scales must match the sequential fold
-    logs = np.fromiter(map(math.log, np.where(tops > 0, tops, 1.0).tolist()), float, tops.size)[at]
+    logs = np.fromiter(map(math.log, maxima.ravel().tolist()), float, maxima.size)
     scales = np.add.accumulate(logs.reshape(n, reps), axis=0)[-1] if n else np.zeros(reps)
     return [ScaledMatrix(prod[r], float(scales[r])) for r in range(reps)]
 

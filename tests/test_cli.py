@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from freewalk import corpus
 from freewalk.cli import main
 from freewalk.report import dumps_json
+from freewalk.walks import load_measure
 
 F = Fraction
 
@@ -97,6 +98,25 @@ def test_measure_determinant_checked_exactly(workdir):
     cfg = _config(workdir, kind="lyapunov", measure="big_measure.json", n=20, reps=10, out=str(workdir / "big"))
     assert main(["lyapunov", str(cfg)]) == 0
     assert (workdir / "big" / "lyapunov.csv").exists()
+
+
+@pytest.mark.parametrize("e", (8, 9, 20))
+def test_pole_experiments_run_on_huge_sl2z_atoms(workdir, capsys, e):
+    # [[N, N - 1], [N + 1, N]] has det 1; from N = 1e8 on a float LU calls it singular and its float
+    # wedge cancels to 0, so the inverse atoms are rounded from the exact ones and no wedge is folded
+    n = 10**e
+    atoms = [[str(x) for x in (n, n - 1, n + 1, n)], [str(x) for x in (n, n + 1, n - 1, n)]]
+    (workdir / "huge.json").write_text(
+        json.dumps({"field": {"kind": "archimedean"}, "d": 2, "atoms": atoms, "probs": ["1/2", "1/2"]}))
+    if e == 8:
+        assert load_measure(workdir / "huge.json").inverse_atoms[0].tolist() == [[n, 1 - n], [-1 - n, n]]
+    thresholds = {"r_base": 0.9, "eps_base": 0.5}
+    for kind, fields in (("lyapunov", dict(n=20, reps=10)),
+                         ("decay", dict(measure2="huge.json", grid=[4, 8], reps=6, thresholds=thresholds)),
+                         ("tuple", dict(n=8, reps=4, tuple_size=3, thresholds=thresholds))):
+        cfg = _config(workdir, kind=kind, measure="huge.json", out=str(workdir / "huge"), **fields)
+        assert main([kind, str(cfg)]) == 0, capsys.readouterr().err
+        assert (workdir / "huge" / f"{kind}.json").exists()
 
 
 def test_certify_exit_codes(workdir, capsys):

@@ -21,8 +21,8 @@ from freewalk import (
     tuple_decay,
     wilson_interval,
 )
-from freewalk import corpus
-from freewalk.decompositions import scaled_log_vector_norm
+from freewalk import corpus, estimators
+from freewalk.decompositions import log_norms, scaled_log_vector_norm
 from freewalk.estimators import (
     FAILURE_KEYS,
     Z95,
@@ -36,7 +36,7 @@ from freewalk.estimators import (
 from freewalk.fields import parse_scalar
 from freewalk.linalg import exact_inv, fubini_study
 from freewalk.pingpong import cross_margin_matrix, tuple_failure_reasons
-from freewalk.walks import exact_product, walk_indices, walk_products
+from freewalk.walks import exact_product, make_measure, walk_indices, walk_products
 
 F = Fraction
 
@@ -104,6 +104,29 @@ def test_lyapunov_positive_measure_gap(positive_measure):
     ]
     mean, se = _mean_se(vals)
     assert abs(mean - est_long.lambda1_hat) <= Z95 * se + est_long.ci_half_widths[0]
+
+
+def test_no_estimator_folds_a_wedge_table_at_d2(monkeypatch):
+    # the exterior square of an SL_2 matrix is its determinant: every table folded is 2 x 2, on both fields
+    shapes = []
+    monkeypatch.setattr(estimators, "walk_products",
+                        lambda *a, **k: shapes.append(np.shape(a[0])) or walk_products(*a, **k))
+    m = corpus.positive_matrices()
+    lyapunov_estimate(m, 20, 10, seed=1)
+    pingpong_decay(m, m, 0.8, 0.7, [4, 8], 5, seed=1)
+    tuple_decay(m, 3, 0.95, 0.9, 8, 4, seed=1)
+    lyapunov_estimate(corpus.padic_contracting(3), 20, 10, seed=1)
+    assert len(shapes) == 4 and all(shape[1:] == (2, 2) for shape in shapes), shapes
+
+
+def test_d2_wedge_is_the_exact_determinant():
+    # exact determinant 1, float determinant 0.9999999999999999: no float wedge reaches the results
+    m = make_measure([[[F(7, 5), F(3, 5)], [1, F(8, 7)]]], [1], FieldSpec.real())
+    assert lyapunov_estimate(m, 40, 10, seed=3).lambda12_hat == 0.0
+    idx = walk_indices(m, 30, 3, range(6))
+    _, _, ratios = _walk_poles([m], [[idx]])
+    folds = estimators._fold([(m.atoms, idx, "right"), (m.inverse_atoms, idx, "left")], m.field)
+    assert ratios.T.tolist() == [[math.exp(-2 * s) for s in log_norms(fold, m.field)] for fold in folds]
 
 
 def test_lyapunov_preconditions(positive_measure):

@@ -139,7 +139,7 @@ def test_fold_equals_one_walk_products_call_per_job(monkeypatch):
 
 def _unbatched_poles(measure, idx):
     """One batch's poles, one fold call per product and per-row frames and norms."""
-    inv = tuple(np.linalg.inv(np.asarray(a, dtype=float)) for a in measure.atoms)
+    inv = measure.inverse_atoms
     s = walk_products(measure.atoms, idx, R)
     s_inv = _left_fold(inv, idx, R)
     w = walk_products(exterior_square_atoms(measure.atoms), idx, R)

@@ -555,6 +555,12 @@ def test_kernel_memory_does_not_grow_with_gathered_walk(real_field):
     assert peaks[1] - peaks[0] < 2000 * reps * m * m * 8, peaks
 
 
+@pytest.mark.parametrize("field", (FieldSpec.real(), FieldSpec.padic(3)), ids=("R", "Q3"))
+def test_make_measure_rejects_one_by_one_atoms(field):
+    with pytest.raises(InvariantViolation, match="d >= 2"):
+        make_measure([[[1]]], [1], field)
+
+
 def test_one_by_one_walks_with_a_zero_entry(real_field):
     table = np.array([[[2.0]], [[0.0]], [[-3.0]]])
     with pytest.raises(DomainError):
