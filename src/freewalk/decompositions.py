@@ -16,6 +16,12 @@ k and u are isometries of the canonical norm: orthogonal with det 1 in
 the archimedean case, entries in the valuation ring with unit determinant
 in the nonarchimedean case (unit diagonal factors from the elimination
 are absorbed into the isometries, never into a).
+
+A :class:`ScaledMatrix` holds a long product as base**scale * unit with an
+integer scale on both fields: base 2 over R, the unit's largest |entry| in
+[1, 2), and base p over Q_p, the unit's least entry valuation 0.  Over R
+the renormalisation divides by a power of two, which is exact, so the
+unit alone carries the rounding of the products.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .errors import DomainError, InvariantViolation
 from .fields import FieldSpec, _int_valuation, _p_power
 from .linalg import (
     _integer_form,
-    exterior_square,
     identity,
     normalize_representative,
     operator_norm,
@@ -229,28 +234,32 @@ def _iwasawa_padic(g: np.ndarray, field: FieldSpec, unimodular: bool = False) ->
 
 @dataclass(frozen=True)
 class ScaledMatrix:
-    """A matrix stored as a normalized unit part and a separated magnitude.
+    """A matrix stored as a normalized unit part and an integer exponent.
 
-    Archimedean: true = exp(scale) * unit with max |entry| of unit equal 1.
+    Archimedean: true = 2**scale * unit with max |entry| of unit in [1, 2).
+    Scaling by a power of two is exact, so the unit carries the rounding of
+    the products and the scale none of it.
     Nonarchimedean: true = p**scale * unit with minimal entry valuation 0,
     so the operator norm of unit is exactly 1 and ||true|| = p**(-scale).
     """
 
     unit: np.ndarray
-    scale: float | int
+    scale: int
 
 
 def scaled_identity(d: int, field: FieldSpec) -> ScaledMatrix:
-    return ScaledMatrix(identity(d, field), 0.0 if field.is_archimedean else 0)
+    return ScaledMatrix(identity(d, field), 0)
 
 
 def _normalize_scaled(raw: np.ndarray, field: FieldSpec) -> ScaledMatrix:
-    """raw over its largest |entry| (R), or :func:`_padic_scaled` of its exact integer form (Q_p)."""
+    """raw over the power of two that puts its largest |entry| in [1, 2), exactly (R), or
+    :func:`_padic_scaled` of its exact integer form (Q_p)."""
     if field.is_archimedean:
-        m = float(np.max(np.abs(raw)))
-        if m == 0.0:
+        top = float(np.max(np.abs(raw)))
+        if not 0 < top < math.inf:
             raise DomainError("cannot scale the zero matrix")
-        return ScaledMatrix(raw / m, math.log(m))
+        e = math.frexp(top)[1] - 1
+        return ScaledMatrix(np.ldexp(raw, -e), e)
     return _padic_scaled(*_integer_form(raw), field.prime)
 
 
@@ -276,9 +285,9 @@ def scaled_premultiply(g: np.ndarray, acc: ScaledMatrix, field: FieldSpec) -> Sc
 
 
 def _log_size(scale, n, field: FieldSpec) -> float:
-    """log(exp(scale) n) over R, log(p**-scale n) over Q_p, n a size of a ScaledMatrix's unit; math.log, not np.log."""
+    """log(2**scale n) over R, log(p**-scale n) over Q_p, n a size of a ScaledMatrix's unit; math.log, not np.log."""
     if field.is_archimedean:
-        return float(scale) + math.log(float(n))
+        return scale * math.log(2) + math.log(float(n))
     return -scale * math.log(field.prime) + math.log(float(n))
 
 
@@ -304,8 +313,3 @@ def scaled_log_vector_norm(sm: ScaledMatrix, x: np.ndarray, field: FieldSpec) ->
     if n == 0:
         raise DomainError("matrix application produced the zero vector")
     return _log_size(sm.scale, n, field)
-
-
-def exterior_square_atoms(atoms) -> tuple:
-    """Precomputed wedge representatives for walk increments."""
-    return tuple(exterior_square(a) for a in atoms)

@@ -32,7 +32,7 @@ from itertools import islice
 
 import numpy as np
 
-from .decompositions import ScaledMatrix, exterior_square_atoms, log_norms, scaled_log_vector_norm
+from .decompositions import ScaledMatrix, log_norms, scaled_log_vector_norm
 from .errors import DomainError, UsageError
 from .fields import FieldSpec
 from .linalg import (
@@ -234,7 +234,7 @@ def lyapunov_estimate(measure: WalkMeasure, n: int, reps: int, seed: int) -> Lya
         raise UsageError("lyapunov_estimate needs n >= 10 and reps >= 10")
     field = measure.field
     idx = walk_indices(measure, n, seed, range(reps))
-    wedge = [(exterior_square_atoms(measure.atoms), idx, "right")] if measure.d > 2 else []
+    wedge = [(measure.wedge_atoms, idx, "right")] if measure.d > 2 else []
     s, *w = _fold([(measure.atoms, idx, "right"), *wedge], field)
     l1s = [x / n for x in log_norms(s, field)]
     l12s = [x / n for x in log_norms(w[0], field)] if w else [0.0] * reps
@@ -563,9 +563,10 @@ def _walk_poles(measures, rows) -> tuple:
     KAK frames of X_1^{-1} ... X_n^{-1} (of inverse_atoms), not the bottom singular vectors of S_n,
     which its float unit cannot resolve once a_1/a_d passes float precision (d >= 3), and the ratios
     ||wedge(g)|| / ||g||**2 come from scaled log products, accurate far below float precision: one
-    :func:`_fold` (every S_n job, every S_n^{-1} job, then at d >= 3 their wedges; at d = 2 wedge(g) =
-    det(g) = 1), one :func:`pole_pair` and one stacked log-norm call.  Over Q_p every walk is exact:
-    one :func:`pole_pair` of the integer products of the atoms' numerators.
+    :func:`_fold` (every S_n job, every S_n^{-1} job, then at d >= 3 their wedges, of wedge_atoms and
+    wedge_inverse_atoms; at d = 2 wedge(g) = det(g) = 1), one :func:`pole_pair` and one stacked log-norm
+    call.  Over Q_p every walk is exact: one :func:`pole_pair` of the integer products of the atoms'
+    numerators.
     """
     field = measures[0].field
     if not field.is_archimedean:
@@ -573,10 +574,12 @@ def _walk_poles(measures, rows) -> tuple:
         prods = [g for atoms, idxs in zip(ints, rows) for idx in idxs
                  for g in integer_products(atoms, idx, [idx.shape[1]])[0]]
         return pole_pair(prods, field, unimodular=False)
-    jobs = [(table, idx, order) for tables, order in (([m.atoms for m in measures], "right"),
-                                                      ([m.inverse_atoms for m in measures], "left"))
-            for table, idxs in zip(tables, rows) for idx in idxs]
-    wedge_jobs = [(exterior_square_atoms(inc), idx, order) for inc, idx, order in jobs] if measures[0].d > 2 else []
+    def fold_jobs(pairs):  # one (S_n table, S_n^{-1} table) pair per measure
+        return [(pair[k], idx, order) for k, order in enumerate(("right", "left"))
+                for pair, idxs in zip(pairs, rows) for idx in idxs]
+
+    jobs = fold_jobs([(m.atoms, m.inverse_atoms) for m in measures])
+    wedge_jobs = fold_jobs([(m.wedge_atoms, m.wedge_inverse_atoms) for m in measures]) if measures[0].d > 2 else []
     folds = _fold(jobs + wedge_jobs, field)
     prods, wedges = ([x for fold in half for x in fold] for half in (folds[: len(jobs)], folds[len(jobs):]))
     # index 0 only: the S_n^{-1} poles come from the inverse fold, the ratios from the log norms

@@ -23,9 +23,11 @@ walks through one kernel: :func:`walk_indices` stacks the index rows of
 a batch of streams into an array of shape (reps, n), and
 :func:`walk_products` folds a table of increments (atoms, their inverses
 or, at d >= 3, exterior squares) into S_n along every row at once.  Over R
-the batch is one stack of float matrices renormalized by its max-abs entry
-after every step, exactly as :func:`scaled_premultiply` does, so each row
-is bit-identical to the sequential fold.  On both fields an estimator
+the batch is one stack of float matrices, one matmul a step; every K steps,
+K from the table's norms, each row is scaled by a power of two, exactly,
+so each row is bit-identical to the per-step sequential fold of
+:func:`scaled_premultiply`, and the scale is a sum of integer exponents
+with no logarithm.  On both fields an estimator
 call makes one fold per matrix size
 (``estimators._fold``, which alone decides fold direction): shorter rows
 are padded at the start with an identity increment, and M_n is the
@@ -70,6 +72,7 @@ from .linalg import (
     _integer_form,
     _load_json,
     as_matrix,
+    exterior_square,
     flat_matrices,
     is_unimodular,
     vector_to_strings,
@@ -111,7 +114,8 @@ class WalkMeasure:
 
     exact_atoms hold the given entries (a document's rationals as read) as Fractions, for
     the exact replays and the freeness oracle.  Over Q_p they are the atoms; over R the
-    atoms are the floats rounded once from them.
+    atoms are the floats rounded once from them, and so are the inverses and exterior
+    squares the walks fold, each built on first use from the exact atoms.
     """
 
     atoms: tuple
@@ -135,13 +139,39 @@ class WalkMeasure:
         return hashlib.sha256(doc.encode()).hexdigest()
 
     @cached_property
-    def inverse_atoms(self) -> tuple:
-        """Each exact atom a / den's inverse den * adj(a) / det(a), rounded once over R as the atoms are."""
+    def _exact_inverses(self) -> tuple:
+        """Each exact atom a / den's inverse den * adj(a) / det(a), as exact Fractions."""
         inverses = []
         for a, den in map(_integer_form, self.exact_atoms):
             _, adj, det = _faddeev_leverrier(a)
             inverses.append(adj * Fraction(den, det))
-        return tuple(x.astype(float) for x in inverses) if self.field.is_archimedean else tuple(inverses)
+        return tuple(inverses)
+
+    @cached_property
+    def inverse_atoms(self) -> tuple:
+        """The atoms' inverses, from the exact atoms, rounded once over R as the atoms are."""
+        return self._rounded(self._exact_inverses)
+
+    @cached_property
+    def wedge_atoms(self) -> tuple:
+        """The atoms' exterior squares, from the exact atoms, rounded once over R."""
+        return self._rounded(map(_exact_wedge, self.exact_atoms))
+
+    @cached_property
+    def wedge_inverse_atoms(self) -> tuple:
+        """The inverse atoms' exterior squares, from the exact inverses, rounded once over R."""
+        return self._rounded(map(_exact_wedge, self._exact_inverses))
+
+    def _rounded(self, exact) -> tuple:
+        """Exact matrices as the walks fold them: rounded once to floats over R, as they are over Q_p."""
+        return tuple(x.astype(float) for x in exact) if self.field.is_archimedean else tuple(exact)
+
+
+def _exact_wedge(m) -> np.ndarray:
+    """exterior_square of an exact matrix a / den, taken on the integer form a: wedge(a) / den**2."""
+    a, den = _integer_form(m)
+    w = exterior_square(a)
+    return w if den == 1 else w * Fraction(1, den * den)  # Python ints when den = 1: no Fraction per entry
 
 
 def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
@@ -262,6 +292,28 @@ def walk_indices(measure: WalkMeasure, n: int, seed: int, streams) -> np.ndarray
 #: steps (at least one) whose (reps, m, m) increments fit, not the whole walk.
 _GATHER_BYTES = 1 << 16
 
+#: How far, in powers of two, a product's largest |entry| may move between two
+#: renormalisations of :func:`walk_products` over R: far inside the float range.
+_DRIFT_BITS = 200
+
+
+def _renormalize_every(table: np.ndarray) -> int:
+    """Steps K between renormalisations of a float table's products.
+
+    Over K steps the largest |entry| of a product grows by at most G**K and shrinks by at most H**K,
+    G and H the largest row-sum norms of the increments and of their inverses, and K keeps both
+    within 2**_DRIFT_BITS.  A table with a non-finite entry, a singular increment (no LU inverse) or
+    a norm beyond the float range gets K = 1.
+    """
+    if not np.isfinite(table).all():
+        return 1
+    try:
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf, and gets K = 1 below
+            norms = np.abs(np.stack([table, np.linalg.inv(table)])).sum(axis=-1).max()
+    except np.linalg.LinAlgError:
+        return 1
+    return max(1, _DRIFT_BITS // max(1, math.frexp(norms)[1])) if math.isfinite(norms) else 1
+
 
 def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
     """Scaled reversed products X_n ... X_1 (the S walk) along each row of an index array.
@@ -269,37 +321,42 @@ def walk_products(increments, idx: np.ndarray, field: FieldSpec) -> list:
     X_t = increments[idx[row, t]].  Returns one ScaledMatrix per row, == the sequential fold of
     :func:`scaled_premultiply`; ``estimators._fold`` makes left folds as transposed right folds.
 
-    Over R a step is four ufunc calls on the whole batch, each into a
-    buffer allocated once per call: matmul, abs, maximum.reduce and
-    divide.  The increments are gathered a block of steps at a time, as
-    many as fit in _GATHER_BYTES (at least one), so memory does not grow
-    with n * reps * m * m.
+    Over R a step is one matmul of the whole batch into a second buffer,
+    and the two buffers swap.  Every K steps (:func:`_renormalize_every`)
+    and after the last, each row is scaled by the power of two that puts its
+    largest |entry| in [1, 2), and the exponents add up to the scale.
+    Scaling by a power of two is exact and commutes with float rounding,
+    so the units and scales equal the per-step sequential fold bit for bit,
+    at any K.  The one exception is an entry below 2**-822 of its product's
+    largest |entry|, which can round as a subnormal in one fold and not in
+    the other.  The increments are gathered a block of steps at a time, as many
+    as fit in _GATHER_BYTES (at least one), so memory does not grow with
+    n * reps * m * m.
     """
     if not field.is_archimedean:
         forms = [_integer_form(x) for x in increments]
         return [_padic_scaled(num, den, field.prime) for num, den in zip(*_exact_products(forms, idx))]
     table = np.asarray(increments, dtype=float)
     (reps, n), m = idx.shape, table.shape[1]
-    prod = np.broadcast_to(np.eye(m), (reps, m, m)).copy()
-    step, mag, maxima = np.empty((reps, m, m)), np.empty((m * m, reps)), np.empty((n, reps))
-    # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
-    entries, divisors = step.reshape(reps, m * m).T, maxima.reshape(n, reps, 1, 1)
+    every = _renormalize_every(table)
+    prod, spare = np.broadcast_to(np.eye(m), (reps, m, m)).copy(), np.empty((reps, m, m))
+    mag, top, scales = np.empty((m * m, reps)), np.ones(reps), np.zeros(reps, dtype=np.int64)
     block = max(1, _GATHER_BYTES // (max(reps, 1) * m * m * 8))
-    with np.errstate(invalid="ignore"):  # a zero step maximum divides 0 by 0, and raises below
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite product raises below, not a warning
         for start in range(0, n, block):
-            stop = start + block
-            # four ufunc calls a step, all into buffers; the views come from iterating arrays built above
-            for x, top, divisor in zip(table[idx[:, start:stop].T], maxima[start:stop], divisors[start:stop]):
-                np.matmul(x, prod, out=step)
-                np.abs(entries, out=mag)
-                np.maximum.reduce(mag, axis=0, out=top)
-                np.divide(step, divisor, out=prod)
-    if not (maxima > 0).all():
+            for t, x in enumerate(table[idx[:, start:start + block].T], start + 1):
+                np.matmul(x, prod, out=spare)
+                prod, spare = spare, prod
+                if t % every == 0 or t == n:
+                    # |entries| entry-major: a max across rows of a short axis is slow, one down a long axis is not
+                    np.maximum.reduce(np.abs(prod.reshape(reps, m * m).T, out=mag), axis=0, out=top)
+                    shift = 1 - np.frexp(top)[1]
+                    np.ldexp(prod, shift.reshape(reps, 1, 1), out=prod)
+                    scales -= shift
+    # a zero product stays zero and a non-finite one non-finite, so the last maxima tell
+    if not ((top > 0) & (top < math.inf)).all():
         raise DomainError("cannot scale the zero matrix")
-    # math.log, not np.log (the two can differ in the last bit): the scales must match the sequential fold
-    logs = np.fromiter(map(math.log, maxima.ravel().tolist()), float, maxima.size)
-    scales = np.add.accumulate(logs.reshape(n, reps), axis=0)[-1] if n else np.zeros(reps)
-    return [ScaledMatrix(prod[r], float(scales[r])) for r in range(reps)]
+    return [ScaledMatrix(prod[r], scale) for r, scale in enumerate(scales.tolist())]
 
 
 def integer_products(table, idx: np.ndarray, checkpoints) -> list:

@@ -63,9 +63,9 @@ def random_unimodular_int(rng: random.Random, d: int, max_entry: int = 20, steps
 
 
 def scaled_reconstruct(sm, field):
-    """The matrix a ScaledMatrix represents: exp(scale) * unit over R, p**scale * unit over Q_p."""
+    """The matrix a ScaledMatrix represents: 2**scale * unit over R, p**scale * unit over Q_p."""
     if field.is_archimedean:
-        return math.exp(sm.scale) * sm.unit
+        return math.ldexp(1.0, sm.scale) * sm.unit
     return sm.unit * (Fraction(field.prime) ** sm.scale)
 
 

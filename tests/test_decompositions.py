@@ -240,12 +240,12 @@ def test_kak_kan_ratio_bounded_along_trajectories(positive_measure):
 def test_scaled_multiply_examples(real_field, q2):
     sm = scaled_identity(2, real_field)
     sm = scaled_multiply(sm, as_matrix([[1, 0], [0, 1]], real_field), real_field)
-    assert sm.scale == 0.0
-    sm2 = scaled_multiply(
-        scaled_identity(2, real_field), as_matrix([[100, 0], [0, 0.01]], real_field), real_field
-    )
-    assert sm2.scale == pytest.approx(math.log(100))
-    assert np.allclose(sm2.unit, [[1, 0], [0, 1e-4]])
+    assert type(sm.scale) is int and sm.scale == 0
+    # over R the scale is the power of two that puts the largest |entry| in [1, 2), and the division is exact
+    raw = as_matrix([[100, 0], [0, 0.01]], real_field)
+    sm2 = scaled_multiply(scaled_identity(2, real_field), raw, real_field)
+    assert type(sm2.scale) is int and sm2.scale == 6
+    assert np.array_equal(sm2.unit, raw / 64)
 
     smq = scaled_identity(2, q2)
     smq = scaled_multiply(smq, as_matrix([[2, 0], [0, F(1, 2)]], q2), q2)

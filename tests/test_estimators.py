@@ -34,7 +34,7 @@ from freewalk.estimators import (
     _walk_poles,
 )
 from freewalk.fields import parse_scalar
-from freewalk.linalg import exact_inv, fubini_study
+from freewalk.linalg import exact_inv, exterior_square, fubini_study
 from freewalk.pingpong import cross_margin_matrix, tuple_failure_reasons
 from freewalk.walks import exact_product, make_measure, walk_indices, walk_products
 
@@ -127,6 +127,29 @@ def test_d2_wedge_is_the_exact_determinant():
     _, _, ratios = _walk_poles([m], [[idx]])
     folds = estimators._fold([(m.atoms, idx, "right"), (m.inverse_atoms, idx, "left")], m.field)
     assert ratios.T.tolist() == [[math.exp(-2 * s) for s in log_norms(fold, m.field)] for fold in folds]
+
+
+def test_d3_wedge_tables_come_from_the_exact_atoms(monkeypatch):
+    # at N = 1e8 the float minor N * N - (N - 1) * (N + 1) of [[N, N - 1, 0], [N + 1, N, 0], [0, 0, 1]] and of
+    # its inverse reads 0.0 and the exact one 1: the wedge tables folded are the exact ones, rounded once
+    big = 10**8
+    rows = [[[big, big - 1, 0], [big + 1, big, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [2, 1, 1]]]
+    m = make_measure(rows, [F(1, 2)] * 2, FieldSpec.real())
+    exact = [np.array(r, dtype=object) for r in rows]
+    want = [exterior_square(a).astype(float) for a in exact]
+    want_inv = [exterior_square(exact_inv(a)).astype(float) for a in exact]
+    assert exterior_square(m.atoms[0])[0, 0] == exterior_square(m.inverse_atoms[0])[0, 0] == 0.0
+    assert want[0][0, 0] == want_inv[0][0, 0] == 1.0
+    tables = []
+    monkeypatch.setattr(estimators, "walk_products",
+                        lambda *a, **k: tables.append(np.asarray(a[0])) or walk_products(*a, **k))
+    lyapunov_estimate(m, 20, 10, seed=1)
+    _walk_poles([m], [[walk_indices(m, 6, 1, range(3))]])
+    lyap, poles = tables  # one 3 x 3 fold each, its tables joined behind an identity
+    assert all(any(np.array_equal(t, w) for t in lyap) for w in want)
+    assert all(any(np.array_equal(t, w) for t in poles) for w in want)
+    # the S_n^{-1} wedges make a left fold, which folds the transposed table
+    assert all(any(np.array_equal(t, w.T) for t in poles) for w in want_inv)
 
 
 def test_lyapunov_preconditions(positive_measure):

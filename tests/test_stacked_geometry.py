@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from freewalk import DomainError, FieldSpec, corpus, decompositions, estimators, linalg
-from freewalk.decompositions import ScaledMatrix, exterior_square_atoms, scaled_log_norm
+from freewalk.decompositions import ScaledMatrix, scaled_log_norm
 from freewalk.linalg import as_vector, dist_point_hyperplane, normalize_representative, vector_norm
 from freewalk.pingpong import cross_margin_matrix
 from freewalk.walks import make_measure, walk_indices, walk_products
@@ -113,6 +113,10 @@ def _padic_measures(p: int) -> tuple:
     return corpus.padic_contracting(p), corpus.padic_diagonal_point_mass(p), d3
 
 
+def _wedges(table) -> tuple:
+    return tuple(map(linalg.exterior_square, table))
+
+
 def test_fold_equals_one_walk_products_call_per_job(monkeypatch):
     # mixed lengths, both orders and several tables, over R, Q_2 and Q_3; three matrix sizes, the d = 3
     # atoms and their wedges in one 3 x 3 group, so one walk_products call per size
@@ -123,8 +127,7 @@ def test_fold_equals_one_walk_products_call_per_job(monkeypatch):
             inv = tuple(np.linalg.inv(np.asarray(a, dtype=float)) if field == R else linalg.exact_inv(a)
                         for a in m.atoms)
             for n, order, table in zip(steps, ("right", "left", "left", "right", "left"),
-                                       (m.atoms, inv, m.atoms, exterior_square_atoms(inv),
-                                        exterior_square_atoms(m.atoms))):
+                                       (m.atoms, inv, m.atoms, _wedges(inv), _wedges(m.atoms))):
                 jobs.append((table, walk_indices(m, n, 100 + i, range(7 if field == R else 4)), order))
         calls = []
         monkeypatch.setattr(estimators, "walk_products",
@@ -142,8 +145,8 @@ def _unbatched_poles(measure, idx):
     inv = measure.inverse_atoms
     s = walk_products(measure.atoms, idx, R)
     s_inv = _left_fold(inv, idx, R)
-    w = walk_products(exterior_square_atoms(measure.atoms), idx, R)
-    w_inv = _left_fold(exterior_square_atoms(inv), idx, R)
+    w = walk_products(measure.wedge_atoms, idx, R)
+    w_inv = _left_fold(measure.wedge_inverse_atoms, idx, R)
     v, h, ratio = [], [], []
     for row in zip(s, s_inv, w, w_inv):
         svds = [np.linalg.svd(x.unit) for x in row[:2]]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,14 +23,14 @@ from freewalk import (
 )
 from freewalk import corpus, estimators, walks
 from freewalk.decompositions import (
-    exterior_square_atoms,
+    log_norms,
     scaled_identity,
     scaled_log_norm,
     scaled_multiply,
     scaled_premultiply,
 )
 from freewalk.errors import ConfigError, DomainError, UsageError
-from freewalk.linalg import _integer_form, exact_inv, identity
+from freewalk.linalg import _integer_form, exact_inv, exterior_square, identity
 from freewalk.walks import (
     _sample_index,
     exact_product,
@@ -291,6 +292,10 @@ def test_batched_indices_match_per_draw(real_field):
     assert walk_indices(corpus.sanov(), 5, 1, []).shape == (0, 5)
 
 
+def _wedges(table) -> tuple:
+    return tuple(map(exterior_square, table))
+
+
 def _fold(increments, row, field, left):
     acc = scaled_identity(increments[0].shape[0], field)
     for i in row:
@@ -307,8 +312,8 @@ def _products(table, idx, field, order):
 def test_stacked_products_match_sequential_fold(real_field):
     for m in (corpus.positive_matrices(), corpus.sanov(), corpus.slow_contracting(), corpus.sl3_integer()):
         inverses = tuple(np.linalg.inv(a) for a in m.atoms)
-        wedges = exterior_square_atoms(m.atoms)  # 1x1 at d = 2
-        tables = (m.atoms, inverses, wedges, exterior_square_atoms(inverses), tuple(-w for w in wedges))
+        wedges = _wedges(m.atoms)  # 1x1 at d = 2
+        tables = (m.atoms, inverses, wedges, _wedges(inverses), tuple(-w for w in wedges))
         idx = walk_indices(m, 150, 3, range(6))
         for table in tables:
             for order in ("left", "right"):
@@ -368,7 +373,7 @@ def _padic_kernel_measures():
 def test_padic_products_match_sequential_fold():
     for m in _padic_kernel_measures():
         inverses = tuple(exact_inv(a) for a in m.exact_atoms)
-        tables = (m.atoms, inverses, exterior_square_atoms(m.atoms))
+        tables = (m.atoms, inverses, _wedges(m.atoms))
         idx = walk_indices(m, 40, 3, range(5))
         for table in tables:
             for order in ("left", "right"):
@@ -526,8 +531,22 @@ def test_kernel_equals_sequential_fold(real_field, m):
     cases = [(0, 3), (1, 4), (7, 1), (40, 9), (200, 5), (300, 1)]
     # (5, 0): no rows, where the gather block once divided by the batch width
     cases += [(n, 5) for n in (block - 1, block, block + 1, 2 * block + 1)] + [(3, wide), (5, 0)]
-    for n, reps in cases:
-        table = _random_table(rng, 6, m)
+    cases = [(n, reps, _random_table(rng, 6, m)) for n, reps in cases]
+    # the renormalisation cadence K: its boundaries, entries near 2**300 (K = 1), a singular increment (K = 1)
+    mild = np.eye(m) + 0.25 * rng.standard_normal((6, m, m))
+    every = walks._renormalize_every(mild)
+    assert 10 < every <= 200
+    cases += [(n, 5, mild) for n in (every - 1, every, every + 1, 2 * every + 1)]
+    huge = _random_table(rng, 6, m) * 2.0**300
+    cases.append((60, 4, huge))
+    tables = [mild, huge]
+    if m > 1:
+        singular = mild.copy()
+        singular[0, -1] = 0.0  # a zero row: LU finds no inverse
+        cases.append((60, 4, singular))
+        tables.append(singular)
+    assert [walks._renormalize_every(t) for t in tables] == [every, 1, 1][: len(tables)]
+    for n, reps, table in cases:
         idx = rng.integers(0, 6, (reps, n))
         for order in ("left", "right"):
             got = _products(table, idx, real_field, order)
@@ -535,11 +554,83 @@ def test_kernel_equals_sequential_fold(real_field, m):
             for row, g in zip(idx.tolist(), got):
                 want = _fold(table, row, real_field, order == "left")
                 assert np.array_equal(g.unit, want.unit) and g.scale == want.scale
+                assert type(g.scale) is int and 1 <= np.abs(g.unit).max() < 2
+
+
+def test_kernel_equals_sequential_fold_past_the_subnormal_threshold(real_field):
+    # diag(2, 1/2)**n has unit diag(1, 2**-2n): subnormal from n = 512 on, 0 from n = 538; every
+    # power of two rounds alike in both folds, although the kernel renormalises only every 100 steps
+    table = np.array([np.diag([2.0, 0.5])])
+    assert walks._renormalize_every(table) == 100
+    for n in (100, 511, 512, 537, 538, 600):
+        (got,) = walk_products(table, np.zeros((1, n), dtype=np.intp), real_field)
+        want = _fold(table, [0] * n, real_field, False)
+        assert np.array_equal(got.unit, want.unit) and got.scale == want.scale == n
+        assert got.unit.tolist() == [[1.0, 0.0], [0.0, math.ldexp(1.0, -2 * n)]]
+
+
+@pytest.mark.parametrize("entry", (0.0, math.inf, math.nan, 2.0**1023), ids=("zero", "inf", "nan", "overflow"))
+def test_kernel_raises_on_a_zero_or_non_finite_product(real_field, entry):
+    # every entry 0, inf or nan: the product at once; every entry 2**1023: it overflows at the second step.
+    # RuntimeWarnings are errors in this suite, so none may escape the kernel
+    table = np.array([np.eye(2), np.full((2, 2), entry)])
+    with pytest.raises(DomainError, match="cannot scale the zero matrix"):
+        walk_products(table, np.array([[0, 1, 0, 1, 0], [0, 0, 0, 0, 0]]), real_field)
+    (ok,) = walk_products(table, np.array([[0, 0, 0]]), real_field)  # an unused entry is never taken
+    assert ok.scale == 0 and np.array_equal(ok.unit, np.eye(2))
+
+
+def test_real_kernel_takes_no_log(real_field, monkeypatch):
+    # the scales are sums of integer exponents: no math.log of a step maximum
+    m = corpus.slow_contracting()
+    idx = walk_indices(m, 300, 1, range(4))
+    want = walk_products(m.atoms, idx, real_field)
+
+    def no_log(*args):
+        raise AssertionError("walk_products took a logarithm")
+
+    monkeypatch.setattr(math, "log", no_log)
+    got = walk_products(m.atoms, idx, real_field)
+    monkeypatch.undo()
+    assert all(np.array_equal(g.unit, w.unit) and g.scale == w.scale for g, w in zip(got, want))
+
+
+def _exact_log_norm(s) -> Decimal:
+    """log of the operator norm of an exact 2 x 2 integer matrix, to 60 digits."""
+    (a, b), (c, d) = s.tolist()
+    f, det = Decimal(a * a + b * b + c * c + d * d), Decimal(a * d - b * c)
+    return ((f + (f * f - 4 * det * det).sqrt()) / 2).ln() / 2
+
+
+@pytest.mark.parametrize("n", (1000, 5000))
+def test_log_norm_within_two_ulps_of_the_exact_product(real_field, n):
+    # the scale takes no rounding; a log of every step maximum, summed, took 13 and 21 ulps here
+    m = corpus.positive_matrices()
+    idx = walk_indices(m, n, 1, range(20))
+    got = log_norms(walk_products(m.atoms, idx, real_field), real_field)
+    (exact,) = integer_products([_integer_form(a)[0] for a in m.exact_atoms], idx, [n])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ulps = [abs(Decimal(g) - _exact_log_norm(s)) / Decimal(math.ulp(g)) for g, s in zip(got, exact)]
+    assert max(ulps) <= 2, max(ulps)
+
+
+def test_wedge_tables_are_the_exact_exterior_squares():
+    # integer and fractional atoms (denominators 3, 2 and 5): each wedge is exact, and rounded once over R
+    rows = [[[2, 1, 0], [1, 1, 0], [0, 0, 1]], [[F(1, 3), 0, 0], [0, 3, 1], [0, 0, 1]],
+            [[1, F(1, 2), 0], [0, 1, 0], [F(2, 5), 0, 1]]]
+    for field in (FieldSpec.real(), FieldSpec.padic(3)):
+        m = make_measure(rows, [F(1, 3)] * 3, field)
+        for got, exact in ((m.wedge_atoms, m.exact_atoms), (m.wedge_inverse_atoms, map(exact_inv, m.exact_atoms))):
+            want = [exterior_square(a) for a in exact]
+            if field.is_archimedean:
+                want = [w.astype(float) for w in want]
+            assert len(got) == 3 and all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
 def test_kernel_memory_does_not_grow_with_gathered_walk(real_field):
-    # the increments are gathered a bounded block of steps at a time: doubling n adds the
-    # per-step maxima and their logs, not another n * reps * m * m doubles of increments
+    # the increments are gathered a bounded block of steps at a time: doubling n does not
+    # add another n * reps * m * m doubles of increments
     import tracemalloc
 
     m, reps = 3, 10
@@ -565,10 +656,12 @@ def test_one_by_one_walks_with_a_zero_entry(real_field):
     table = np.array([[[2.0]], [[0.0]], [[-3.0]]])
     with pytest.raises(DomainError):
         walk_products(table, np.array([[0, 2, 1, 0]]), real_field)
-    # an unused zero entry is never taken
-    (got,) = walk_products(table, np.array([[0, 2, 2]]), real_field)
-    want = _fold(table, [0, 2, 2], real_field, False)
-    assert got.unit[0, 0] == 1.0 and np.array_equal(got.unit, want.unit) and got.scale == want.scale
+    # an unused zero entry is never taken: 2 * (-3)**2 = 18 = 2**4 * 1.125, and the negated table gives -18
+    for sign in (1, -1):
+        (got,) = walk_products(sign * table, np.array([[0, 2, 2]]), real_field)
+        want = _fold(sign * table, [0, 2, 2], real_field, False)
+        assert got.unit[0, 0] == sign * 1.125 and got.scale == 4
+        assert np.array_equal(got.unit, want.unit) and got.scale == want.scale
 
 
 # ---------------------------------------------------------------------------
