@@ -72,8 +72,8 @@ def sl3_integer() -> WalkMeasure:
     corners, and the all-ones upper and lower unitriangular matrices.
 
     Its products reach a_1/a_3 far beyond 1e16 within a few dozen steps,
-    which is where float poles of S_n^{-1} must come from the inverse
-    product rather than from the bottom singular vectors of S_n.
+    which is where float poles of S_n^{-1} must come from the exterior
+    square walk rather than from the bottom singular vectors of S_n.
     """
     return make_measure(
         [

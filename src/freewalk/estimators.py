@@ -3,14 +3,16 @@
 Every estimator is a pure function of (inputs, seed), reduced in trajectory
 order: trajectory i runs on RNG stream i, and walk w of ping-pong tuple rep
 at grid point gi on stream (gi*reps + rep)*l + w (:func:`_tuple_scores`).
-:func:`walk_indices` stacks the index rows of all trajectories and, on
-both fields, each estimator call folds its scaled walks (atoms, inverses,
-wedges at d >= 3, every grid point and measure) in one :func:`walk_products`
-call per matrix size (:func:`_fold`: shorter rows padded at the start with
-the identity, left folds as transposed right folds); the exact replays and the
-Q_p poles fold integer stacks with :func:`integer_products`.  The whole
-stack is then scored by stacked calls: :func:`pole_pair` (the KAK frames
-of both fields, one SVD of the stack over R), :func:`log_norms`, and
+:func:`walk_indices` stacks the index rows of all trajectories and, on both
+fields, each estimator call folds its scaled walks (the atoms and, at
+d >= 3, their exterior powers; every grid point and measure) in one
+:func:`walk_products` call per matrix size (:func:`_fold`: shorter rows
+padded at the start with the identity, left folds as transposed right
+folds); the exact replays and the Q_p poles fold integer stacks with
+:func:`integer_products`.  Over R the poles of S_n^{-1} are the Hodge duals
+of the frames of wedge^{d-1} S_n: no estimator folds an inverse walk.  The
+whole stack is then scored by stacked calls: :func:`pole_pair` (the KAK
+frames of both fields, one SVD of the stack over R), :func:`log_norms`, and
 :func:`cross_margin_matrix`; :func:`_walk_poles` scores any index rows in
 one pole pass, flat in row order, and the ping-pong estimators apply
 :func:`tuple_failure_reasons` at their own (r, eps) to the threshold-free
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -37,10 +39,13 @@ from .errors import DomainError, UsageError
 from .fields import FieldSpec
 from .linalg import (
     _integer_form,
+    _normalize_rows,
     _require_nonzero,
     _row_norms,
+    adjugate,
     as_vector,
     dist_point_hyperplane,
+    exterior_square,
     fubini_study,
     identity,
     wedge_pairs,
@@ -205,6 +210,35 @@ def _fold(jobs, field: FieldSpec) -> list:
     return out
 
 
+def _hodge(d: int, k: int = 1) -> np.ndarray:
+    """The Hodge star of wedge^k R^d, a signed permutation in Python ints, on lexicographic bases: H[J, I] =
+    sign(I J), J the complement of I, which reverses the order.  At k = 1, H[d - 1 - i, i] = (-1)**i."""
+    signs = [(-1) ** (sum(s) - k * (k - 1) // 2) for s in combinations(range(d), k)]
+    return np.diag(np.array(signs, dtype=object))[::-1]  # H[-1 - i, i] = signs[i]
+
+
+def _exterior_powers(measure: WalkMeasure, degrees) -> dict:
+    """{k: the atoms' wedge^k} for each k of degrees (1, 2, d - 2 or d - 1), exact, rounded once over R.
+
+    With a / den an atom's integer form, wedge^2 is exterior_square(a) / den**2, and wedge^{d-j} for j = 1
+    or 2 comes from one Faddeev-LeVerrier pass by Jacobi's complementary minors: det(a) = den**d, so
+    wedge^{d-j}(a) = H wedge^j(adj a)^T H^T / den**(d(j - 1)), H = _hodge(d, j).
+    """
+    d, real = measure.d, measure.field.is_archimedean
+
+    def exact(k, a, den):  # wedge^k(a) over den**e: Python ints when den = 1, no Fraction per entry
+        if k == 2:
+            w, e = exterior_square(a), 2
+        else:
+            adj, hodge = adjugate(a), _hodge(d, d - k)
+            w, e = hodge @ (adj if k == d - 1 else exterior_square(adj)).T @ hodge.T, k + d * (d - k - 1)
+        w = w if den == 1 else w * Fraction(1, den**e)
+        return w.astype(float) if real else w
+
+    return {k: measure.atoms if k == 1 else tuple(exact(k, *_integer_form(a)) for a in measure.exact_atoms)
+            for k in degrees}
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov exponents
 # ---------------------------------------------------------------------------
@@ -234,7 +268,7 @@ def lyapunov_estimate(measure: WalkMeasure, n: int, reps: int, seed: int) -> Lya
         raise UsageError("lyapunov_estimate needs n >= 10 and reps >= 10")
     field = measure.field
     idx = walk_indices(measure, n, seed, range(reps))
-    wedge = [(measure.wedge_atoms, idx, "right")] if measure.d > 2 else []
+    wedge = [(_exterior_powers(measure, [2])[2], idx, "right")] if measure.d > 2 else []
     s, *w = _fold([(measure.atoms, idx, "right"), *wedge], field)
     l1s = [x / n for x in log_norms(s, field)]
     l12s = [x / n for x in log_norms(w[0], field)] if w else [0.0] * reps
@@ -559,34 +593,32 @@ FAILURE_KEYS = (FAIL_CONTRACTION, FAIL_SEPARATION, FAIL_CROSS)
 def _walk_poles(measures, rows) -> tuple:
     """Poles of (S_n, S_n^{-1}) of every row of rows: v, h (k, 2, d), ratios (k, 2), in row order.
 
-    rows[w] lists index arrays of measures[w], of any lengths.  Over R the poles of S_n^{-1} are the
-    KAK frames of X_1^{-1} ... X_n^{-1} (of inverse_atoms), not the bottom singular vectors of S_n,
-    which its float unit cannot resolve once a_1/a_d passes float precision (d >= 3), and the ratios
-    ||wedge(g)|| / ||g||**2 come from scaled log products, accurate far below float precision: one
-    :func:`_fold` (every S_n job, every S_n^{-1} job, then at d >= 3 their wedges, of wedge_atoms and
-    wedge_inverse_atoms; at d = 2 wedge(g) = det(g) = 1), one :func:`pole_pair` and one stacked log-norm
-    call.  Over Q_p every walk is exact: one :func:`pole_pair` of the integer products of the atoms'
-    numerators.
+    rows[w] lists index arrays of measures[w], of any lengths.  Over R one :func:`_fold` takes wedge^j S_n for
+    j in {1, 2, d - 2, d - 1} (:func:`_exterior_powers`, once per distinct measure) and no inverse walk:
+    S_n^{-1} = H wedge^{d-1}(S_n)^T H^T (:func:`_hodge`), so its poles are H applied to the frames of
+    wedge^{d-1} S_n, v and h swapped; the bottom frames of S_n's float unit are lost once a_1/a_d passes
+    float precision.  With L_j the scaled log norms of wedge^j S_n and L_0 = L_d = 0, the ratios are
+    exp(L_2 - 2 L_1) and exp(L_{d-2} - 2 L_{d-1}), accurate far below float precision.  One :func:`pole_pair`
+    call takes every frame; over Q_p, where every walk is exact, one takes the integer products.
     """
-    field = measures[0].field
+    field, d = measures[0].field, measures[0].d
     if not field.is_archimedean:
         ints = [[_integer_form(a)[0] for a in m.atoms] for m in measures]
         prods = [g for atoms, idxs in zip(ints, rows) for idx in idxs
                  for g in integer_products(atoms, idx, [idx.shape[1]])[0]]
         return pole_pair(prods, field, unimodular=False)
-    def fold_jobs(pairs):  # one (S_n table, S_n^{-1} table) pair per measure
-        return [(pair[k], idx, order) for k, order in enumerate(("right", "left"))
-                for pair, idxs in zip(pairs, rows) for idx in idxs]
-
-    jobs = fold_jobs([(m.atoms, m.inverse_atoms) for m in measures])
-    wedge_jobs = fold_jobs([(m.wedge_atoms, m.wedge_inverse_atoms) for m in measures]) if measures[0].d > 2 else []
-    folds = _fold(jobs + wedge_jobs, field)
-    prods, wedges = ([x for fold in half for x in fold] for half in (folds[: len(jobs)], folds[len(jobs):]))
-    # index 0 only: the S_n^{-1} poles come from the inverse fold, the ratios from the log norms
-    v, h, _ = pole_pair([x.unit for x in prods], field, unimodular=False)
-    wedge_logs = log_norms(wedges, field) if wedges else [0.0] * len(prods)  # log |det g| = 0 at d = 2
-    ratios = np.array([math.exp(w - 2 * s) for w, s in zip(wedge_logs, log_norms(prods, field))])
-    return tuple(np.stack(np.split(a, 2), axis=1) for a in (v[:, 0], h[:, 0], ratios))
+    degrees = sorted({1, 2, d - 2, d - 1} - {0, d})
+    powers = {id(m): _exterior_powers(m, degrees) for m in {id(m): m for m in measures}.values()}
+    jobs = [(powers[id(m)][k], idx, "right") for k in degrees for m, idxs in zip(measures, rows) for idx in idxs]
+    folds, per = _fold(jobs, field), len(jobs) // len(degrees)
+    prods = {k: [x for fold in folds[i * per:(i + 1) * per] for x in fold] for i, k in enumerate(degrees)}
+    n = len(prods[1])
+    v, h, _ = pole_pair([x.unit for k in sorted({1, d - 1}) for x in prods[k]], field, unimodular=False)
+    v, h, v_dual, h_dual = v[:n, 0], h[:n, 0], v[-n:, 0], h[-n:, 0]  # at d = 2 wedge^{d-1} S_n is S_n
+    inv_v, inv_h = np.split(_normalize_rows(np.concatenate([h_dual, v_dual]) @ _hodge(d).T.astype(float)), 2)
+    logs = dict.fromkeys((0, d), [0.0] * n) | {k: log_norms(prods[k], field) for k in degrees}
+    ratios = [[math.exp(a - 2 * b), math.exp(c - 2 * e)] for a, b, c, e in zip(*map(logs.get, (2, 1, d - 2, d - 1)))]
+    return np.stack([v, inv_v], axis=1), np.stack([h, inv_h], axis=1), np.array(ratios)
 
 
 def _tuple_scores(measures, grid, reps: int, seed: int) -> tuple:

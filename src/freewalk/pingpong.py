@@ -126,9 +126,9 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     adjugate gives both: adj(b) K e_d spans U^{-1} e_d and e_d^T U adj(b)
     spans e_d^T K^{-1}; |a_i / a_j| is p**(v_i - v_j) of the pivot
     valuations.  It suits matrices of moderate condition number; for long
-    products, whose unit part cannot resolve U^{-1} e_d in floats once
-    a_1/a_d passes 1e16 (d >= 3), the walk estimators take only index 0
-    and decompose the product of the inverses instead.
+    products, whose unit cannot resolve U^{-1} e_d in floats once a_1/a_d
+    passes 1e16 (d >= 3), the walk estimators take index 0 of S_n and of
+    wedge^{d-1} S_n, whose frames are the Hodge duals of S_n^{-1}'s.
     """
     if field.is_archimedean and len(gs):  # an empty stack, which svd rejects, gets the loop's empty arrays
         if unimodular:

@@ -19,29 +19,28 @@ Walk kernel
 Both walk orders come from one increment sequence: the natural product
 M_n = X_1 ... X_n and the reversed product S_n = X_n ... X_1, each as a
 ScaledMatrix so products of any length never overflow.  Every estimator
-walks through one kernel: :func:`walk_indices` stacks the index rows of
-a batch of streams into an array of shape (reps, n), and
-:func:`walk_products` folds a table of increments (atoms, their inverses
-or, at d >= 3, exterior squares) into S_n along every row at once.  Over R
-the batch is one stack of float matrices, one matmul a step; every K steps,
-K from the table's norms, each row is scaled by a power of two, exactly,
-so each row is bit-identical to the per-step sequential fold of
-:func:`scaled_premultiply`, and the scale is a sum of integer exponents
-with no logarithm.  On both fields an estimator
-call makes one fold per matrix size
-(``estimators._fold``, which alone decides fold direction): shorter rows
-are padded at the start with an identity increment, and M_n is the
-transposed right fold X_n^T ... X_1^T of the transposed increments.
-Every exact product goes through :func:`integer_products`, one right fold
-of stacked integer matrices with no gcd and no renormalisation: over Q_p
-each row's numerator N is divided by its denominator and by the p-power
-of its content once, at the end, which gives the unit and scale of the
-exact sequential fold; the exact replays (:func:`exact_product` and the
-direction and KAK-frame estimators, which take M_n^T as the fold of the
-transposed atoms) and the proximal probe use the same fold.  :func:`advance` is
-the one sequential fold: it takes one step of one trajectory, :func:`run_walk`
-iterates it, and the kernel is checked against it.  One trajectory reruns from
-(seed, stream) through the same kernel, with a one-element stream list.
+walks through one kernel: :func:`walk_indices` stacks the index rows of a
+batch of streams into an array of shape (reps, n), and :func:`walk_products`
+folds a table of increments (the atoms or, at d >= 3, an exterior power of
+them) into S_n along every row at once.  Over R the batch is one stack of
+float matrices, one matmul a step; every K steps, K from the table's norms,
+each row is scaled by a power of two, exactly, so each row is bit-identical
+to the per-step sequential fold of :func:`scaled_premultiply`, and the scale
+is a sum of integer exponents with no logarithm.  On both fields an
+estimator call makes one fold per matrix size (``estimators._fold``, which
+alone decides fold direction): shorter rows are padded at the start with an
+identity increment, and M_n is the transposed right fold X_n^T ... X_1^T of
+the transposed increments.  Every exact product goes through
+:func:`integer_products`, one right fold of stacked integer matrices with no
+gcd and no renormalisation: over Q_p each row's numerator N is divided by
+its denominator and by the p-power of its content once, at the end, which
+gives the unit and scale of the exact sequential fold; the exact replays
+(:func:`exact_product` and the direction and KAK-frame estimators, which
+take M_n^T as the fold of the transposed atoms) and the proximal probe use
+the same fold.  :func:`advance` is the one sequential fold: it takes one
+step of one trajectory, :func:`run_walk` iterates it, and the kernel is
+checked against it.  One trajectory reruns from (seed, stream) through the
+same kernel, with a one-element stream list.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -72,7 +70,7 @@ from .linalg import (
     _integer_form,
     _load_json,
     as_matrix,
-    exterior_square,
+    exact_inv,
     flat_matrices,
     is_unimodular,
     vector_to_strings,
@@ -113,9 +111,8 @@ class WalkMeasure:
     """A finitely supported probability measure on SL_d(k).
 
     exact_atoms hold the given entries (a document's rationals as read) as Fractions, for
-    the exact replays and the freeness oracle.  Over Q_p they are the atoms; over R the
-    atoms are the floats rounded once from them, and so are the inverses and exterior
-    squares the walks fold, each built on first use from the exact atoms.
+    the exact replays, the freeness oracle and the exterior powers the estimators fold.
+    Over Q_p they are the atoms; over R the atoms are the floats rounded once from them.
     """
 
     atoms: tuple
@@ -137,41 +134,6 @@ class WalkMeasure:
     def canonical_hash(self) -> str:
         doc = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(doc.encode()).hexdigest()
-
-    @cached_property
-    def _exact_inverses(self) -> tuple:
-        """Each exact atom a / den's inverse den * adj(a) / det(a), as exact Fractions."""
-        inverses = []
-        for a, den in map(_integer_form, self.exact_atoms):
-            _, adj, det = _faddeev_leverrier(a)
-            inverses.append(adj * Fraction(den, det))
-        return tuple(inverses)
-
-    @cached_property
-    def inverse_atoms(self) -> tuple:
-        """The atoms' inverses, from the exact atoms, rounded once over R as the atoms are."""
-        return self._rounded(self._exact_inverses)
-
-    @cached_property
-    def wedge_atoms(self) -> tuple:
-        """The atoms' exterior squares, from the exact atoms, rounded once over R."""
-        return self._rounded(map(_exact_wedge, self.exact_atoms))
-
-    @cached_property
-    def wedge_inverse_atoms(self) -> tuple:
-        """The inverse atoms' exterior squares, from the exact inverses, rounded once over R."""
-        return self._rounded(map(_exact_wedge, self._exact_inverses))
-
-    def _rounded(self, exact) -> tuple:
-        """Exact matrices as the walks fold them: rounded once to floats over R, as they are over Q_p."""
-        return tuple(x.astype(float) for x in exact) if self.field.is_archimedean else tuple(exact)
-
-
-def _exact_wedge(m) -> np.ndarray:
-    """exterior_square of an exact matrix a / den, taken on the integer form a: wedge(a) / den**2."""
-    a, den = _integer_form(m)
-    w = exterior_square(a)
-    return w if den == 1 else w * Fraction(1, den * den)  # Python ints when den = 1: no Fraction per entry
 
 
 def make_measure(atom_rows, probs, field: FieldSpec) -> WalkMeasure:
@@ -302,16 +264,21 @@ def _renormalize_every(table: np.ndarray) -> int:
 
     Over K steps the largest |entry| of a product grows by at most G**K and shrinks by at most H**K,
     G and H the largest row-sum norms of the increments and of their inverses, and K keeps both
-    within 2**_DRIFT_BITS.  A table with a non-finite entry, a singular increment (no LU inverse) or
-    a norm beyond the float range gets K = 1.
+    within 2**_DRIFT_BITS.  Where LU finds no inverse, as of [[N, N - 1], [N + 1, N]] at N = 1e8, each
+    float increment, an exact rational, is inverted exactly.  A table with a non-finite entry, an
+    exactly singular increment or a norm beyond the float range gets K = 1.
     """
     if not np.isfinite(table).all():
         return 1
     try:
-        with np.errstate(over="ignore"):  # a norm beyond the float range is inf, and gets K = 1 below
-            norms = np.abs(np.stack([table, np.linalg.inv(table)])).sum(axis=-1).max()
+        inverses = np.linalg.inv(table)
     except np.linalg.LinAlgError:
-        return 1
+        try:
+            inverses = [exact_inv(x).astype(float) for x in table]
+        except (DomainError, OverflowError):  # singular, or an inverse entry beyond the float range
+            return 1
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf, and gets K = 1 below
+        norms = np.abs(np.stack([table, inverses])).sum(axis=-1).max()
     return max(1, _DRIFT_BITS // max(1, math.frexp(norms)[1])) if math.isfinite(norms) else 1
 
 

@@ -10,11 +10,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freewalk import corpus
+from freewalk import corpus, estimators, walks
 from freewalk.cli import main
 from freewalk.report import dumps_json
 from freewalk.walks import load_measure
@@ -101,15 +102,21 @@ def test_measure_determinant_checked_exactly(workdir):
 
 
 @pytest.mark.parametrize("e", (8, 9, 20))
-def test_pole_experiments_run_on_huge_sl2z_atoms(workdir, capsys, e):
+def test_pole_experiments_run_on_huge_sl2z_atoms(workdir, capsys, monkeypatch, e):
     # [[N, N - 1], [N + 1, N]] has det 1; from N = 1e8 on a float LU calls it singular and its float
-    # wedge cancels to 0, so the inverse atoms are rounded from the exact ones and no wedge is folded
+    # wedge cancels to 0, so no inverse and no wedge is folded: only the identity and the atoms
     n = 10**e
     atoms = [[str(x) for x in (n, n - 1, n + 1, n)], [str(x) for x in (n, n + 1, n - 1, n)]]
     (workdir / "huge.json").write_text(
         json.dumps({"field": {"kind": "archimedean"}, "d": 2, "atoms": atoms, "probs": ["1/2", "1/2"]}))
     if e == 8:
-        assert load_measure(workdir / "huge.json").inverse_atoms[0].tolist() == [[n, 1 - n], [-1 - n, n]]
+        m = load_measure(workdir / "huge.json")
+        folded = []
+        monkeypatch.setattr(estimators, "walk_products",
+                            lambda *a, **k: folded.extend(a[0]) or walks.walk_products(*a, **k))
+        estimators.pingpong_decay(m, m, 0.9, 0.5, [4, 8], 6, seed=1)
+        monkeypatch.undo()
+        assert folded and all(any(np.array_equal(x, a) for a in (np.eye(2), *m.atoms)) for x in folded)
     thresholds = {"r_base": 0.9, "eps_base": 0.5}
     for kind, fields in (("lyapunov", dict(n=20, reps=10)),
                          ("decay", dict(measure2="huge.json", grid=[4, 8], reps=6, thresholds=thresholds)),

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -34,9 +35,11 @@ from freewalk.estimators import (
     _walk_poles,
 )
 from freewalk.fields import parse_scalar
-from freewalk.linalg import exact_inv, exterior_square, fubini_study
+from freewalk.linalg import _integer_form, exact_inv, exterior_square, fubini_study, normalize_representative
 from freewalk.pingpong import cross_margin_matrix, tuple_failure_reasons
 from freewalk.walks import exact_product, make_measure, walk_indices, walk_products
+
+from conftest import random_unimodular_int
 
 F = Fraction
 
@@ -125,31 +128,29 @@ def test_d2_wedge_is_the_exact_determinant():
     assert lyapunov_estimate(m, 40, 10, seed=3).lambda12_hat == 0.0
     idx = walk_indices(m, 30, 3, range(6))
     _, _, ratios = _walk_poles([m], [[idx]])
-    folds = estimators._fold([(m.atoms, idx, "right"), (m.inverse_atoms, idx, "left")], m.field)
-    assert ratios.T.tolist() == [[math.exp(-2 * s) for s in log_norms(fold, m.field)] for fold in folds]
+    (fold,) = estimators._fold([(m.atoms, idx, "right")], m.field)
+    want = [math.exp(-2 * s) for s in log_norms(fold, m.field)]
+    assert ratios.T.tolist() == [want, want]
 
 
 def test_d3_wedge_tables_come_from_the_exact_atoms(monkeypatch):
-    # at N = 1e8 the float minor N * N - (N - 1) * (N + 1) of [[N, N - 1, 0], [N + 1, N, 0], [0, 0, 1]] and of
-    # its inverse reads 0.0 and the exact one 1: the wedge tables folded are the exact ones, rounded once
+    # at N = 1e8 the float minor N * N - (N - 1) * (N + 1) of [[N, N - 1, 0], [N + 1, N, 0], [0, 0, 1]]
+    # reads 0.0 and the exact one 1: the wedge tables folded, wedge^2 = wedge^{d-1}, are the exact
+    # ones (the Hodge duals H^T (a^{-1})^T H of the exact inverses), rounded once, and nothing else
     big = 10**8
     rows = [[[big, big - 1, 0], [big + 1, big, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [2, 1, 1]]]
     m = make_measure(rows, [F(1, 2)] * 2, FieldSpec.real())
-    exact = [np.array(r, dtype=object) for r in rows]
+    exact, hodge = [np.array(r, dtype=object) for r in rows], estimators._hodge(3)
     want = [exterior_square(a).astype(float) for a in exact]
-    want_inv = [exterior_square(exact_inv(a)).astype(float) for a in exact]
-    assert exterior_square(m.atoms[0])[0, 0] == exterior_square(m.inverse_atoms[0])[0, 0] == 0.0
-    assert want[0][0, 0] == want_inv[0][0, 0] == 1.0
+    assert all(np.array_equal(w, (hodge.T @ exact_inv(a).T @ hodge).astype(float)) for w, a in zip(want, exact))
+    assert exterior_square(m.atoms[0])[0, 0] == 0.0 and want[0][0, 0] == 1.0
     tables = []
     monkeypatch.setattr(estimators, "walk_products",
                         lambda *a, **k: tables.append(np.asarray(a[0])) or walk_products(*a, **k))
     lyapunov_estimate(m, 20, 10, seed=1)
     _walk_poles([m], [[walk_indices(m, 6, 1, range(3))]])
-    lyap, poles = tables  # one 3 x 3 fold each, its tables joined behind an identity
-    assert all(any(np.array_equal(t, w) for t in lyap) for w in want)
-    assert all(any(np.array_equal(t, w) for t in poles) for w in want)
-    # the S_n^{-1} wedges make a left fold, which folds the transposed table
-    assert all(any(np.array_equal(t, w.T) for t in poles) for w in want_inv)
+    # one 3 x 3 fold each, its tables joined behind an identity: the atoms, then their exact wedges
+    assert len(tables) == 2 and all(np.array_equal(t, np.stack([np.eye(3), *m.atoms, *want])) for t in tables)
 
 
 def test_lyapunov_preconditions(positive_measure):
@@ -501,6 +502,62 @@ def test_walk_poles_match_exact_replay_sl3(real_field):
             v, h = _float_top_frame(g)
             assert fubini_study(pole_v, v, real_field) <= 1e-9
             assert fubini_study(pole_h, h, real_field) <= 1e-9
+
+
+def _exact_log_norm(g) -> float:
+    """log of the operator norm of an exact matrix a / den: a's largest |entry| exactly, the rest in floats."""
+    a, den = _integer_form(g)
+    top = max(abs(x) for x in a.flat)
+    unit = np.array([[float(Fraction(x, top)) for x in row] for row in a])
+    return math.log(top) - math.log(den) + math.log(np.linalg.svd(unit, compute_uv=False)[0])
+
+
+def _sl_measure(d: int, seed: int):
+    """Uniform on three random SL_d(Z) atoms over R."""
+    rng = random.Random(seed)
+    return make_measure([random_unimodular_int(rng, d) for _ in range(3)], [F(1, 3)] * 3, FieldSpec.real())
+
+
+@pytest.mark.parametrize("d", (4, 5))
+def test_walk_poles_match_exact_replay_from_d4(real_field, d):
+    # as at d = 3: a_d/a_1 of S_n is far below float precision by n = 60, and the poles of S_n^{-1},
+    # the Hodge duals of the frames of wedge^{d-1} S_n, agree with those of the exactly replayed inverse
+    m = _sl_measure(d, 20 + d)
+    idx = walk_indices(m, 60, seed=11, streams=range(4))
+    vs, hs, ratios = _walk_poles([m], [[idx]])
+    assert vs.shape == hs.shape == (4, 2, d) and ratios.shape == (4, 2)
+    for row, v_row, h_row, ratio in zip(idx.tolist(), vs, hs, ratios):
+        s = exact_product(m, row)
+        sv = np.linalg.svd(s.astype(float), compute_uv=False)
+        assert sv[-1] / sv[0] < 1e-16  # the float S_n cannot resolve its bottom frames
+        for pole_v, pole_h, g in zip(v_row, h_row, (s, exact_inv(s))):
+            v, h = _float_top_frame(g)
+            assert fubini_study(pole_v, v, real_field) <= 1e-9
+            assert fubini_study(pole_h, h, real_field) <= 1e-9
+        # |a_2/a_1| of S_n and of S_n^{-1}: ||wedge(g)|| / ||g||**2 of the exact products
+        want = [math.exp(_exact_log_norm(exterior_square(g)) - 2 * _exact_log_norm(g)) for g in (s, exact_inv(s))]
+        assert ratio.tolist() == pytest.approx(want, rel=1e-9)
+
+
+def test_d2_inverse_poles_are_the_hodge_duals(real_field):
+    # at d = 2 wedge^{d-1} S_n is S_n: the poles of S_n^{-1} are J applied to those of S_n, v and h
+    # swapped, and |a_2/a_1| is a_2/a_1 = a_1**-2 for both, all bit for bit
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for m in (corpus.positive_matrices(), corpus.sanov(), corpus.slow_contracting()):
+        v, h, ratios = _walk_poles([m], [[walk_indices(m, n, 2, range(6)) for n in (1, 9, 40)]])
+        assert np.array_equal(v[:, 1], np.array([normalize_representative(j @ x, real_field) for x in h[:, 0]]))
+        assert np.array_equal(h[:, 1], np.array([normalize_representative(j @ x, real_field) for x in v[:, 0]]))
+        assert np.array_equal(ratios[:, 0], ratios[:, 1])
+
+
+@pytest.mark.parametrize("d, per_walk", ((2, 1), (3, 2), (4, 3)))
+def test_pole_pass_folds_one_table_per_degree(monkeypatch, d, per_walk):
+    # walk_products takes S_n and, from d = 3 on, wedge^2 S_n, ..., wedge^{d-1} S_n: no inverse walk
+    m = {2: corpus.positive_matrices, 3: corpus.sl3_integer}.get(d, lambda: _sl_measure(d, 1))()
+    rows = []
+    monkeypatch.setattr(estimators, "walk_products", lambda *a, **k: rows.append(len(a[1])) or walk_products(*a, **k))
+    pingpong_decay(m, m, 0.8, 0.7, [4, 8], 5, seed=1)  # 2 grid points x 5 reps x 2 walks
+    assert len(rows) == (1 if d < 4 else 2) and sum(rows) == per_walk * 2 * 5 * 2
 
 
 def test_tuple_decay_l2_matches_pair(positive_measure):

@@ -141,19 +141,20 @@ def test_fold_equals_one_walk_products_call_per_job(monkeypatch):
 
 
 def _unbatched_poles(measure, idx):
-    """One batch's poles, one fold call per product and per-row frames and norms."""
-    inv = measure.inverse_atoms
-    s = walk_products(measure.atoms, idx, R)
-    s_inv = _left_fold(inv, idx, R)
-    w = walk_products(measure.wedge_atoms, idx, R)
-    w_inv = _left_fold(measure.wedge_inverse_atoms, idx, R)
+    """One batch's poles by the Hodge recipe: one walk_products call per degree and per-row frames and norms."""
+    d = measure.d
+    powers = estimators._exterior_powers(measure, sorted({1, 2, d - 2, d - 1} - {0, d}))
+    walks = {k: walk_products(table, idx, R) for k, table in powers.items()}
+    hodge = estimators._hodge(d).astype(float)
     v, h, ratio = [], [], []
-    for row in zip(s, s_inv, w, w_inv):
-        svds = [np.linalg.svd(x.unit) for x in row[:2]]
-        v.append([normalize_representative(k[:, 0], R) for k, _, _ in svds])
-        h.append([normalize_representative(u[0, :], R) for _, _, u in svds])
-        ratio.append([math.exp(scaled_log_norm(wx, R) - 2 * scaled_log_norm(sx, R))
-                      for wx, sx in ((row[2], row[0]), (row[3], row[1]))])
+    for r in range(len(idx)):
+        (k, _, u), (k_dual, _, u_dual) = (np.linalg.svd(walks[j][r].unit) for j in (1, d - 1))
+        # the frames of S_n^{-1}: H applied to the normalised frames of wedge^{d-1} S_n, normalised again
+        v_dual, h_dual = normalize_representative(k_dual[:, 0], R), normalize_representative(u_dual[0, :], R)
+        v.append([normalize_representative(k[:, 0], R), normalize_representative(hodge @ h_dual, R)])
+        h.append([normalize_representative(u[0, :], R), normalize_representative(hodge @ v_dual, R)])
+        logs = {0: 0.0, d: 0.0, **{j: scaled_log_norm(walks[j][r], R) for j in walks}}
+        ratio.append([math.exp(logs[2] - 2 * logs[1]), math.exp(logs[d - 2] - 2 * logs[d - 1])])
     return np.array(v), np.array(h), np.array(ratio)
 
 

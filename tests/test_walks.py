@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from freewalk.decompositions import (
     scaled_premultiply,
 )
 from freewalk.errors import ConfigError, DomainError, UsageError
-from freewalk.linalg import _integer_form, exact_inv, exterior_square, identity
+from freewalk.linalg import _integer_form, exact_det, exact_inv, exterior_square, identity
 from freewalk.walks import (
     _sample_index,
     exact_product,
@@ -43,7 +45,7 @@ from freewalk.walks import (
     walk_products,
 )
 
-from conftest import scaled_reconstruct
+from conftest import random_unimodular_int, scaled_reconstruct
 
 F = Fraction
 
@@ -557,6 +559,21 @@ def test_kernel_equals_sequential_fold(real_field, m):
                 assert type(g.scale) is int and 1 <= np.abs(g.unit).max() < 2
 
 
+def test_kernel_renormalises_tables_that_lu_cannot_invert(real_field):
+    # [[N, N - 1], [N + 1, N]] and [[N, N + 1], [N - 1, N]] have det 1, but at N = 1e8 LU finds no inverse;
+    # the exact inverses of the float entries give G = H = 2N + 1 < 2**28, so K = 200 // 28
+    big = 10**8
+    table = np.array([[[big, big - 1], [big + 1, big]], [[big, big + 1], [big - 1, big]]], dtype=float)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(table)
+    assert walks._renormalize_every(table) == walks._renormalize_every(np.stack([np.eye(2), *table])) == 7
+    idx = np.random.default_rng(9).integers(0, 2, (5, 60))
+    for order in ("left", "right"):
+        for row, g in zip(idx.tolist(), _products(table, idx, real_field, order)):
+            want = _fold(table, row, real_field, order == "left")
+            assert np.array_equal(g.unit, want.unit) and g.scale == want.scale
+
+
 def test_kernel_equals_sequential_fold_past_the_subnormal_threshold(real_field):
     # diag(2, 1/2)**n has unit diag(1, 2**-2n): subnormal from n = 512 on, 0 from n = 538; every
     # power of two rounds alike in both folds, although the kernel renormalises only every 100 steps
@@ -616,16 +633,45 @@ def test_log_norm_within_two_ulps_of_the_exact_product(real_field, n):
 
 
 def test_wedge_tables_are_the_exact_exterior_squares():
-    # integer and fractional atoms (denominators 3, 2 and 5): each wedge is exact, and rounded once over R
+    # integer and fractional atoms (denominators 3, 2 and 5): each wedge is exact, and rounded once over R;
+    # at d = 3 it is also wedge^{d-1}, the Hodge dual H^T (a^{-1})^T H of the exact inverse
     rows = [[[2, 1, 0], [1, 1, 0], [0, 0, 1]], [[F(1, 3), 0, 0], [0, 3, 1], [0, 0, 1]],
             [[1, F(1, 2), 0], [0, 1, 0], [F(2, 5), 0, 1]]]
+    hodge = estimators._hodge(3)
     for field in (FieldSpec.real(), FieldSpec.padic(3)):
         m = make_measure(rows, [F(1, 3)] * 3, field)
-        for got, exact in ((m.wedge_atoms, m.exact_atoms), (m.wedge_inverse_atoms, map(exact_inv, m.exact_atoms))):
-            want = [exterior_square(a) for a in exact]
-            if field.is_archimedean:
-                want = [w.astype(float) for w in want]
+        got = estimators._exterior_powers(m, [2])[2]
+        for exact in ([exterior_square(a) for a in m.exact_atoms],
+                      [hodge.T @ exact_inv(a).T @ hodge for a in m.exact_atoms]):
+            want = [w.astype(float) for w in exact] if field.is_archimedean else exact
             assert len(got) == 3 and all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 5))
+def test_exterior_powers_are_the_exact_minors(d):
+    # every degree the pole pass folds, from the exact atoms: the k x k minors in lexicographic order,
+    # rounded once over R; the N = 1e8 block's float 2 x 2 minor N * N - (N - 1) * (N + 1) reads 0, the exact 1
+    big = 10**8
+    block = identity(d)
+    block[:2, :2] = [[big, big - 1], [big + 1, big]]
+    rng = random.Random(d)
+    # SL_d(Z) atoms conjugated by diag(1, 1/2, ..., 1/d): denominators up to d
+    scale, unscale = np.diag([F(1, i + 1) for i in range(d)]), np.diag([F(i + 1) for i in range(d)])
+    rows = [block.tolist()] + [(scale @ np.array(random_unimodular_int(rng, d), dtype=object) @ unscale).tolist()
+                               for _ in range(3)]
+    degrees = sorted({1, 2, d - 2, d - 1} - {0, d})
+    for field in (FieldSpec.real(), FieldSpec.padic(3)):
+        m = make_measure(rows, [F(1, 4)] * 4, field)
+        got = estimators._exterior_powers(m, degrees)
+        assert sorted(got) == degrees
+        for k in degrees:
+            subsets = list(combinations(range(d), k))
+            exact = [np.array([[exact_det(a[np.ix_(i, j)]) for j in subsets] for i in subsets], dtype=object)
+                     for a in m.exact_atoms]
+            want = [w.astype(float) for w in exact] if field.is_archimedean else exact
+            assert len(got[k]) == 4 and all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got[k], want))
+        if d > 2 and field.is_archimedean:
+            assert exterior_square(m.atoms[0])[0, 0] == 0.0 and got[2][0][0, 0] == 1.0
 
 
 def test_kernel_memory_does_not_grow_with_gathered_walk(real_field):
