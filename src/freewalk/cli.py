@@ -46,7 +46,7 @@ from .decompositions import kak
 from .fields import ARCHIMEDEAN, NONARCHIMEDEAN, FieldSpec, parse_scalar
 from .linalg import _load_json, as_matrix, flat_matrices, matrix_from_json_dict, vector_to_strings
 from .pingpong import pingpong_certificate
-from .report import decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
+from .report import _write, decay_to_rows, dumps_json, fit_to_dict, write_csv, write_json
 from .walks import GENERATOR_NAME, PROXIMAL_MAX_LEN, find_proximal_element, load_measure
 
 _THRESHOLD_BASES = {"required": ["r_base", "eps_base"]}
@@ -352,11 +352,11 @@ def _cmd_kak(args) -> int:
 def _cmd_certify(args) -> int:
     field, gens = flat_matrices(_load_json(args.generators), "generators")
     cert = pingpong_certificate([as_matrix(g, field) for g in gens], args.r, args.eps, field, certified=args.exact)
-    out = cert.to_json_dict(field)
+    text = dumps_json(cert.to_json_dict(field), rounded=True)
     out_dir = args.out or os.environ.get("FREEWALK_OUT")
     if out_dir:
-        write_json(Path(out_dir) / "certificate.json", out)
-    sys.stdout.write(dumps_json(out))
+        _write(Path(out_dir) / "certificate.json", text)
+    sys.stdout.write(text)
     return 0 if cert.certified else 1
 
 

@@ -23,13 +23,14 @@ Three evaluation modes:
 * exact (nonarchimedean default): Fractions end to end, every comparison
   is exact;
 * certified (archimedean with exact rational inputs): candidate
-  attracting/repelling data from one float SVD of the whole stack
-  g_0, g_0^{-1}, g_1, ... is verified with exact Rayleigh-quotient and
-  residual bounds on Python-int lists (g^{-1} comes from the integer
-  adjugate), in one pass per tuple, which meet floats only as outward-rounded
+  attracting/repelling data from one float SVD of the whole stack is
+  verified with exact Rayleigh-quotient and residual bounds on Python-int
+  lists, in one pass per tuple, which meet floats only as outward-rounded
   (lo, hi) endpoint pairs from the same endpoint functions that
   :class:`~freewalk.fields.Interval` uses, so a positive verdict holds
-  at interval endpoints.
+  at interval endpoints.  At d = 2 the stack is g_0, g_1, ... and each
+  g^{-1}'s pole is g's turned by J, since adj(g) = J g^T J^T; from d = 3
+  on it is g_0, g_0^{-1}, g_1, ..., g^{-1} from the integer adjugate.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .linalg import (
     vector_to_strings,
     wedge_pairs,
 )
+from .report import round_float, round_floats
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,9 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
     integer Smith factors and b the integer form of g, one integer
     adjugate gives both: adj(b) K e_d spans U^{-1} e_d and e_d^T U adj(b)
     spans e_d^T K^{-1}; |a_i / a_j| is p**(v_i - v_j) of the pivot
-    valuations.  It suits matrices of moderate condition number; for long
+    valuations; at d = 2, adj(b) = J b^T J^T (:func:`_j_turn`) makes them
+    the classes of J U^T e_1 and J K e_1, with no adjugate formed.
+    It suits matrices of moderate condition number; for long
     products, whose unit cannot resolve U^{-1} e_d in floats once a_1/a_d
     passes 1e16 (d >= 3), the walk estimators take index 0 of S_n and of
     wedge^{d-1} S_n, whose frames are the Hodge duals of S_n^{-1}'s.
@@ -146,10 +150,20 @@ def pole_pair(gs, field: FieldSpec, unimodular: bool = True) -> tuple:
         vals = [val for *_, val in pivots]
         ratio.append([_p_power(p, vals[0] - vals[1]), _p_power(p, vals[d - 2] - vals[d - 1])])
         # object arrays: a list of ints near 2**64 would pass through a fixed-width numpy int and wrap
-        adj, k, u = adjugate(b), np.array(k, dtype=object), np.array(u, dtype=object)
-        v.append([normalize_representative(k[:, 0], field), normalize_representative(adj @ k[:, d - 1], field)])
-        h.append([normalize_representative(u[0], field), normalize_representative(u[d - 1] @ adj, field)])
+        k, u = np.array(k, dtype=object), np.array(u, dtype=object)
+        if d == 2:  # adj(b) = J b^T J^T: adj(b) K e_2 spans J U^T e_1, and e_2^T U adj(b) spans (J K e_1)^T
+            inv_v, inv_h = _j_turn(u[0]), _j_turn(k[:, 0])
+        else:
+            adj = adjugate(b)
+            inv_v, inv_h = adj @ k[:, d - 1], u[d - 1] @ adj
+        v.append([normalize_representative(k[:, 0], field), normalize_representative(inv_v, field)])
+        h.append([normalize_representative(u[0], field), normalize_representative(inv_h, field)])
     return np.array(v), np.array(h), np.array(ratio)
+
+
+def _j_turn(x) -> tuple:
+    """J x for J = [[0, -1], [1, 0]]: at d = 2, adj(g) = J g^T J^T turns g's frames into g^{-1}'s."""
+    return -x[1], x[0]
 
 
 def is_very_proximal(g: np.ndarray, r: float, eps: float, field: FieldSpec) -> bool:
@@ -227,12 +241,13 @@ class ProximalityCertificate:
     failures: tuple
 
     def to_json_dict(self, field: FieldSpec) -> dict:
+        """The certificate document, its floats already at the output precision (``dumps_json(..., rounded=True)``)."""
         pole_docs = [
             {
                 "generator": i // 2,
                 "inverse": bool(i % 2),
-                "ratio": float(self.ratio[i]),
-                "separation": float(self.margins[i][i]),
+                "ratio": round_float(float(self.ratio[i])),
+                "separation": round_float(float(self.margins[i][i])),
                 "v": vector_to_strings(self.v[i], field),
                 "h": vector_to_strings(self.h[i], field),
             }
@@ -243,11 +258,11 @@ class ProximalityCertificate:
             "verdict": "certified-free" if self.certified else "not-certified",
             "one_sided": "a negative verdict is not a proof of non-freeness",
             "mode": self.mode,
-            "r": self.r,
-            "eps": self.eps,
+            "r": round_floats(self.r),  # as round_floats would: an int threshold stays an int
+            "eps": round_floats(self.eps),
             "generators": [vector_to_strings(g.ravel(), field) for g in self.generators],
             "poles": pole_docs,
-            "cross_margins": [[float(x) for x in row] for row in self.margins],
+            "cross_margins": [[round_float(float(x)) for x in row] for row in self.margins],
             "failures": sorted(self.failures),
         }
 
@@ -397,29 +412,54 @@ def _certified_separation(p: _CertifiedPole, q: _CertifiedPole) -> float:
     return _down(lo - _up(_SQRT2[1] * _up(p.sin_v + q.sin_h)))
 
 
+def _turned_pole(p: _CertifiedPole) -> _CertifiedPole:
+    """The pole of adj(g) = J g^T J^T at d = 2 from g's: v and h swapped and turned by J (:func:`_j_turn`).
+
+    adj(a) adj(a)^T = J a^T a J^T and adj(a)^T adj(a) = J a a^T J^T, and J is an integer
+    isometry, so :func:`_certified_pole_real` of adj(a) / den with the candidates J h and J v
+    forms the same integers as g's pole with v and h swapped (the exterior-square bound is
+    det(a)**2 either way): this pole, bit for bit.  adj(g) = det(g) g^{-1} has the poles and the
+    ratio of g^{-1}, so these are bounds for g^{-1} whatever det(g) is.
+    """
+    return _CertifiedPole(v=_j_turn(p.h), v_den=p.h_den, vv=p.hh, h=_j_turn(p.v), h_den=p.v_den, hh=p.vv,
+                          ratio_sq_upper=p.ratio_sq_upper, sin_v=p.sin_h, sin_h=p.sin_v)
+
+
 def _certified_bounds(gs) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Certified bounds of a tuple over R, or None when a pole's spectral gap is not certified.
 
     ratio_sq (2m,) holds exact upper bounds on |a_2/a_1|**2 and sep (2m, 2m) lower endpoints
     of delta(v_p, Ker h_q), poles ordered as by :func:`pole_pair`; sep is inf where
     :func:`tuple_failure_reasons` reads nothing (two poles of one generator).
-    g^{-1} = den adj(a) / det(a) for g = a / den: adj(a) and det(a) come from one pass, and the
-    2m matrices g_0, g_0^{-1}, g_1, ... take one SVD (:func:`_certified_poles`).
+    At d = 2 the m generators g = a / den take one SVD (:func:`_certified_poles`) and g^{-1}'s pole
+    is g's turned by J (:func:`_turned_pole`), which swaps v and h: sep[p~][q~] == sep[q][p] for
+    p~ the other pole of p's generator (same integers, commutative float sum), so half are copies.
+    From d = 3 on, g^{-1} = den adj(a) / det(a) from one pass, and g_0, g_0^{-1}, g_1, ... take one SVD.
     """
     forms = []
     for g in gs:
         a, den = _integer_form(g)
         a = a.tolist()
-        _, adj, det = _faddeev_leverrier(a)
+        if len(a) == 2:
+            det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+            forms.append((a, den))
+        else:
+            _, adj, det = _faddeev_leverrier(a)
+            scale = den if det > 0 else -den
+            forms += [(a, den), ([[scale * x for x in row] for row in adj.tolist()], abs(det))]
         if det == 0:
             raise DomainError("matrix is singular")
-        scale = den if det > 0 else -den
-        forms += [(a, den), ([[scale * x for x in row] for row in adj.tolist()], abs(det))]
     poles = _certified_poles(forms)  # every pole is bounded, so a later pole's error still raises
     if any(p is None for p in poles):
         return None
-    sep = [[_certified_separation(p, q) if i == j or i // 2 != j // 2 else np.inf for j, q in enumerate(poles)]
-           for i, p in enumerate(poles)]
+    turned = len(forms) == len(gs)
+    if turned:
+        poles = [q for p in poles for q in (p, _turned_pole(p))]
+    sep = [[np.inf] * len(poles) for _ in poles]
+    for i, p in enumerate(poles):
+        for j, q in enumerate(poles):
+            if i == j or i // 2 != j // 2:  # in row order, (j ^ 1, i ^ 1) < (i, j) is already filled
+                sep[i][j] = sep[j ^ 1][i ^ 1] if turned and (j ^ 1, i ^ 1) < (i, j) else _certified_separation(p, q)
     return np.array([p.ratio_sq_upper for p in poles], dtype=object), np.array(sep)
 
 

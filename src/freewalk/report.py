@@ -22,12 +22,17 @@ def fmt(x) -> str:
     return f"{float(x):.{SIGNIFICANT_DIGITS}g}"
 
 
+def round_float(x: float) -> float:
+    """x at the output precision: the float its SIGNIFICANT_DIGITS-digit rendering reads back as."""
+    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
+
+
 def round_floats(obj):
     """Recursively clamp floats to the output precision (keeps JSON stable)."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.{SIGNIFICANT_DIGITS}g}")
+        return round_float(obj)
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -55,8 +60,10 @@ def write_json(path, obj) -> None:
     _write(path, dumps_json(obj))
 
 
-def dumps_json(obj) -> str:
-    return json.dumps(round_floats(obj), sort_keys=True, indent=2) + "\n"
+def dumps_json(obj, rounded: bool = False) -> str:
+    """obj as sorted, indented JSON; rounded: its floats already carry the output precision, so
+    :func:`round_floats` (idempotent) is skipped and the text is the same."""
+    return json.dumps(obj if rounded else round_floats(obj), sort_keys=True, indent=2) + "\n"
 
 
 def fit_to_dict(fit) -> dict | None:

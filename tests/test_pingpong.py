@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,16 +22,25 @@ from freewalk import (
     is_very_proximal,
     pingpong_certificate,
 )
-from freewalk import corpus, pingpong
+from freewalk import cli, corpus, pingpong
 from freewalk.fields import Interval, _div, _enclose, _sqrt
-from freewalk.decompositions import _kak_real, kak
-from freewalk.linalg import _faddeev_leverrier, _integer_form, exact_inv, exterior_square, normalize_representative
+from freewalk.decompositions import _kak_real, _smith, kak
+from freewalk.linalg import (
+    _faddeev_leverrier,
+    _integer_form,
+    adjugate,
+    exact_inv,
+    exterior_square,
+    normalize_representative,
+)
 from freewalk.pingpong import (
     _CertifiedPole,
     _certified_bounds,
     _certified_failures_real,
+    _certified_pole_real,
     _certified_poles,
     _certified_separation,
+    _turned_pole,
     cross_margin_matrix,
     pole_pair,
     tuple_failure_reasons,
@@ -305,6 +315,41 @@ def test_padic_inverse_poles_match_exact_inv():
                 assert (h[i, 1] == normalize_representative(exact_inv(dec.k)[d - 1, :], field)).all()
 
 
+def _adjugate_inverse_frames(g, field, unimodular):
+    """g^{-1}'s frames by the route pole_pair took over Q_p at every d before the d = 2 J-turn:
+    one integer adjugate of g's integer form b, adj(b) K e_d and e_d^T U adj(b).  Kept as the reference."""
+    d = g.shape[0]
+    k, _, u, _, _, b = _smith(g, field.prime, unimodular=unimodular)
+    adj, k, u = adjugate(b), np.array(k, dtype=object), np.array(u, dtype=object)
+    return normalize_representative(adj @ k[:, d - 1], field), normalize_representative(u[d - 1] @ adj, field)
+
+
+def test_padic_inverse_frames_equal_the_adjugate_route():
+    # at d = 2 pole_pair takes g^{-1}'s frames as the J-turns of U[0] and K[:, 0], with no adjugate;
+    # from d = 3 on it keeps the adjugate; both give the reference's frames, ==
+    rng = random.Random(46)
+    for p in (2, 3, 5):
+        field = FieldSpec.padic(p)
+        walk = corpus.padic_contracting(p)
+        for d in (2, 3):
+            stretch = as_matrix(np.diag([F(p) ** 3] + [F(1)] * (d - 2) + [F(p) ** -3]), field)
+            gs = []
+            for i in range(30):
+                k = as_matrix(random_unimodular_int(rng, d), field)
+                if d == 2 and i % 3 == 0:
+                    gs.append(exact_product(walk, [rng.randrange(2) for _ in range(rng.randint(1, 8))]))
+                elif i % 3 == 1:
+                    gs.append(k)  # an isometry: its classes are not canonical, but the identity is algebraic
+                else:
+                    gs.append(k @ stretch @ exact_inv(k))
+            loose = [g * F(p, 7) if i % 2 else g[::-1] for i, g in enumerate(gs)]  # det != 1
+            for stack, unimodular in ((gs, True), (loose, False)):
+                v, h, ratio = pole_pair(stack, field, unimodular=unimodular)
+                for i, g in enumerate(stack):
+                    want_v, want_h = _adjugate_inverse_frames(g, field, unimodular)
+                    assert (v[i, 1] == want_v).all() and (h[i, 1] == want_h).all(), (p, d, i)
+
+
 def test_pingpong_pair_example(real_field):
     a = as_matrix([[100, 0], [0, 0.01]], real_field)
     b = as_matrix(_rot(math.pi / 4) @ np.array([[100, 0], [0, 0.01]]) @ _rot(-math.pi / 4), real_field)
@@ -425,6 +470,23 @@ def test_certificate_json_pinned():
         assert cert.mode == mode
         text = dumps_json(cert.to_json_dict(field))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (name, r, eps, mode, text)
+
+
+def test_certify_cli_output_pinned(tmp_path, capsys):
+    # the CLI's emission path, not dumps_json(to_json_dict): stdout and --out certificate.json carry the pinned bytes
+    tuples = _pinned_certificate_tuples()
+    for (name, r, eps, mode), digest in _PINNED_CERTIFICATES.items():
+        field, rows = tuples[name]
+        path = tmp_path / f"{name}.json"
+        doc = {"field": field.to_dict(), "d": len(rows[0]), "generators": [[str(x) for row in g for x in row] for g in rows]}
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}-{r}-{eps}-{mode}"
+        args = ["certify", str(path), "--r", str(r), "--eps", str(eps), "--out", str(out)]
+        code = cli.main(args + (["--exact"] if mode == "certified-interval" else []))
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (name, r, eps, mode, text)
+        assert (out / "certificate.json").read_text() == text
+        assert code == (0 if json.loads(text)["verdict"] == "certified-free" else 1)
 
 
 def test_contraction_mapping_property(real_field, q2):
@@ -689,13 +751,26 @@ def test_certified_pole_bounds_match_fraction_reference(real_field):
                 assert _certified_separation(p, q) == ref.lo, name
 
 
+def _svd_candidates(g):
+    """Top left and right singular vectors of the float rounding of g: the certified path's candidates."""
+    k, _, u = np.linalg.svd(np.asarray([[float(x) for x in row] for row in g], dtype=float))
+    return k[:, 0], u[0, :]
+
+
+def _inverse_candidates(g):
+    """Candidates for g^{-1}: at d = 2 g's turned by J (J u_0 for the point, J k_0 for the covector),
+    from d = 3 on those of g^{-1}'s own SVD."""
+    if len(g) > 2:
+        return _svd_candidates(exact_inv(exact_matrix(np.asarray(g))))
+    k0, u0 = _svd_candidates(g)
+    return np.array([-u0[1], u0[0]]), np.array([-k0[1], k0[0]])
+
+
 # The Interval-based certified path that preceded the endpoint one, kept
 # as the reference for its failure sets.
-def _interval_pole(g_exact):
-    gf = np.asarray([[float(x) for x in row] for row in g_exact], dtype=float)
-    k, _, u = np.linalg.svd(gf)
-    vhat, v_den = _integer_form(k[:, 0])
-    hhat, h_den = _integer_form(u[0, :])
+def _interval_pole(g_exact, candidates):
+    vhat, v_den = _integer_form(candidates[0])
+    hhat, h_den = _integer_form(candidates[1])
     a, den = _integer_form(g_exact)
     P, S = a @ a.T, a.T @ a
     W = min(max(sum(abs(x) for x in row) for row in exterior_square(M)) for M in (P, S))
@@ -733,7 +808,7 @@ def _interval_poles(gs):
     poles = []
     for g in gs:
         ge = exact_matrix(np.asarray(g))
-        poles += [_interval_pole(ge), _interval_pole(exact_inv(ge))]
+        poles += [_interval_pole(ge, _svd_candidates(ge)), _interval_pole(exact_inv(ge), _inverse_candidates(ge))]
     return poles
 
 
@@ -755,12 +830,14 @@ def _interval_failures(poles, seps, r, eps):
 
 # The per-matrix certified path that the one-SVD pass replaced (an SVD per pole, W from the
 # object exterior_square), kept as the reference for _certified_bounds.
-def _per_matrix_pole(a, den):
+def _per_matrix_pole(a, den, candidates=None):
     rows = a.tolist()
     cols = list(zip(*rows))
-    k, _, u = np.linalg.svd(np.array([[x / den for x in row] for row in rows]))
-    vhat, v_den = _integer_form(k[:, 0])
-    hhat, h_den = _integer_form(u[0, :])
+    if candidates is None:
+        k, _, u = np.linalg.svd(np.array([[x / den for x in row] for row in rows]))
+        candidates = k[:, 0], u[0, :]
+    vhat, v_den = _integer_form(candidates[0])
+    hhat, h_den = _integer_form(candidates[1])
     vhat, hhat = tuple(vhat.tolist()), tuple(hhat.tolist())
 
     def dot(x, y):
@@ -789,13 +866,16 @@ def _per_matrix_pole(a, den):
                           ratio_sq_upper=min(bv[0], bh[0]), sin_v=bv[1], sin_h=bh[1])
 
 
-def _per_matrix_poles(gs):
+def _per_matrix_poles(gs, turned=True):
+    """Poles of g and g^{-1} per matrix; turned: g^{-1}'s candidates as _certified_bounds takes them
+    (J-turns of g's at d = 2), else from g^{-1}'s own SVD, as _certified_poles takes them."""
     poles = []
     for g in gs:
         a, den = _integer_form(g)
         _, adj, det = _faddeev_leverrier(a)
         sign = 1 if det > 0 else -1
-        poles += [_per_matrix_pole(a, den), _per_matrix_pole(sign * den * adj, sign * det)]
+        inverse = _inverse_candidates(g) if turned else None
+        poles += [_per_matrix_pole(a, den), _per_matrix_pole(sign * den * adj, sign * det, inverse)]
     return poles
 
 
@@ -876,8 +956,10 @@ def test_certified_bounds_equal_per_matrix_reference():
             a, den = _integer_form(g)
             inv, inv_den = _integer_form(exact_inv(exact_matrix(np.asarray(g))))
             forms += [(a.tolist(), den), (inv.tolist(), inv_den)]
-        # pole for pole, in one SVD and from any integer form of g^{-1}
-        assert _certified_poles(forms) == want, gs
+        # pole for pole, in one SVD and from any integer form of g^{-1}, with per-matrix SVD candidates
+        assert _certified_poles(forms) == _per_matrix_poles(gs, turned=False), gs
+        if d > 2:
+            assert want == _per_matrix_poles(gs, turned=False)
         bounds = _certified_bounds(gs)
         if any(p is None for p in want):
             assert bounds is None
@@ -890,6 +972,136 @@ def test_certified_bounds_equal_per_matrix_reference():
         counts[d, m] = counts.get((d, m), 0) + 1
     # certified tuples of 2 and 3 generators at d = 2 and 3, and pairs at d = 4
     assert set(counts) == {(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)}, counts
+
+
+def _d2_generators(rng, count):
+    """2 x 2 generators for the J-turn identities: SL_2(Z) walk words and shears, matrices whose exact
+    det is not 1 (scaled, row-swapped, rational and random float ones), multiples of rotations, whose
+    spectral gap is 0 and so not certified, and near-isometries."""
+    nprng = np.random.default_rng(46)
+    sanov, positive = corpus.sanov(), corpus.positive_matrices()
+    r345 = np.array([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]], dtype=object)
+    for i in range(count):
+        m = (sanov, positive)[i % 2]
+        g = np.array(exact_product(m, [rng.randrange(len(m.atoms)) for _ in range(rng.randint(1, 20))]), dtype=object)
+        kind = i % 7
+        if kind == 6:
+            n = rng.randint(2, 10**6)
+            rot = np.linalg.matrix_power(r345, rng.randint(0, 3)) * rng.choice([1, 3, F(-1, 7)])
+            yield rot if i % 2 else rot @ np.array([[F(n + 1, n), 0], [0, F(n, n + 1)]], dtype=object)
+            continue
+        if kind == 0:
+            yield g.astype(float)
+        elif kind == 1:
+            yield np.array(random_unimodular_int(rng, 2, steps=16), dtype=object) * rng.choice([2, 3, -5])
+        elif kind == 2:
+            yield g[::-1].astype(float)
+        elif kind == 3:
+            yield g * F(rng.randint(1, 9), rng.randint(1, 9))
+        elif kind == 4:
+            yield nprng.standard_normal((2, 2)) * np.exp(nprng.uniform(-5, 5, (2, 1)))
+        else:
+            yield g
+
+
+def test_turned_pole_is_the_certified_pole_of_the_adjugate():
+    # g^{-1}'s pole at d = 2 is g's turned by J: _certified_pole_real of adj(a) = J a^T J^T with the
+    # candidates J h and J v, ==, whatever det(g) is
+    rng = random.Random(4646)
+    J = np.array([[0, -1], [1, 0]], dtype=object)
+    seen = {True: 0, False: 0}
+    for g in _d2_generators(rng, 600):
+        a, den = _integer_form(g)
+        adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=object)
+        assert (adj == J @ a.T @ J.T).all() and (adj == adjugate(a)).all()
+        k0, u0 = _svd_candidates(g)
+        pole = _certified_pole_real(a.tolist(), den, k0.tolist(), u0.tolist())
+        assert _certified_poles([(a.tolist(), den)]) == [pole]
+        want = _certified_pole_real(adj.tolist(), den, [-u0[1], u0[0]], [-k0[1], k0[0]])
+        if pole is None:
+            assert want is None
+        else:
+            assert _turned_pole(pole) == want
+            assert _turned_pole(_turned_pole(pole)) == _certified_pole_real(a.tolist(), den, [-k0[0], -k0[1]],
+                                                                            [-u0[0], -u0[1]])
+        seen[pole is None] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _direct_bounds(poles):
+    """ratio_sq and sep of a pole list with every separation computed, none copied."""
+    sep = [[_certified_separation(p, q) if i == j or i // 2 != j // 2 else np.inf for j, q in enumerate(poles)]
+           for i, p in enumerate(poles)]
+    return [p.ratio_sq_upper for p in poles], sep
+
+
+def test_turned_bounds_and_separations_at_d2():
+    # _certified_bounds at d = 2, tuples of 2 and 3 generators: poles g, J-turn of g, ..., every
+    # separation equal to a direct _certified_separation, and sep[p~][q~] == sep[q][p]
+    rng = random.Random(4647)
+    gens = list(_d2_generators(rng, 360))
+    counts = {2: 0, 3: 0}
+    for t in range(0, len(gens) - 3, 5):
+        gs = gens[t:t + 2 + t % 2]
+        bounds = _certified_bounds(gs)
+        poles = []
+        for g in gs:
+            a, den = _integer_form(g)
+            k0, u0 = _svd_candidates(g)
+            poles.append(_certified_pole_real(a.tolist(), den, k0.tolist(), u0.tolist()))
+            adj = adjugate(a).tolist()
+            poles.append(_certified_pole_real(adj, den, [-u0[1], u0[0]], [-k0[1], k0[0]]))
+        if any(p is None for p in poles):
+            assert bounds is None
+            continue
+        ratio_sq, sep = bounds
+        want_ratio, want_sep = _direct_bounds(poles)
+        assert ratio_sq.dtype == object and list(ratio_sq) == want_ratio
+        assert all(ratio_sq[i] == ratio_sq[i ^ 1] for i in range(len(poles)))
+        assert sep.dtype == float and np.array_equal(sep, np.array(want_sep))
+        for i in range(len(poles)):
+            for j in range(len(poles)):
+                assert sep[i ^ 1, j ^ 1] == sep[j, i], (i, j)
+        counts[len(gs)] += 1
+    assert min(counts.values()) >= 10, counts
+
+
+def test_certified_bounds_call_counts(monkeypatch):
+    # per d = 2 pair, 2 poles are bounded and 6 of the 12 separations computed; from d = 3 on, 4 and 12
+    calls = {"pole": 0, "sep": 0}
+    pole_real, separation = pingpong._certified_pole_real, pingpong._certified_separation
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pingpong, "_certified_pole_real", counted("pole", pole_real))
+    monkeypatch.setattr(pingpong, "_certified_separation", counted("sep", separation))
+    a = np.array([[2, 1], [1, 1]], dtype=object)
+    b = np.array([[1, 1], [1, 2]], dtype=object)
+    c = np.array([[5, 2], [2, 1]], dtype=object)
+    g3 = np.array([[2, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=object)
+    h3 = np.array([[1, 0, 0], [0, 2, 1], [0, 1, 1]], dtype=object)
+    for gs, want in (([a, b], (2, 6)), ([a, b, c], (3, 15)), ([g3, h3], (4, 12))):
+        calls.update(pole=0, sep=0)
+        assert _certified_bounds(gs) is not None
+        assert (calls["pole"], calls["sep"]) == want, len(gs)
+
+
+def test_certified_bounds_rejects_singular():
+    # at d = 2 the 2 x 2 integer determinant raises, as the Faddeev-LeVerrier pass does from d = 3 on
+    good = np.array([[2, 1], [1, 1]], dtype=object)
+    cases = [
+        [good, np.array([[1, 2], [2, 4]], dtype=object)],
+        [np.array([[F(1, 3), F(2, 3)], [F(1, 2), 1]], dtype=object), good],
+        [good, np.zeros((2, 2))],
+        [np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=object), np.eye(3, dtype=int).astype(object)],
+    ]
+    for gs in cases:
+        with pytest.raises(DomainError, match="matrix is singular"):
+            _certified_bounds(gs)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))
